@@ -10,7 +10,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .dsl import DslError, FeatureRef, compile_rule, evaluate, parse, to_flags, typecheck
+from .dsl import DslError, FeatureRef, compile_rule, evaluate, parse, to_flags, typecheck, walk
 from .evolution import ConfigError, EvolutionConfig, default_seed_rule, run_evolution
 from .metrics import event_f1_pa, point_adjusted_report, pointwise_report
 from .providers import (
@@ -104,18 +104,7 @@ def check(rule_path: str, meta_path: str | None) -> None:
             features = [m.name for m in load_meta(Path(meta_path).read_bytes())]
         else:
             # Without metadata, accept whatever features the rule references.
-            names: list[str] = []
-            stack = [ast.result, *(expr for _, expr in ast.bindings)]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, FeatureRef):
-                    names.append(node.name)
-                for attr in ("operand", "left", "right"):
-                    child = getattr(node, attr, None)
-                    if child is not None:
-                        stack.append(child)
-                stack.extend(getattr(node, "args", ()))
-            features = names
+            features = [n.name for n in walk(*ast.roots) if isinstance(n, FeatureRef)]
         rule = typecheck(ast, features)
     except DslError as exc:
         _fail(str(exc))

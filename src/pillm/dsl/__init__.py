@@ -14,7 +14,7 @@ from .checker import TypedRule, typecheck
 from .errors import BudgetError, DslError, DslSyntaxError, DslTypeError
 from .formatter import format_rule
 from .interp import EVAL_BUDGET, evaluate, to_flags
-from .nodes import BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef
+from .nodes import BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef, children, walk
 from .parser import BUILTINS, MAX_BINDINGS, MAX_NODES, MAX_WINDOW, parse
 
 __all__ = [
@@ -36,12 +36,14 @@ __all__ = [
     "TypedRule",
     "Unary",
     "VarRef",
+    "children",
     "compile_rule",
     "evaluate",
     "format_rule",
     "parse",
     "to_flags",
     "typecheck",
+    "walk",
 ]
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DslTypeError
-from .nodes import BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef
+from .nodes import BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef, walk
 from .parser import BUILTINS
 
 _NUM = "numeric-series"
@@ -35,17 +35,13 @@ def typecheck(ast: RuleAst, features: Iterable[str]) -> TypedRule:
     """Check `ast` against the table's feature names."""
     known = frozenset(features)
     env: dict[str, str] = {}
-    used: set[str] = set()
-    max_window = 1
 
     def visit(expr: Expr) -> str:
-        nonlocal max_window
         if isinstance(expr, Num):
             return _NUM
         if isinstance(expr, FeatureRef):
             if expr.name not in known:
                 raise DslTypeError(f"unknown feature ${expr.name}", *expr.pos)
-            used.add(expr.name)
             return _NUM
         if isinstance(expr, VarRef):
             # The parser guarantees bound-before-use, so the name is present.
@@ -74,26 +70,31 @@ def typecheck(ast: RuleAst, features: Iterable[str]) -> TypedRule:
                 raise DslTypeError("division by a literal 0", *expr.pos)
             return _NUM
         if isinstance(expr, Call):
-            arity, window_arg = BUILTINS[expr.name]
             for arg in expr.args:
                 _require(visit(arg), _NUM, f"argument of {expr.name}()", arg)
-            if window_arg is not None:
-                literal = expr.args[window_arg]
-                assert isinstance(literal, Num)  # enforced by the parser
-                max_window = max(max_window, int(literal.value))
             return _NUM
         raise TypeError(f"not an expression node: {expr!r}")
 
     for name, expr in ast.bindings:
         env[name] = visit(expr)
     result_type = visit(ast.result)
+    nodes = list(walk(*ast.roots))
     return TypedRule(
         ast=ast,
         result_is_bool=result_type == _BOOL,
-        features=frozenset(used),
-        max_window=max_window,
+        features=frozenset(n.name for n in nodes if isinstance(n, FeatureRef)),
+        max_window=max((_window(n) for n in nodes if isinstance(n, Call)), default=1),
         node_count=ast.node_count,
     )
+
+
+def _window(call: Call) -> int:
+    window_arg = BUILTINS[call.name][1]
+    if window_arg is None:
+        return 1
+    literal = call.args[window_arg]
+    assert isinstance(literal, Num)  # enforced by the parser
+    return int(literal.value)
 
 
 def _require(actual: str, expected: str, where: str, expr: Expr) -> None:

@@ -8,7 +8,7 @@ guarantee is stated against. Positions are kept for diagnostics only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterator, Union
 
 Pos = tuple[int, int]
 
@@ -64,7 +64,15 @@ class RuleAst:
 
     bindings: tuple[tuple[str, Expr], ...]
     result: Expr
-    node_count: int
+    node_count: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "node_count", sum(1 for _ in walk(*self.roots)))
+
+    @property
+    def roots(self) -> tuple[Expr, ...]:
+        """The top-level expressions in source order: each binding's, then the result."""
+        return (*(expr for _, expr in self.bindings), self.result)
 
 
 COMPARISON_OPS = (">", "<", ">=", "<=", "==", "!=")
@@ -72,14 +80,23 @@ ARITHMETIC_OPS = ("+", "-", "*", "/")
 BOOLEAN_OPS = ("and", "or")
 
 
-def count_nodes(expr: Expr) -> int:
-    """Number of expression nodes in the subtree rooted at `expr`."""
+def children(expr: Expr) -> tuple[Expr, ...]:
+    """Direct sub-expressions of `expr`, left to right."""
     if isinstance(expr, (Num, FeatureRef, VarRef)):
-        return 1
+        return ()
     if isinstance(expr, Call):
-        return 1 + sum(count_nodes(a) for a in expr.args)
+        return expr.args
     if isinstance(expr, Unary):
-        return 1 + count_nodes(expr.operand)
+        return (expr.operand,)
     if isinstance(expr, BinOp):
-        return 1 + count_nodes(expr.left) + count_nodes(expr.right)
+        return (expr.left, expr.right)
     raise TypeError(f"not an expression node: {expr!r}")
+
+
+def walk(*roots: Expr) -> Iterator[Expr]:
+    """Every node under `roots`, in pre-order, left to right."""
+    stack = list(reversed(roots))
+    while stack:
+        expr = stack.pop()
+        yield expr
+        stack.extend(reversed(children(expr)))

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import DslSyntaxError
-from .nodes import BinOp, Call, Expr, FeatureRef, Num, Pos, RuleAst, Unary, VarRef, count_nodes
+from .nodes import BinOp, Call, Expr, FeatureRef, Num, Pos, RuleAst, Unary, VarRef
 
 MAX_SOURCE_BYTES = 16 * 1024
 MAX_NODES = 512
@@ -152,10 +152,10 @@ class _Parser:
         trailing = self._peek()
         if trailing.kind != "EOF":
             raise DslSyntaxError(f"unexpected input after return expression: {trailing.text!r}", *trailing.pos)
-        node_count = count_nodes(result) + sum(count_nodes(e) for _, e in bindings)
-        if node_count > MAX_NODES:
-            raise DslSyntaxError(f"rule has {node_count} nodes (cap {MAX_NODES})", 1, 1)
-        return RuleAst(bindings=tuple(bindings), result=result, node_count=node_count)
+        ast = RuleAst(bindings=tuple(bindings), result=result)
+        if ast.node_count > MAX_NODES:
+            raise DslSyntaxError(f"rule has {ast.node_count} nodes (cap {MAX_NODES})", 1, 1)
+        return ast
 
     def _terminator(self) -> None:
         tok = self._peek()

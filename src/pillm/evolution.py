@@ -15,7 +15,7 @@ import hashlib
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping, Sequence
 
 from . import prompts
@@ -57,7 +57,6 @@ class RuleCandidate:
     metrics: MetricReport | None = None
     request_tags_used: tuple[str, ...] = ()
     error: str | None = None
-    version: int = 1
     rule: TypedRule | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -95,6 +94,19 @@ class EvolutionConfig:
     max_tokens: int = 1024
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # Annotations are strings under `from __future__ import annotations`.
+            if value is None and f.type.endswith(" | None"):
+                continue
+            kind = f.type.removesuffix(" | None")
+            if kind == "bool":
+                ok = isinstance(value, bool)
+            else:
+                allowed = (int, float) if kind == "float" else int
+                ok = isinstance(value, allowed) and not isinstance(value, bool)
+            if not ok:
+                raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
         if self.pairs_per_gen is None:
             self.pairs_per_gen = max(1, self.population_size // 2)
         if self.population_size < 2:
@@ -115,6 +127,10 @@ class EvolutionConfig:
             raise ConfigError("train_fraction must be in (0, 1)")
         if not math.isfinite(self.threshold):
             raise ConfigError("threshold must be finite")
+        if not (self.init_temperature >= 0 and self.refine_temperature >= 0):
+            raise ConfigError("init_temperature and refine_temperature must be >= 0")
+        if self.max_tokens < 1:
+            raise ConfigError("max_tokens must be >= 1")
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "EvolutionConfig":
@@ -129,23 +145,7 @@ class EvolutionConfig:
             raise ConfigError(str(exc)) from None
 
     def to_dict(self) -> dict:
-        return {
-            "population_size": self.population_size,
-            "generations": self.generations,
-            "elite_count": self.elite_count,
-            "pairs_per_gen": self.pairs_per_gen,
-            "threshold": self.threshold,
-            "seed": self.seed,
-            "enable_pir": self.enable_pir,
-            "enable_pic": self.enable_pic,
-            "retry_budget": self.retry_budget,
-            "long_term_window": self.long_term_window,
-            "llm_call_budget": self.llm_call_budget,
-            "train_fraction": self.train_fraction,
-            "init_temperature": self.init_temperature,
-            "refine_temperature": self.refine_temperature,
-            "max_tokens": self.max_tokens,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -327,7 +327,6 @@ class EvolutionEngine:
             context=context,
             operator="seed",
             generation=0,
-            version=1,
             rule=compile_rule(code, self._feature_names),
         )
         population = [seed]
@@ -338,7 +337,6 @@ class EvolutionEngine:
                 "input_feature_list": self._feature_list,
                 "seed_function": f"```rule\n{seed.code}\n```",
                 "context_template": f"```context\n{seed.context}\n```",
-                "func_name": "rule_v2",
             },
             prompts_dir=self.prompts_dir,
         )
@@ -354,7 +352,6 @@ class EvolutionEngine:
                     context=parsed.context if parsed else "",
                     operator="init",
                     generation=0,
-                    version=2,
                     request_tags_used=tuple(tags),
                     error=error,
                     rule=rule,
@@ -440,11 +437,9 @@ class EvolutionEngine:
         generation: int,
     ) -> RuleCandidate:
         worse, better = pair
-        version = max(worse.version, better.version) + 1
         bindings = self._pair_bindings(worse, better)
         bindings["reflection_comments"] = reflection.comments if reflection else NO_REFLECTION_TEXT
         bindings["reflection_context"] = reflection.context if reflection else ""
-        bindings["function_name"] = f"rule_v{version}"
         user_prompt = prompts.render("crossover", bindings, prompts_dir=self.prompts_dir)
         return self._offspring(
             tag="crossover",
@@ -452,7 +447,6 @@ class EvolutionEngine:
             operator="crossover",
             parents=(worse.id, better.id),
             generation=generation,
-            version=version,
         )
 
     def elitist_mutate(self, elite: RuleCandidate, generation: int) -> RuleCandidate:
@@ -463,9 +457,7 @@ class EvolutionEngine:
             "input_feature_list": self._feature_list,
             "reflection_comments": digest,
             "reflection_context": latest_context,
-            "function_signature": f"rule_v{elite.version}",
             "elitist_code": f"```rule\n{elite.code}\n```",
-            "function_name": f"rule_v{elite.version + 1}",
         }
         user_prompt = prompts.render("elitist_mutation", bindings, prompts_dir=self.prompts_dir)
         return self._offspring(
@@ -474,7 +466,6 @@ class EvolutionEngine:
             operator="mutation",
             parents=(elite.id,),
             generation=generation,
-            version=elite.version + 1,
         )
 
     def _offspring(
@@ -484,12 +475,9 @@ class EvolutionEngine:
         operator: str,
         parents: tuple[str, ...],
         generation: int,
-        version: int,
     ) -> RuleCandidate:
         try:
             parsed, rule, tags, error = self._request_rule(tag, user_prompt)
-        except _CallBudgetExhausted:
-            raise
         except ProviderError as exc:
             parsed, rule, tags, error = None, None, [tag], str(exc)
         return RuleCandidate(
@@ -499,7 +487,6 @@ class EvolutionEngine:
             operator=operator,
             generation=generation,
             parent_ids=parents,
-            version=version,
             request_tags_used=tuple(tags),
             error=error,
             rule=rule,

@@ -3,7 +3,9 @@
 The five templates (initial generation, the generator system prompt, the
 reflection system prompt, crossover, and elitist mutation) live as plain
 text files so they can be inspected and swapped out without code changes;
-a CLI flag points at an alternative directory for prompt experimentation.
+the library's `prompts_dir` argument (to `load_template`, `render` and the
+evolution engine) points at an alternative directory for prompt
+experimentation. No CLI flag sets it.
 Placeholders use `{name}` slots filled by literal substitution only.
 """
 
@@ -31,7 +33,7 @@ TEMPLATE_IDS = (
 # Binding schema per template; render() enforces exactly these slots.
 PLACEHOLDERS: dict[str, frozenset[str]] = {
     "init": frozenset(
-        {"task_description", "input_feature_list", "seed_function", "context_template", "func_name"}
+        {"task_description", "input_feature_list", "seed_function", "context_template"}
     ),
     "generator_system": frozenset({"task_description"}),
     "reflection_system": frozenset(
@@ -54,7 +56,6 @@ PLACEHOLDERS: dict[str, frozenset[str]] = {
             "better_rules_physical_context",
             "reflection_comments",
             "reflection_context",
-            "function_name",
         }
     ),
     "elitist_mutation": frozenset(
@@ -63,9 +64,7 @@ PLACEHOLDERS: dict[str, frozenset[str]] = {
             "input_feature_list",
             "reflection_comments",
             "reflection_context",
-            "function_signature",
             "elitist_code",
-            "function_name",
         }
     ),
 }

@@ -17,12 +17,12 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Protocol, Sequence
+from typing import Protocol, Sequence
 
 import requests
 
 from .dsl.formatter import format_rule
-from .dsl.nodes import BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef, count_nodes
+from .dsl.nodes import BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef, walk
 from .dsl.parser import MAX_BINDINGS, MAX_NODES, parse
 
 # The reporting layer adds "narrate" on top of the four evolutionary tags.
@@ -270,7 +270,7 @@ class SamplerProvider:
                 )
             call_seed = self._seed * 1_000_003 + self._counter
             code = sample_rule(call_seed, self._features, self._depth)
-            names = sorted({n.name for n in _walk_features(code)})
+            names = sorted({n.name for n in walk(*parse(code).roots) if isinstance(n, FeatureRef)})
             text = (
                 f"```rule\n{code}\n```\n\n"
                 "```context\n"
@@ -281,26 +281,6 @@ class SamplerProvider:
             return CompletionResult(
                 text=text, provider_id=self.provider_id, latency_ms=0, attempt=1
             )
-
-
-def _walk_features(code: str) -> Iterator[FeatureRef]:
-    ast = parse(code)
-
-    def visit(expr: Expr) -> Iterator[FeatureRef]:
-        if isinstance(expr, FeatureRef):
-            yield expr
-        elif isinstance(expr, Call):
-            for a in expr.args:
-                yield from visit(a)
-        elif isinstance(expr, Unary):
-            yield from visit(expr.operand)
-        elif isinstance(expr, BinOp):
-            yield from visit(expr.left)
-            yield from visit(expr.right)
-
-    for _, bound in ast.bindings:
-        yield from visit(bound)
-    yield from visit(ast.result)
 
 
 _WINDOWS = (5, 10, 15, 30, 60, 120)
@@ -372,9 +352,7 @@ class _RuleSampler:
                 expr = self._numeric(depth_budget - 1)
                 bindings.append((name, expr))
                 self._bound.append(name)
-        result = self._boolean(depth_budget)
-        node_count = count_nodes(result) + sum(count_nodes(e) for _, e in bindings)
-        return RuleAst(bindings=tuple(bindings), result=result, node_count=node_count)
+        return RuleAst(bindings=tuple(bindings), result=self._boolean(depth_budget))
 
 
 def sample_rule(seed: int, features: Sequence[str], depth_budget: int = 4) -> str:

@@ -119,17 +119,8 @@ class RunLog:
 
 def best_record(records: Sequence[dict]) -> dict | None:
     """Highest-fitness valid record; earliest candidate wins ties."""
-    best = None
-    for record in records:
-        if record.get("fitness") is None:
-            continue
-        if (
-            best is None
-            or record["fitness"] > best["fitness"]
-            or (record["fitness"] == best["fitness"] and record["candidate_id"] < best["candidate_id"])
-        ):
-            best = record
-    return best
+    valid = [r for r in records if r.get("fitness") is not None]
+    return min(valid, key=lambda r: (-r["fitness"], r["candidate_id"]), default=None)
 
 
 @dataclass(frozen=True)

@@ -132,6 +132,11 @@ class TestCheck:
         result = runner.invoke(main, ["check", "--rule", str(rule)])
         assert result.exit_code == 0
         assert "zone_temp" in result.output
+        # Features referenced only in a binding, under a call argument and a unary operand.
+        rule.write_text("d = abs($a - lag($b, 2))\nreturn not (d > 1)\n")
+        result = runner.invoke(main, ["check", "--rule", str(rule)])
+        assert result.exit_code == 0
+        assert result.output.strip().endswith("features: a, b")
 
     def test_diagnostic_on_bad_rule(self, tmp_path, runner):
         rule = tmp_path / "rule.txt"
@@ -294,6 +299,16 @@ class TestEvolve:
         result = self.invoke_evolve(runner, data, meta, config, tmp_path / "runs")
         assert result.exit_code == 3
         assert "crossover_rate" in result.output
+
+    def test_bad_config_type_exits_3_before_run_dir(self, tmp_path, runner, sim_corpus):
+        data, meta = sim_corpus
+        out = tmp_path / "runs"
+        out.mkdir()
+        for bad in ({"generations": 1.5}, {"seed": "x"}, {"enable_pir": "no"}):
+            config = evolve_config(tmp_path, **bad)
+            result = self.invoke_evolve(runner, data, meta, config, out)
+            assert result.exit_code == 3, (bad, result.output)
+            assert list(out.iterdir()) == []
 
     def test_malformed_json_exits_3(self, tmp_path, runner, sim_corpus):
         data, meta = sim_corpus

@@ -13,10 +13,12 @@ from pillm.dsl import (
     RuleAst,
     TypedRule,
     VarRef,
+    children,
     compile_rule,
     format_rule,
     parse,
     typecheck,
+    walk,
 )
 
 DIAG_RE = re.compile(r"^\d+:\d+: .+")
@@ -65,6 +67,19 @@ class TestParseBasics:
         ast = parse("return $x + 1 > 2")
         # FeatureRef, Num, BinOp(+), Num, BinOp(>)
         assert ast.node_count == 5
+
+    def test_walk_is_preorder_left_to_right(self):
+        ast = parse("d = abs($a - lag($b, 2))\nreturn not (d > 1)")
+        kinds = [type(n).__name__ for n in walk(*ast.roots)]
+        assert kinds == [
+            "Call", "BinOp", "FeatureRef", "Call", "FeatureRef", "Num",
+            "Unary", "BinOp", "VarRef", "Num",
+        ]
+        assert len(kinds) == ast.node_count
+
+    def test_children_rejects_non_nodes(self):
+        with pytest.raises(TypeError, match="not an expression node"):
+            children("$x")
 
 
 class TestParseErrors:
@@ -170,6 +185,17 @@ class TestTypecheck:
     def test_unknown_feature(self):
         with pytest.raises(DslTypeError, match="ghost"):
             typecheck(parse("return $ghost > 1"), {"zone_temp"})
+
+    @pytest.mark.parametrize(
+        ("src", "first_error"),
+        [
+            ("return (1 and 2) > $ghost", "'and' requires"),
+            ("return $ghost > (1 and 2)", "unknown feature \\$ghost"),
+        ],
+    )
+    def test_first_error_in_source_order(self, src, first_error):
+        with pytest.raises(DslTypeError, match=first_error):
+            typecheck(parse(src), {"x"})
 
     def test_boolean_in_arithmetic(self):
         with pytest.raises(DslTypeError):

@@ -85,6 +85,17 @@ class TestConfig:
             {"train_fraction": 0.0},
             {"train_fraction": 1.0},
             {"threshold": float("nan")},
+            {"generations": 1.5},
+            {"elite_count": 1.5},
+            {"population_size": 4.0},
+            {"seed": "x"},
+            {"enable_pir": "no"},
+            {"enable_pic": 1},
+            {"retry_budget": True},
+            {"threshold": True},
+            {"max_tokens": 0},
+            {"init_temperature": -0.1},
+            {"refine_temperature": -0.1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -228,7 +239,6 @@ class TestEngine:
         engine = EvolutionEngine(base_config(), small_table, provider)
         population = engine.init_population(SEED_DUD)
         assert [c.operator for c in population] == ["seed", "init", "init"]
-        assert [c.version for c in population] == [1, 2, 2]
         assert population[0].code == SEED_DUD[0]
         assert population[1].code == "return $x > 0.5"
 
@@ -303,20 +313,17 @@ class TestEngine:
         pair = TestSelectPairs.candidates([0.2, 0.8])
         assert engine.reflect((pair[0], pair[1])) is None
 
-    def test_crossover_version_and_prompt(self, small_table):
+    def test_crossover_lineage_and_prompt(self, small_table):
         provider = CannedProvider({"crossover": [RULE_PERFECT]})
         engine = EvolutionEngine(base_config(), small_table, provider)
         worse, better = TestSelectPairs.candidates([0.2, 0.8])
-        worse.version, better.version = 2, 3
         reflection = Reflection(
             comments="Use a tighter threshold.", context="Setpoint drift.", pair=("a", "b")
         )
         child = engine.crossover((worse, better), reflection, generation=1)
-        assert child.version == 4
         assert child.operator == "crossover"
         assert child.parent_ids == (worse.id, better.id)
         prompt = provider.requests[0].user_prompt
-        assert "rule_v4" in prompt
         assert "Use a tighter threshold." in prompt
 
     def test_crossover_without_reflection_uses_placeholder(self, small_table):
@@ -326,18 +333,13 @@ class TestEngine:
         engine.crossover((worse, better), None, generation=1)
         assert NO_REFLECTION_TEXT in provider.requests[0].user_prompt
 
-    def test_mutation_version_and_signature(self, small_table):
+    def test_mutation_lineage(self, small_table):
         provider = CannedProvider({"mutation": [RULE_PERFECT]})
         engine = EvolutionEngine(base_config(), small_table, provider)
         elite = TestSelectPairs.candidates([0.9])[0]
-        elite.version = 5
         child = engine.elitist_mutate(elite, generation=2)
-        assert child.version == 6
         assert child.operator == "mutation"
         assert child.parent_ids == (elite.id,)
-        prompt = provider.requests[0].user_prompt
-        assert "rule_v5" in prompt
-        assert "rule_v6" in prompt
 
     def test_mutation_prompt_carries_reflection_digest(self, small_table):
         provider = CannedProvider({"mutation": [RULE_PERFECT]})

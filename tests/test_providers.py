@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 import requests
@@ -255,6 +256,7 @@ class TestSampleRule:
             code = sample_rule(seed, FEATURES)
             rule = compile_rule(code, FEATURES)
             assert rule.node_count <= 512
+            assert rule.features == set(re.findall(r"\$([A-Za-z_]\w*)", code))
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
