@@ -9,6 +9,12 @@ answer (false and anything is false, true or anything is true). Windowed
 builtins are MISSING wherever their trailing window touches a MISSING input.
 `ewma` pauses its state over MISSING inputs and resumes on the next datum.
 
+Windowed builtins cost O(T) for any window: `rmin`/`rmax` use the van Herk /
+Gil-Werman block scans, and `mean`/`std`/`zscore` use per-block prefix sums
+with an error bound that sends the rare ill-conditioned window to an exact
+two-pass sum. The evaluation budget still charges node_count x T x
+max_window, a deliberately unchanged cap.
+
 Only the final result coerces MISSING to 0.0: a rule that cannot decide
 does not alarm.
 """
@@ -18,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..timeseries import TimeSeriesTable
 from .checker import TypedRule
@@ -27,12 +32,28 @@ from .nodes import BinOp, Call, Expr, FeatureRef, Num, Unary, VarRef
 
 EVAL_BUDGET = 2**28
 ZSCORE_EPS = 1e-9
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+# Windowed mean/std/zscore are within this of the exact value, absolute plus
+# relative (a tenth of C04's 1e-9); windows whose error bound cannot promise
+# it are recomputed by `_two_pass`, _CHUNK gathered values at a time.
+_TOL = 1e-10
+_CHUNK = 1 << 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Series:
-    values: np.ndarray  # float64, finite at every position
+    """A sub-expression's values and MISSING mask, both read-only.
+
+    Read-only arrays let a series be shared without copies: a binding read
+    by several `VarRef`s, or a mask passed through unchanged.
+    """
+
+    values: np.ndarray  # float64, finite at every position, 0.0 where missing
     missing: np.ndarray  # bool
+
+    def __post_init__(self) -> None:
+        self.values.setflags(write=False)
+        self.missing.setflags(write=False)
 
 
 def _const(value: float, length: int) -> _Series:
@@ -47,23 +68,136 @@ def _clean_arith(values: np.ndarray, mask: np.ndarray) -> _Series:
     return _Series(np.where(mask, 0.0, values), mask)
 
 
-def _rolling_reduce(x: np.ndarray, window: int, fn) -> np.ndarray:
-    """Trailing-window reduction; rows before w-1 use the available prefix."""
+def _blocks(x: np.ndarray, window: int, pad: float) -> np.ndarray:
+    """`x` after window-1 leading `pad` values, padded to whole blocks of `window`.
+
+    Row t sits at padded position t+window-1, so its trailing window is the
+    prefix of its own block up to it plus the rest of the block before.
+    """
     length = x.shape[0]
-    out = np.empty(length, dtype=np.float64)
-    lead = min(window - 1, length)
-    for t in range(lead):
-        out[t] = fn(x[: t + 1], axis=-1)
-    if length >= window:
-        out[window - 1 :] = fn(sliding_window_view(x, window), axis=-1)
-    return out
+    padded = np.full(-(-(length + window - 1) // window) * window, pad)
+    padded[window - 1 : window - 1 + length] = x
+    return padded.reshape(-1, window)
 
 
-def _rolling_missing(missing: np.ndarray, window: int) -> np.ndarray:
-    if not missing.any():
-        return np.zeros(missing.shape[0], dtype=bool)
-    marked = _rolling_reduce(missing.astype(np.float64), window, np.max)
-    return marked > 0.5
+def _rolling_extreme(x: np.ndarray, window: int, ufunc: np.ufunc, pad: float) -> np.ndarray:
+    """Trailing min or max by the van Herk / Gil-Werman block scans.
+
+    Each window combines one block suffix and one block prefix, so the cost
+    is O(T) for any window. `pad` (+inf for min, -inf for max) fills the
+    partial windows before row w-1.
+    """
+    length = x.shape[0]
+    window = min(window, length)
+    blocks = _blocks(x, window, pad)
+    prefix = ufunc.accumulate(blocks, axis=1).ravel()
+    suffix = ufunc.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return ufunc(suffix[:length], prefix[window - 1 : window - 1 + length])
+
+
+def _two_pass(padded: np.ndarray, rows: np.ndarray, window: int, count: np.ndarray):
+    """Mean and population std of the trailing windows ending at `rows`.
+
+    `padded` is the series in the `_blocks` layout with zero pads. Windows
+    are gathered _CHUNK values at a time, so memory stays bounded.
+    """
+    mean = np.empty(rows.shape[0])
+    std = np.empty(rows.shape[0])
+    offsets = np.arange(window)
+    step = max(1, _CHUNK // window)
+    for lo in range(0, rows.shape[0], step):
+        part = slice(lo, lo + step)
+        positions = rows[part, None] + offsets
+        values = padded[positions]
+        mean[part] = values.sum(axis=1) / count[part]
+        dev = np.where(positions >= window - 1, values - mean[part, None], 0.0)
+        std[part] = np.sqrt(np.einsum("ij,ij->i", dev, dev) / count[part])
+    return mean, std
+
+
+def _window_sums(own: np.ndarray, before: np.ndarray) -> np.ndarray:
+    """At (k, q): own[k, :q+1] summed plus before[k-1, q+1:] summed, each by a running sum."""
+    sums = np.cumsum(own, axis=1)
+    sums[1:, :-1] += np.cumsum(before[:, :0:-1], axis=1)[:, ::-1]
+    return sums
+
+
+def _rolling_moment(x: np.ndarray, window: int, name: str) -> np.ndarray:
+    """Trailing-window `mean`, `std` (population) or `zscore` of `x` in O(T).
+
+    Rows before w-1 use the available prefix. A window ending in block k is
+    a prefix of block k plus a tail of block k-1, and both are summed as
+    distances from block k's mean: that keeps E[x^2]-E[x]^2 free of the
+    cancellation an offset like 22 degC causes. Where the worst-case
+    rounding error could exceed _TOL (absolute plus relative), the window is
+    recomputed by `_two_pass`. Constant windows are exact: mean x, std 0,
+    zscore 0.
+    """
+    length = x.shape[0]
+    window = min(window, length)
+    if window == 1:
+        return x if name == "mean" else np.zeros(length)
+    blocks = _blocks(x, window, 0.0)
+    starts = np.arange(blocks.shape[0]) * window
+    real = np.minimum(starts + window, length + window - 1) - np.maximum(starts, window - 1)
+    shift = blocks.sum(axis=1) / real
+    own = blocks - shift[:, None]
+    own.ravel()[: window - 1] = 0.0
+    own.ravel()[window - 1 + length :] = 0.0
+    before = blocks[:-1] - shift[1:, None]  # block k-1 measured from block k's shift
+    before.ravel()[: window - 1] = 0.0
+
+    count = np.full(blocks.shape, float(window))
+    count.ravel()[window - 1 : 2 * window - 2] = np.arange(1, window)
+    m = _window_sums(own, before) / count  # window mean minus block k's shift
+    rows = slice(window - 1, window - 1 + length)
+    # Worst-case relative rounding of sums of up to window+4 terms, with margin.
+    gamma = 4.0 * (window + 4) * _UNIT_ROUNDOFF
+
+    if name == "mean":
+        out = (m + shift[:, None]).ravel()[rows]
+        # The error is at most gamma times the window's largest distance from the shift.
+        reach = np.abs(own).max(axis=1)
+        reach[1:] = np.maximum(reach[1:], np.abs(before).max(axis=1))
+        limit = np.repeat(reach * (2.0 * gamma / _TOL) - 1.0, window)[rows]
+        bad = np.abs(out) < limit
+    else:
+        square = _window_sums(own * own, before * before) / count
+        std = np.sqrt(np.maximum(square - m * m, 0.0)).ravel()[rows]
+        err_var = (gamma * square).ravel()[rows]  # bounds the variance's rounding error
+        if name == "std":
+            out = std
+            # |error of std| <= min(sqrt(err_var), err_var / std)
+            bad = err_var > (0.5 * _TOL) * np.maximum(std * (1.0 + std), 0.5 * _TOL)
+        else:
+            den = std + ZSCORE_EPS
+            out = (own - m).ravel()[rows] / den
+            err_num = np.sqrt(gamma * err_var)  # gamma times the RMS distance from the shift
+            bad = (err_num > (0.5 * _TOL) * den) | (err_var > (_TOL / 3.0) * std * den)
+    # A window is constant when no row in it differs from the row before.
+    change = np.zeros(length, dtype=bool)
+    change[1:] = x[1:] != x[:-1]
+    constant = ~_rolling_any(change, window - 1)
+    redo = np.flatnonzero(bad & ~constant)
+    if redo.size:
+        exact_mean, exact_std = _two_pass(blocks.ravel(), redo, window, count.ravel()[rows][redo])
+        if name == "mean":
+            out[redo] = exact_mean
+        elif name == "std":
+            out[redo] = exact_std
+        else:
+            out[redo] = (x[redo] - exact_mean) / (exact_std + ZSCORE_EPS)
+    return np.where(constant, x if name == "mean" else 0.0, out)
+
+
+def _rolling_any(flags: np.ndarray, window: int) -> np.ndarray:
+    """True where the trailing window holds a flagged row (exact integer counts)."""
+    if not flags.any():
+        return np.zeros(flags.shape[0], dtype=bool)
+    seen = np.cumsum(flags, dtype=np.intp)
+    hits = seen.copy()
+    hits[window:] -= seen[:-window]
+    return hits > 0
 
 
 def _lag(x: _Series, k: int) -> _Series:
@@ -86,21 +220,17 @@ def _ewma(x: _Series, alpha: float) -> _Series:
         xt = float(x.values[t])
         state = xt if state is None else alpha * xt + (1.0 - alpha) * state
         values[t] = state
-    return _Series(values, x.missing.copy())
+    return _Series(values, x.missing)
 
 
-def _windowed(x: _Series, window: int, fn) -> _Series:
-    mask = _rolling_missing(x.missing, window)
-    values = _rolling_reduce(np.where(x.missing, 0.0, x.values), window, fn)
-    return _Series(np.where(mask, 0.0, values), mask)
-
-
-def _zscore(x: _Series, window: int) -> _Series:
-    mask = _rolling_missing(x.missing, window)
-    clean = np.where(x.missing, 0.0, x.values)
-    mu = _rolling_reduce(clean, window, np.mean)
-    sd = _rolling_reduce(clean, window, np.std)
-    values = (clean - mu) / (sd + ZSCORE_EPS)
+def _windowed(x: _Series, window: int, name: str) -> _Series:
+    mask = _rolling_any(x.missing, window)
+    if name == "rmin":
+        values = _rolling_extreme(x.values, window, np.minimum, np.inf)
+    elif name == "rmax":
+        values = _rolling_extreme(x.values, window, np.maximum, -np.inf)
+    else:
+        values = _rolling_moment(x.values, window, name)
     return _Series(np.where(mask, 0.0, values), mask)
 
 
@@ -129,11 +259,11 @@ class _Evaluator:
             operand = self._eval(expr.operand)
             if expr.op == "-":
                 return _Series(
-                    np.where(operand.missing, 0.0, -operand.values), operand.missing.copy()
+                    np.where(operand.missing, 0.0, -operand.values), operand.missing
                 )
             # not: Kleene negation
             values = np.where(operand.values == 0.0, 1.0, 0.0)
-            return _Series(np.where(operand.missing, 0.0, values), operand.missing.copy())
+            return _Series(np.where(operand.missing, 0.0, values), operand.missing)
         if isinstance(expr, BinOp):
             return self._eval_binop(expr)
         if isinstance(expr, Call):
@@ -190,19 +320,14 @@ class _Evaluator:
         name = expr.name
         if name == "abs":
             x = self._eval(expr.args[0])
-            return _Series(np.where(x.missing, 0.0, np.abs(x.values)), x.missing.copy())
+            return _Series(np.where(x.missing, 0.0, np.abs(x.values)), x.missing)
         if name == "clip":
             x, lo, hi = (self._eval(a) for a in expr.args)
             mask = x.missing | lo.missing | hi.missing
             values = np.clip(x.values, lo.values, hi.values)
             return _Series(np.where(mask, 0.0, values), mask)
         if name in ("mean", "std", "rmin", "rmax", "zscore"):
-            x = self._eval(expr.args[0])
-            window = self._literal_int(expr.args[1])
-            if name == "zscore":
-                return _zscore(x, window)
-            fn = {"mean": np.mean, "std": np.std, "rmin": np.min, "rmax": np.max}[name]
-            return _windowed(x, window, fn)
+            return _windowed(self._eval(expr.args[0]), self._literal_int(expr.args[1]), name)
         if name == "lag":
             return _lag(self._eval(expr.args[0]), self._literal_int(expr.args[1]))
         if name == "delta":
@@ -226,9 +351,11 @@ class _Evaluator:
 def evaluate(rule: TypedRule, table: TimeSeriesTable) -> np.ndarray:
     """Evaluate a typechecked rule over all rows, returning finite scores.
 
-    Raises `BudgetError` when node_count x T x max_window exceeds the fixed
-    evaluation budget; the caller is expected to mark such candidates invalid
-    rather than retry.
+    Every builtin, windowed or not, costs O(T) per node. Even so, the budget
+    still charges node_count x T x max_window, so the set of accepted rules
+    stays what it was when windows cost O(T x w). Raises `BudgetError` when
+    that exceeds the fixed evaluation budget; the caller is expected to mark
+    such candidates invalid rather than retry.
     """
     cost = rule.node_count * table.num_rows * rule.max_window
     if cost > EVAL_BUDGET:

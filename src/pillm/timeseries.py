@@ -23,6 +23,7 @@ VALID_ROLES = ("sensor", "command", "status", "derived")
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
+_CSV_CHUNK = 256
 
 
 class TableError(ValueError):
@@ -304,20 +305,23 @@ def load_csv(data: bytes | str, meta: Sequence[FeatureMeta]) -> TimeSeriesTable:
 
 def save_csv(table: TimeSeriesTable) -> bytes:
     """Serialize a table to CSV such that `load_csv` reproduces it exactly."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    # Built a column at a time, _CSV_CHUNK rows at a time, so the temporary
+    # cells stay small next to the output. No cell needs CSV quoting: names
+    # match _NAME_RE and cells are numbers. repr() round-trips float64
+    # exactly, which load_csv relies on.
     header = ["timestamp", *table.feature_names]
-    if table.has_labels:
+    if table.labels is not None:
         header.append("label")
-    writer.writerow(header)
-    for i in range(table.num_rows):
-        row: list[str] = [str(int(table.timestamps[i]))]
-        # repr() round-trips float64 exactly, which load_csv relies on.
-        row.extend(repr(float(v)) for v in table.values[i])
-        if table.has_labels:
-            row.append(str(int(table.labels[i])))  # type: ignore[index]
-        writer.writerow(row)
-    return out.getvalue().encode("utf-8")
+    chunks = [",".join(header).encode("utf-8") + b"\n"]
+    for start in range(0, table.num_rows, _CSV_CHUNK):
+        rows = slice(start, start + _CSV_CHUNK)
+        columns = [map(str, table.timestamps[rows].tolist())]
+        columns.extend(map(repr, column.tolist()) for column in table.values[rows].T)
+        if table.labels is not None:
+            columns.append(map(str, table.labels[rows].tolist()))
+        lines = [*map(",".join, zip(*columns)), ""]
+        chunks.append("\n".join(lines).encode("utf-8"))
+    return b"".join(chunks)
 
 
 def load_meta(data: bytes | str) -> tuple[FeatureMeta, ...]:

@@ -7,6 +7,8 @@ is the point.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 
@@ -119,3 +121,34 @@ def zscore_brute(values, w: int, eps: float = 1e-9) -> list[float]:
     means = rolling_mean_brute(values, w)
     stds = rolling_std_brute(values, w)
     return [(x - mu) / (sd + eps) for x, mu, sd in zip(values, means, stds)]
+
+
+def window_brute(name: str, values, t: int, w: int, eps: float = 1e-9) -> float:
+    """Row t of the rolling `name` (mean, std, rmin, rmax or zscore) above, from its window alone."""
+    win = _window(values, t, w)
+    mu = sum(win) / len(win)
+    sd = math.sqrt(sum((x - mu) ** 2 for x in win) / len(win))
+    return {
+        "mean": mu,
+        "std": sd,
+        "rmin": min(win),
+        "rmax": max(win),
+        "zscore": (values[t] - mu) / (sd + eps),
+    }[name]
+
+
+def save_csv_brute(table) -> bytes:
+    """A table as CSV, one cell at a time through `csv.writer`."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    header = ["timestamp", *table.feature_names]
+    if table.labels is not None:
+        header.append("label")
+    writer.writerow(header)
+    for i in range(table.num_rows):
+        row = [str(int(table.timestamps[i]))]
+        row.extend(repr(float(v)) for v in table.values[i])
+        if table.labels is not None:
+            row.append(str(int(table.labels[i])))
+        writer.writerow(row)
+    return out.getvalue().encode("utf-8")

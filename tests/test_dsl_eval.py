@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pillm.dsl import BudgetError, compile_rule, evaluate, to_flags
+from pillm.dsl import BudgetError, VarRef, compile_rule, evaluate, to_flags
+from pillm.dsl.interp import _Evaluator
 
 from . import reference
 from .conftest import make_table
@@ -88,6 +89,82 @@ class TestWindowed:
         assert got == pytest.approx(reference.ewma_brute(xs, 0.25), abs=1e-12)
 
 
+WINDOWED = ("mean", "std", "rmin", "rmax", "zscore")
+
+
+def hvac_series(length: int, seed: int) -> np.ndarray:
+    """Zone temperature: ~22 degC, sigma 0.02 noise, a slow drift and one step."""
+    rng = np.random.default_rng(seed)
+    drift = np.linspace(0.0, 0.6, length)
+    step = np.where(np.arange(length) >= length // 3, 1.5, 0.0)
+    return 22.0 + drift + step + rng.normal(0.0, 0.02, length)
+
+
+# Runs of one level, some a single row long, so +-1e6 outliers sit next to
+# long flat stretches: the inputs that defeat a naive E[x^2] - E[x]^2.
+step_signals = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 0.1, 1.0, 21.7, 22.3, -3.5, 1e6, -1e6]),
+        st.integers(min_value=1, max_value=60),
+    ),
+    min_size=1,
+    max_size=6,
+).map(lambda runs: [level for level, n in runs for _ in range(n)])
+
+
+class TestWindowedAtScale:
+    @pytest.mark.parametrize("w", [1, 2, 60, 1024])
+    def test_hvac_series_matches_oracle(self, w):
+        xs = hvac_series(100_000, seed=w)
+        table = make_table({"x": xs})
+        rng = np.random.default_rng(7)
+        rows = np.unique(
+            np.concatenate([rng.integers(0, w, 20), rng.integers(0, xs.size, 180), [xs.size - 1]])
+        )
+        values = xs.tolist()
+        for name in WINDOWED:
+            # Straight to the evaluator: at w = 1024 these 100,000 rows are
+            # past the evaluation budget, which still charges T x w.
+            rule = compile_rule(f"return {name}($x, {w})", ("x",))
+            got = _Evaluator(table).run(rule)[rows]
+            want = [reference.window_brute(name, values, int(t), w) for t in rows]
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9, err_msg=name)
+
+    @given(step_signals, st.integers(min_value=1, max_value=96))
+    @settings(max_examples=40, deadline=None)
+    def test_step_signals_match_oracle(self, xs, w):
+        table = make_table({"x": np.array(xs)})
+        for name in WINDOWED:
+            got = evaluate(compile_rule(f"return {name}($x, {w})", ("x",)), table)
+            for t, value in enumerate(got):
+                window = xs[max(0, t - w + 1) : t + 1]
+                if name == "zscore" and min(window) == max(window):
+                    # A constant window's zscore is 0; the oracle's own rounding
+                    # of a non-dyadic mean would divide noise by ZSCORE_EPS.
+                    assert value == 0.0
+                    continue
+                want = reference.window_brute(name, xs, t, w)
+                assert abs(value - want) <= 1e-9 * (1.0 + abs(want)), (name, t)
+
+    def test_spike_later_in_block_does_not_leak(self):
+        # Row 126 shares a 64-row block with the windows ending at rows
+        # 65-125, so the block's mean, which their sums are measured from,
+        # sits near 1.6e10 while their values are below 1; the error bound
+        # must send them to the two-pass path.
+        xs = [0.1 * (i % 7) for i in range(192)]
+        xs[126] = 1e12
+        for name in WINDOWED:
+            got = run(f"return {name}($x, 64)", x=xs)
+            want = [reference.window_brute(name, xs, t, 64) for t in range(len(xs))]
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9, err_msg=name)
+
+    def test_constant_windows_are_exact(self):
+        xs = [0.1] * 40 + [22.3] * 40
+        for name, want in (("mean", xs), ("std", [0.0] * 80), ("zscore", [0.0] * 80)):
+            got = run(f"return {name}($x, 30)", x=xs)
+            assert list(got[30:40]) == want[30:40] and list(got[70:]) == want[70:], name
+
+
 class TestMissing:
     def test_lag_prefix_missing_coerces_to_zero(self):
         assert list(run("return lag($x, 2)", x=[7.0, 8.0, 9.0, 10.0])) == [0.0, 0.0, 7.0, 8.0]
@@ -122,6 +199,25 @@ class TestMissing:
         out = run("return mean(lag($x, 2), 3)", x=[1.0, 2.0, 3.0, 4.0, 5.0])
         # windows touching the two MISSING lag rows stay MISSING -> 0.0
         assert out == pytest.approx([0.0, 0.0, 0.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("w", [1, 3, 8, 50])
+    @pytest.mark.parametrize("name", WINDOWED)
+    def test_window_touching_missing_is_missing(self, name, w):
+        # MISSING from the lag prefix (rows 0-1) and from /0 (rows 9, 10, 19).
+        xs = [float(v) for v in range(1, 21)]
+        ds = [0.0 if t in (9, 10, 19) else 1.0 + t % 3 for t in range(20)]
+        source = "y = lag($x, 2) / $d\n"
+        present = run(source + f"return abs({name}(y, {w})) >= 0", x=xs, d=ds)
+        got = run(source + f"return {name}(y, {w})", x=xs, d=ds)
+        missing = [t < 2 or ds[t] == 0.0 for t in range(20)]
+        ys = [0.0 if missing[t] else xs[t - 2] / ds[t] for t in range(20)]
+        for t in range(20):
+            touched = any(missing[max(0, t - w + 1) : t + 1])
+            assert present[t] == (0.0 if touched else 1.0), t
+            if not touched:
+                want = reference.window_brute(name, ys, t, w)
+                assert got[t] == pytest.approx(want, rel=1e-9, abs=1e-9), t
+        assert present[-1] == 0.0  # the last row itself is MISSING
 
     def test_ewma_pauses_over_missing(self):
         out = run("return ewma(lag($x, 2), 0.5)", x=[1.0, 2.0, 3.0, 4.0])
@@ -185,6 +281,17 @@ class TestEvaluationContract:
         evaluate(rule, table)
         for stop in (1, 5, 100, 511):
             evaluate(rule, table.slice_rows(0, stop))
+
+    def test_series_are_read_only(self):
+        table = make_table({"x": np.array([1.0, 2.0, 3.0])})
+        rule = compile_rule("a = mean($x, 2)\nreturn a + a > 0", table.feature_names)
+        evaluator = _Evaluator(table)
+        evaluator.run(rule)
+        bound = evaluator._eval(VarRef("a"))
+        assert evaluator._eval(VarRef("a")) is bound  # both references share one series
+        for array in (bound.values, bound.missing):
+            with pytest.raises(ValueError):
+                array[0] = 1
 
     def test_length_matches_table(self, small_table):
         out = evaluate(compile_rule("return $x > 2", small_table.feature_names), small_table)

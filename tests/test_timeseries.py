@@ -19,6 +19,7 @@ from pillm.timeseries import (
     split,
 )
 
+from . import reference
 from .conftest import make_table
 
 META = (
@@ -186,6 +187,22 @@ class TestCsv:
     def test_round_trip_exact(self, small_table):
         again = load_csv(save_csv(small_table), small_table.features)
         assert again == small_table
+
+    def test_save_matches_cell_by_cell_writer(self, bias_corpus):
+        assert save_csv(bias_corpus) == reference.save_csv_brute(bias_corpus)
+        edges = np.array([[-0.0, 5e-324], [1e16, 0.1], [-1e-300, 22.3]])
+        table = TimeSeriesTable(
+            features=META,
+            values=edges,
+            timestamps=np.array([-5, 0, 1_700_000_000]),
+            labels=np.array([1, 0, 1]),
+        )
+        data = save_csv(table)
+        assert data == reference.save_csv_brute(table)
+        assert data.splitlines()[1:3] == [b"-5,-0.0,5e-324,1", b"0,1e+16,0.1,0"]
+        unlabeled = make_table({"x": edges[:, 0], "y": edges[:, 1]})
+        assert unlabeled.labels is None
+        assert save_csv(unlabeled) == reference.save_csv_brute(unlabeled)
 
     @given(
         st.lists(
