@@ -20,7 +20,7 @@ from .providers import (
     SamplerProvider,
     ScriptedProvider,
 )
-from .reporting import RunLog, best_record, generate_report, narrate_report
+from .reporting import RunLog, RunLogError, best_record, generate_report, narrate_report
 from .simulate import FAULT_KINDS, FaultSpec, SimConfig, generate_corpus
 from .timeseries import (
     TableError,
@@ -224,14 +224,9 @@ def evolve(
     if script_path is not None:
         snapshot["provider"]["script"] = str(Path(script_path).resolve())
     log = RunLog(root, run_id, config_snapshot=snapshot)
-    log.dir.joinpath("train.csv").write_bytes(save_csv(train_table))
-    log.dir.joinpath("test.csv").write_bytes(save_csv(test_table))
-    log.dir.joinpath("meta.json").write_text(save_meta(metas), encoding="utf-8")
+    log.write_split(save_csv(train_table), save_csv(test_table), save_meta(metas))
 
     result = run_evolution(config, train_table, provider, log=log)
-    log.dir.joinpath("requests.log").write_text(
-        "".join(f"{tag}\n" for tag in result.request_tags), encoding="utf-8"
-    )
 
     click.echo(f"run_dir={log.dir}")
     click.echo(f"generations={result.generations_completed} llm_calls={result.llm_calls}")
@@ -261,25 +256,16 @@ def report(run_dir: str, data_path: str, meta_path: str, narrate: bool) -> None:
     try:
         snapshot = log.config_snapshot()
         table, metas = _load_table(data_path, meta_path)
-        train_csv = log.dir / "train.csv"
-        if not train_csv.exists():
-            _fail("run directory is missing train.csv, cannot compute evidence z-scores")
-        train_table = load_csv(train_csv.read_bytes(), metas)
+        train_table = load_csv(log.train_csv(), metas)
+    except RunLogError as exc:
+        _fail(str(exc))
     except TableError as exc:
         _fail(str(exc), EXIT_BAD_CONFIG)
 
-    from .evolution import RuleCandidate
-
-    candidate = RuleCandidate(
-        id=best["candidate_id"],
-        code=best["code"],
-        context=best["context"],
-        operator=best["operator"],
-        generation=best["generation"],
-        fitness=best["fitness"],
-    )
     try:
-        doc = generate_report(candidate, table, float(snapshot.get("threshold", 0.5)), train_table)
+        doc = generate_report(
+            best["code"], best["context"], table, float(snapshot.get("threshold", 0.5)), train_table
+        )
     except DslError as exc:
         _fail(str(exc))
     text = doc.render()

@@ -75,11 +75,6 @@ class RuleAst:
         return (*(expr for _, expr in self.bindings), self.result)
 
 
-COMPARISON_OPS = (">", "<", ">=", "<=", "==", "!=")
-ARITHMETIC_OPS = ("+", "-", "*", "/")
-BOOLEAN_OPS = ("and", "or")
-
-
 def children(expr: Expr) -> tuple[Expr, ...]:
     """Direct sub-expressions of `expr`, left to right."""
     if isinstance(expr, (Num, FeatureRef, VarRef)):

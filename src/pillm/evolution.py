@@ -222,7 +222,11 @@ class _RunAborted(Exception):
 
 
 class EvolutionEngine:
-    """Coordinates providers, prompts, the DSL, and metrics for one run."""
+    """Coordinates providers, prompts, the DSL, and metrics for one run.
+
+    `log`, when given, receives `request(tag)` as each LLM request is issued
+    and `append(record)` as each candidate is evaluated (see `RunLog`).
+    """
 
     def __init__(
         self,
@@ -241,10 +245,9 @@ class EvolutionEngine:
         self.prompts_dir = prompts_dir
         self._rng = random.Random(config.seed)
         self._next_index = 0
-        self._calls = 0
         self._records: list[dict] = []
-        self._seen: list[RuleCandidate] = []
         self._request_tags: list[str] = []
+        self._best_ever: RuleCandidate | None = None
         self._reflections: list[Reflection] = []
         self._feature_names = tuple(train_table.feature_names)
         self._task_description = prompts.default_task_description()
@@ -259,17 +262,14 @@ class EvolutionEngine:
 
     @property
     def llm_calls(self) -> int:
-        return self._calls
-
-    @property
-    def records(self) -> list[dict]:
-        return self._records
+        return len(self._request_tags)
 
     def _complete(self, tag: str, system: str, user: str, temperature: float) -> str:
-        if self._calls >= self.config.llm_call_budget:
+        if self.llm_calls >= self.config.llm_call_budget:
             raise _CallBudgetExhausted()
-        self._calls += 1
         self._request_tags.append(tag)
+        if self.log is not None:
+            self.log.request(tag)
         request = CompletionRequest(
             system_prompt=system,
             user_prompt=user,
@@ -375,7 +375,11 @@ class EvolutionEngine:
             self._log_candidate(candidate)
 
     def _log_candidate(self, candidate: RuleCandidate) -> None:
-        self._seen.append(candidate)
+        # Best-ever considers every logged candidate, not just survivors.
+        if candidate.fitness is not None and (
+            self._best_ever is None or _rank_key(candidate) < _rank_key(self._best_ever)
+        ):
+            self._best_ever = candidate
         record = {
             "generation": candidate.generation,
             "candidate_id": candidate.id,
@@ -499,10 +503,6 @@ class EvolutionEngine:
             (c for c in population if c.fitness is not None), key=_rank_key
         )
 
-    def _best(self, *groups: Sequence[RuleCandidate]) -> RuleCandidate | None:
-        merged = [c for group in groups for c in group if c.fitness is not None]
-        return min(merged, key=_rank_key) if merged else None
-
     def run(self, seed_rule: tuple[str, str] | None = None) -> RunResult:
         config = self.config
         aborted = False
@@ -515,9 +515,8 @@ class EvolutionEngine:
             except ProviderError as exc:
                 raise _RunAborted(f"provider failed during init: {exc}") from exc
             self.evaluate_population(population)
-            best = self._best(self._seen)
-            if best is not None:
-                history.append(best.fitness)
+            if self._best_ever is not None:
+                history.append(self._best_ever.fitness)
 
             for generation in range(1, config.generations + 1):
                 fresh: list[RuleCandidate] = []
@@ -546,18 +545,16 @@ class EvolutionEngine:
                 elites = sorted(population, key=_rank_key)[: config.elite_count]
                 population = sorted(elites + fresh, key=_rank_key)[: config.population_size]
                 generations_completed = generation
-                best = self._best(self._seen)
-                history.append(best.fitness if best else 0.0)
+                history.append(self._best_ever.fitness if self._best_ever else 0.0)
         except _RunAborted:
             aborted = True
 
-        # Best-ever considers every logged candidate, not just survivors.
         return RunResult(
-            best=self._best(self._seen),
+            best=self._best_ever,
             population=population,
             records=self._records,
             generations_completed=generations_completed,
-            llm_calls=self._calls,
+            llm_calls=self.llm_calls,
             aborted=aborted,
             best_fitness_history=history,
             request_tags=tuple(self._request_tags),

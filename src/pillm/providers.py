@@ -17,13 +17,14 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .dsl.formatter import format_rule
 from .dsl.nodes import BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef, walk
 from .dsl.parser import MAX_BINDINGS, MAX_NODES, parse
+
+if TYPE_CHECKING:
+    import requests
 
 # The reporting layer adds "narrate" on top of the four evolutionary tags.
 REQUEST_TAGS = ("init", "reflection", "crossover", "mutation", "narrate")
@@ -117,16 +118,15 @@ class HttpProvider:
         self._model = model
         self._timeout = timeout_secs
         self._api_key = api_key
+        # Imported on first use: only this backend needs it, and it takes ~0.1 s to import.
+        import requests
+
         self._session = session or requests.Session()
+        self._network_errors = (requests.Timeout, requests.ConnectionError)
         self._sleep = sleeper
         self._gate = threading.Semaphore(max_in_flight)
         self._rng = random.Random()
-        self._calls = 0
         self.provider_id = f"http:{model}"
-
-    @property
-    def call_count(self) -> int:
-        return self._calls
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         payload = {
@@ -139,7 +139,6 @@ class HttpProvider:
             "max_tokens": request.max_tokens,
         }
         headers = {"Authorization": f"Bearer {self._api_key}"}
-        self._calls += 1
         start = time.monotonic()
         last_reason = "no attempt made"
         for attempt in range(1, RETRY_MAX_ATTEMPTS + 1):
@@ -148,7 +147,7 @@ class HttpProvider:
                     response = self._session.post(
                         self._endpoint, json=payload, headers=headers, timeout=self._timeout
                     )
-            except (requests.Timeout, requests.ConnectionError) as exc:
+            except self._network_errors as exc:
                 last_reason = f"network error: {exc}"
             else:
                 if response.status_code == 429 or response.status_code >= 500:
@@ -203,7 +202,6 @@ class ScriptedProvider:
         self._records = cleaned
         self._consumed = [False] * len(cleaned)
         self._lock = threading.Lock()
-        self._calls = 0
 
     @classmethod
     def from_path(cls, path: str | Path) -> "ScriptedProvider":
@@ -217,13 +215,8 @@ class ScriptedProvider:
                 raise ProviderConfigError(f"script line {line_num} is not valid JSON: {exc}") from None
         return cls(records)
 
-    @property
-    def call_count(self) -> int:
-        return self._calls
-
     def complete(self, request: CompletionRequest) -> CompletionResult:
         with self._lock:
-            self._calls += 1
             if request.tag == "narrate":
                 return CompletionResult(
                     text=request.user_prompt, provider_id=self.provider_id,
@@ -255,10 +248,6 @@ class SamplerProvider:
         self._counter = 0
         self._lock = threading.Lock()
         self.provider_id = f"sampler:{seed}"
-
-    @property
-    def call_count(self) -> int:
-        return self._counter
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         with self._lock:

@@ -1,10 +1,11 @@
 """Run persistence and the three-part diagnostic report.
 
-A run directory holds one line-oriented JSON log (`run.jsonl`, one record per
-candidate, flushed per line so a crash loses at most the record in flight),
-the config snapshot, the best rule, and the rendered report. The report
-follows the identify / evidence / severity structure: quote the winning
-rule's physical hypothesis, back each detected incident with the most
+`RunLog` is the only writer of a run directory. Its two streams, `run.jsonl`
+(one record per candidate) and `requests.log` (one tag per LLM request,
+written as the request is issued), are appended and fsync'd a line at a time,
+so an aborted or crashed run keeps every line written before it stopped. The
+report follows the identify / evidence / severity structure: quote the
+winning rule's physical hypothesis, back each detected incident with the most
 deviant referenced signals, then grade it.
 """
 
@@ -15,7 +16,7 @@ import os
 import textwrap
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,11 +25,12 @@ from .metrics import MetricReport, event_f1_pa
 from .providers import CompletionRequest, Provider
 from .timeseries import TimeSeriesTable, incidents_from_labels
 
-if TYPE_CHECKING:
-    from .evolution import RuleCandidate
-
 RUN_LOG_NAME = "run.jsonl"
+REQUESTS_LOG_NAME = "requests.log"
 CONFIG_SNAPSHOT_NAME = "config.snapshot"
+TRAIN_CSV_NAME = "train.csv"
+TEST_CSV_NAME = "test.csv"
+META_NAME = "meta.json"
 BEST_RULE_NAME = "best.rule"
 REPORT_NAME = "report.txt"
 
@@ -61,7 +63,7 @@ class DuplicateRecordError(RunLogError):
 
 
 class RunLog:
-    """Single-writer, append-only candidate log inside `runs/<run_id>/`."""
+    """Single writer of the run directory `runs/<run_id>/` and all its files."""
 
     def __init__(self, root: str | Path, run_id: str, config_snapshot: dict | None = None):
         self.run_id = run_id
@@ -85,12 +87,19 @@ class RunLog:
         candidate_id = record["candidate_id"]
         if candidate_id in self._seen:
             raise DuplicateRecordError(f"duplicate candidate_id {candidate_id!r}")
-        line = json.dumps(record, ensure_ascii=False)
-        with open(self.path, "a", encoding="utf-8") as handle:
+        self._append_line(self.path, json.dumps(record, ensure_ascii=False))
+        self._seen.add(candidate_id)
+
+    def request(self, tag: str) -> None:
+        """Append one LLM request tag, flushed to disk before the request is sent."""
+        self._append_line(self.dir / REQUESTS_LOG_NAME, tag)
+
+    @staticmethod
+    def _append_line(path: Path, line: str) -> None:
+        with open(path, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
             handle.flush()
             os.fsync(handle.fileno())
-        self._seen.add(candidate_id)
 
     def records(self) -> list[dict]:
         if not self.path.exists():
@@ -107,6 +116,20 @@ class RunLog:
         if not path.exists():
             raise RunLogError(f"missing {CONFIG_SNAPSHOT_NAME} in {self.dir}")
         return json.loads(path.read_text(encoding="utf-8"))
+
+    def write_split(self, train_csv: bytes, test_csv: bytes, meta_json: str) -> None:
+        """Archive the train/test split the run was evolved and reported on."""
+        (self.dir / TRAIN_CSV_NAME).write_bytes(train_csv)
+        (self.dir / TEST_CSV_NAME).write_bytes(test_csv)
+        (self.dir / META_NAME).write_text(meta_json, encoding="utf-8")
+
+    def train_csv(self) -> bytes:
+        path = self.dir / TRAIN_CSV_NAME
+        if not path.exists():
+            raise RunLogError(
+                f"run directory is missing {TRAIN_CSV_NAME}, cannot compute evidence z-scores"
+            )
+        return path.read_bytes()
 
     def write_best(self, code: str, context: str) -> None:
         body = code.rstrip("\n") + "\n\n# context:\n"
@@ -214,18 +237,20 @@ def _severity(scores: np.ndarray, span: tuple[int, int], num_rows: int) -> str:
 
 
 def generate_report(
-    best: "RuleCandidate",
+    code: str,
+    context: str,
     test_table: TimeSeriesTable,
     threshold: float,
     train_table: TimeSeriesTable,
 ) -> DiagnosticReport:
-    """Evaluate the winning rule on the test split and grade its findings.
+    """Evaluate the winning rule's `code` on the test split and grade its findings.
 
-    Evidence is computed per incident at the peak-score row: the rule's
-    referenced features, ranked by |z-score| against the training split's
-    mean and standard deviation, top three kept.
+    The report quotes `context`, the rule's physical hypothesis. Evidence is
+    computed per incident at the peak-score row: the rule's referenced
+    features, ranked by |z-score| against the training split's mean and
+    standard deviation, top three kept.
     """
-    rule = compile_rule(best.code, test_table.feature_names)
+    rule = compile_rule(code, test_table.feature_names)
     scores = evaluate(rule, test_table)
     flags = to_flags(scores, threshold)
     incidents = incidents_from_labels(flags)
@@ -259,8 +284,8 @@ def generate_report(
         metrics = event_f1_pa(flags, test_table.labels)
     return DiagnosticReport(
         incidents=tuple(findings),
-        rule_code=best.code,
-        rule_context=best.context,
+        rule_code=code,
+        rule_context=context,
         test_metrics=metrics,
         num_rows=test_table.num_rows,
     )

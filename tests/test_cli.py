@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import pillm
 from pillm.cli import main
+from pillm.providers import SamplerProvider
 from pillm.timeseries import load_csv, load_meta, save_csv, save_meta
 
 from .conftest import make_table
@@ -363,6 +368,42 @@ class TestEvolve:
         )
         assert result.exit_code == 2
         assert "aborted=true" in result.output
+        run_dir = run_dir_from(result.output)
+        assert (run_dir / "requests.log").read_text(encoding="utf-8") == "init\n"
+
+    def test_crashed_run_keeps_streams(self, tmp_path, runner, sim_corpus, monkeypatch):
+        data, meta = sim_corpus
+        config = evolve_config(tmp_path)
+        full = self.invoke_evolve(runner, data, meta, config, tmp_path / "full")
+        assert full.exit_code == 0, full.output
+        full_dir = run_dir_from(full.output)
+        full_tags = (full_dir / "requests.log").read_text(encoding="utf-8").splitlines()
+        full_records = (full_dir / "run.jsonl").read_text(encoding="utf-8").splitlines()
+
+        # The fourth call is generation 1's first, after the seed and three
+        # init candidates were logged.
+        crash_at = 4
+        original = SamplerProvider.complete
+        calls = []
+
+        def crashing(self, request):
+            calls.append(request.tag)
+            if len(calls) == crash_at:
+                raise RuntimeError("provider crashed")
+            return original(self, request)
+
+        monkeypatch.setattr(SamplerProvider, "complete", crashing)
+        out = tmp_path / "crashed"
+        result = self.invoke_evolve(runner, data, meta, config, out)
+        assert isinstance(result.exception, RuntimeError)
+        assert "run_dir=" not in result.output
+        (run_dir,) = out.iterdir()
+        tags = (run_dir / "requests.log").read_text(encoding="utf-8").splitlines()
+        assert tags == calls == full_tags[:crash_at]
+        assert tags[:3] == ["init"] * 3 and tags[-1] != "init"
+        records = (run_dir / "run.jsonl").read_text(encoding="utf-8").splitlines()
+        assert records == [r for r in full_records if json.loads(r)["generation"] == 0]
+        assert len(records) == 4
 
     def test_no_pir_leaves_no_reflection_requests(self, tmp_path, runner, sim_corpus):
         data, meta = sim_corpus
@@ -431,6 +472,18 @@ class TestReport:
             assert heading in result.output
         assert (run_dir / "report.txt").read_text(encoding="utf-8") == result.output
 
+    @pytest.mark.parametrize("name", ["train.csv", "config.snapshot"])
+    def test_missing_run_file_fails_cleanly(self, tmp_path, runner, sim_corpus, name):
+        run_dir = self.finished_run(tmp_path, runner, sim_corpus)
+        (run_dir / name).unlink()
+        result = runner.invoke(
+            main,
+            ["report", "--run", str(run_dir), "--data", str(run_dir / "test.csv"), "--meta", str(run_dir / "meta.json")],
+        )
+        assert result.exit_code == 1
+        assert "error: " in result.output and f"missing {name}" in result.output
+        assert not (run_dir / "report.txt").exists()
+
     def test_narrate_is_identity_offline(self, tmp_path, runner, sim_corpus):
         run_dir = self.finished_run(tmp_path, runner, sim_corpus)
         args = [
@@ -453,3 +506,15 @@ class TestVersion:
         result = runner.invoke(main, ["--version"])
         assert result.exit_code == 0
         assert "pillm" in result.output
+
+
+def test_cli_import_does_not_load_requests():
+    # Only the http provider needs `requests`; every other command skips its import cost.
+    src = str(Path(pillm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import pillm.cli, sys; print('requests' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

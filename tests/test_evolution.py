@@ -22,6 +22,7 @@ from pillm.providers import (
     ScriptedProvider,
     ScriptExhaustedError,
 )
+from pillm.reporting import RunLog
 from pillm.timeseries import FeatureMeta
 
 RULE_HALF = "```rule\nreturn $x > 0.5\n```\n\n```context\nWide net.\n```"
@@ -51,6 +52,17 @@ class CannedProvider:
         return CompletionResult(
             text=queue.pop(0), provider_id=self.provider_id, latency_ms=0, attempt=1
         )
+
+
+class ListSink(list):
+    """In-memory run log: candidate records in the list, request tags in `tags`."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.tags: list[str] = []
+
+    def request(self, tag: str) -> None:
+        self.tags.append(tag)
 
 
 class FailingProvider:
@@ -277,11 +289,12 @@ class TestEngine:
         assert not child.is_valid
 
     def test_evaluate_logs_each_candidate_once(self, small_table):
-        sink: list[dict] = []
+        sink = ListSink()
         provider = scripted(("init", RULE_HALF), ("init", RULE_GOOD))
         engine = EvolutionEngine(base_config(), small_table, provider, log=sink)
         population = engine.init_population(SEED_DUD)
         engine.evaluate_population(population)
+        assert sink.tags == ["init", "init"]
         assert [r["candidate_id"] for r in sink] == ["c0000", "c0001", "c0002"]
         assert sink[0]["fitness"] == 0.0
         assert sink[1]["fitness"] == pytest.approx(0.5)
@@ -474,6 +487,16 @@ class TestRun:
         assert first.records == second.records
         assert first.best.code == second.best.code
         assert first.request_tags == second.request_tags
+
+    def test_run_log_streams_match_result(self, small_table, tmp_path):
+        config = base_config(population_size=4, generations=2, elite_count=2)
+        provider = SamplerProvider(seed=9, feature_names=small_table.feature_names)
+        log = RunLog(tmp_path, "r")
+        result = run_evolution(config, small_table, provider, log=log)
+        tags = (log.dir / "requests.log").read_text(encoding="utf-8").splitlines()
+        assert tags == list(result.request_tags)
+        assert len(tags) == result.llm_calls
+        assert log.records() == result.records
 
     def test_temperatures_split_by_phase(self, small_table):
         provider = CannedProvider(

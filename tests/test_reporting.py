@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from pillm.evolution import RuleCandidate
 from pillm.providers import ScriptedProvider
 from pillm.reporting import (
     BEST_RULE_NAME,
@@ -43,10 +42,9 @@ def record(candidate_id: str, fitness=None, **overrides) -> dict:
     return base
 
 
-def candidate(code: str, context: str = "The zone runs hot under a stuck sensor.") -> RuleCandidate:
-    return RuleCandidate(
-        id="c0000", code=code, context=context, operator="seed", generation=0
-    )
+def rule(code: str, context: str = "The zone runs hot under a stuck sensor.") -> tuple[str, str]:
+    """The (code, context) pair `generate_report` takes."""
+    return code, context
 
 
 class TestRunLog:
@@ -160,7 +158,7 @@ class TestGenerateReport:
     def test_single_incident_evidence_and_metrics(self):
         test_table, train_table = spike_tables()
         report = generate_report(
-            candidate("return $x > 2.5"), test_table, 0.5, train_table
+            *rule("return $x > 2.5"), test_table, 0.5, train_table
         )
         assert len(report.incidents) == 1
         finding = report.incidents[0]
@@ -186,7 +184,7 @@ class TestGenerateReport:
             {name: np.array([-1.0, 1.0]) for name in columns}
         )
         report = generate_report(
-            candidate("return $a + $b + $c + $d > 10"), test_table, 0.5, train_table
+            *rule("return $a + $b + $c + $d > 10"), test_table, 0.5, train_table
         )
         finding = report.incidents[0]
         assert [item.feature for item in finding.evidence] == ["a", "b", "d"]
@@ -201,13 +199,13 @@ class TestGenerateReport:
         test_table = make_table(columns)
         train_table = make_table({name: np.array([-1.0, 1.0]) for name in columns})
         report = generate_report(
-            candidate("return $k + $m > 5"), test_table, 0.5, train_table
+            *rule("return $k + $m > 5"), test_table, 0.5, train_table
         )
         assert [item.feature for item in report.incidents[0].evidence] == ["k", "m"]
 
     def test_severity_severe_for_wide_strong_incident(self):
         test_table, train_table = spike_tables()
-        report = generate_report(candidate("return $x > 2.5"), test_table, 0.5, train_table)
+        report = generate_report(*rule("return $x > 2.5"), test_table, 0.5, train_table)
         assert report.incidents[0].severity == "severe"
 
     def test_severity_moderate_for_narrow_strong_incident(self):
@@ -216,7 +214,7 @@ class TestGenerateReport:
         test_x[100:102] = 5.0
         test_table = make_table({"x": test_x})
         train_table = make_table({"x": np.array([0.0, 1.0])})
-        report = generate_report(candidate("return $x > 2.5"), test_table, 0.5, train_table)
+        report = generate_report(*rule("return $x > 2.5"), test_table, 0.5, train_table)
         assert report.incidents[0].severity == "moderate"
 
     def test_severity_low_for_weak_scores(self):
@@ -225,13 +223,13 @@ class TestGenerateReport:
         test_x[2:4] = 3.0
         test_table = make_table({"x": test_x})
         train_table = make_table({"x": np.array([0.0, 1.0])})
-        report = generate_report(candidate("return $x / 10"), test_table, 0.25, train_table)
+        report = generate_report(*rule("return $x / 10"), test_table, 0.25, train_table)
         assert report.incidents[0].severity == "low"
         assert report.incidents[0].peak_score == pytest.approx(0.3)
 
     def test_no_anomalies(self):
         test_table, train_table = spike_tables()
-        report = generate_report(candidate("return $x > 99"), test_table, 0.5, train_table)
+        report = generate_report(*rule("return $x > 99"), test_table, 0.5, train_table)
         assert report.incidents == ()
         text = report.render()
         assert "No anomalies detected." in text
@@ -243,7 +241,7 @@ class TestGenerateReport:
         test_x[8:10] = 5.0
         test_table = make_table({"x": test_x})
         train_table = make_table({"x": np.array([0.0, 1.0])})
-        report = generate_report(candidate("return $x > 2.5"), test_table, 0.5, train_table)
+        report = generate_report(*rule("return $x > 2.5"), test_table, 0.5, train_table)
         assert [f.span for f in report.incidents] == [(2, 2), (8, 9)]
 
 
@@ -251,7 +249,7 @@ class TestRender:
     def test_headings_always_present(self):
         test_table, train_table = spike_tables()
         for code in ("return $x > 2.5", "return $x > 99"):
-            text = generate_report(candidate(code), test_table, 0.5, train_table).render()
+            text = generate_report(*rule(code), test_table, 0.5, train_table).render()
             for heading in HEADINGS:
                 assert heading in text
             assert text.index(HEADINGS[0]) < text.index(HEADINGS[1]) < text.index(HEADINGS[2])
@@ -259,7 +257,7 @@ class TestRender:
     def test_render_quotes_rule_and_context(self):
         test_table, train_table = spike_tables()
         text = generate_report(
-            candidate("return $x > 2.5", context="A biased thermostat reads five degrees hot."),
+            *rule("return $x > 2.5", context="A biased thermostat reads five degrees hot."),
             test_table,
             0.5,
             train_table,
@@ -269,17 +267,17 @@ class TestRender:
 
     def test_render_includes_metrics_line_when_labeled(self):
         test_table, train_table = spike_tables()
-        text = generate_report(candidate("return $x > 2.5"), test_table, 0.5, train_table).render()
+        text = generate_report(*rule("return $x > 2.5"), test_table, 0.5, train_table).render()
         assert "Test metrics: mode=event_pa precision=1.000000 recall=1.000000 f1=1.000000" in text
 
     def test_render_ends_with_newline(self):
         test_table, train_table = spike_tables()
-        text = generate_report(candidate("return $x > 2.5"), test_table, 0.5, train_table).render()
+        text = generate_report(*rule("return $x > 2.5"), test_table, 0.5, train_table).render()
         assert text.endswith("\n")
 
 
 class TestNarrate:
     def test_offline_narration_is_identity(self):
         test_table, train_table = spike_tables()
-        text = generate_report(candidate("return $x > 2.5"), test_table, 0.5, train_table).render()
+        text = generate_report(*rule("return $x > 2.5"), test_table, 0.5, train_table).render()
         assert narrate_report(text, ScriptedProvider([])) == text
