@@ -67,7 +67,6 @@ def main() -> None:
 @click.option("--length", type=int, default=2880, show_default=True)
 def gen_data(out_dir: str, fault_kind: str | None, intensity: float, window_text: str | None, seed: int, length: int) -> None:
     """Simulate an HVAC corpus and write data.csv + meta.json."""
-    fault = None
     if fault_kind is not None:
         if window_text is None:
             _fail("--window START:END is required when --fault is given", EXIT_BAD_CONFIG)
@@ -76,13 +75,12 @@ def gen_data(out_dir: str, fault_kind: str | None, intensity: float, window_text
             window = (int(start_text), int(end_text))
         except ValueError:
             _fail(f"cannot parse --window {window_text!r}; expected START:END", EXIT_BAD_CONFIG)
-        fault = FaultSpec(kind=fault_kind, intensity=intensity, window=window)
     elif window_text is not None:
         _fail("--window has no effect without --fault", EXIT_BAD_CONFIG)
 
     try:
-        cfg = SimConfig(length=length, seed=seed)
-        table = generate_corpus(cfg, fault)
+        fault = FaultSpec(fault_kind, intensity, window) if fault_kind is not None else None
+        table = generate_corpus(SimConfig(length=length, seed=seed), fault)
     except ValueError as exc:
         _fail(str(exc), EXIT_BAD_CONFIG)
     out = Path(out_dir)
@@ -147,10 +145,11 @@ def _build_provider(kind: str, provider_block: dict, script: str | None, config:
     if kind == "sampler":
         return SamplerProvider(seed=config.seed, feature_names=feature_names)
     if kind == "http":
-        endpoint = provider_block.get("endpoint", "")
-        model = provider_block.get("model", "")
-        timeout = float(provider_block.get("timeout_secs", 60.0))
-        return HttpProvider(endpoint=endpoint, model=model, timeout_secs=timeout)
+        return HttpProvider(
+            endpoint=provider_block.get("endpoint", ""),
+            model=provider_block.get("model", ""),
+            timeout_secs=provider_block.get("timeout_secs", 60.0),
+        )
     raise ProviderConfigError(f"unknown provider {kind!r}")
 
 
@@ -225,10 +224,9 @@ def evolve(
         snapshot["provider"]["script"] = str(Path(script_path).resolve())
     log = RunLog(root, run_id, config_snapshot=snapshot)
     log.write_split(save_csv(train_table), save_csv(test_table), save_meta(metas))
+    click.echo(f"run_dir={log.dir}")
 
     result = run_evolution(config, train_table, provider, log=log)
-
-    click.echo(f"run_dir={log.dir}")
     click.echo(f"generations={result.generations_completed} llm_calls={result.llm_calls}")
     if result.best is not None:
         log.write_best(result.best.code, result.best.context)

@@ -21,14 +21,8 @@ from typing import Mapping, Sequence
 from . import prompts
 from .dsl import BudgetError, DslError, TypedRule, compile_rule, evaluate, to_flags
 from .metrics import MetricReport, event_f1_pa
-from .providers import (
-    CompletionRequest,
-    ProviderError,
-    Provider,
-)
+from .providers import CompletionRequest, Provider, ProviderError
 from .timeseries import FeatureMeta, TimeSeriesTable
-
-OPERATORS = ("seed", "init", "crossover", "mutation")
 
 NO_REFLECTION_TEXT = "No reflection available."
 NO_REFLECTIONS_YET = "(no reflections yet)"
@@ -212,13 +206,13 @@ def _rank_key(candidate: RuleCandidate) -> tuple:
 
 
 class _CallBudgetExhausted(Exception):
-    pass
+    """`llm_call_budget` allows no further request.
 
+    `kept` holds the interrupted slot's candidate when that slot had already
+    issued a request, so the caller can log it before stopping.
+    """
 
-class _RunAborted(Exception):
-    def __init__(self, reason: str) -> None:
-        self.reason = reason
-        super().__init__(reason)
+    kept: tuple[RuleCandidate, ...] = ()
 
 
 class EvolutionEngine:
@@ -248,6 +242,7 @@ class EvolutionEngine:
         self._records: list[dict] = []
         self._request_tags: list[str] = []
         self._best_ever: RuleCandidate | None = None
+        self._aborted = False
         self._reflections: list[Reflection] = []
         self._feature_names = tuple(train_table.feature_names)
         self._task_description = prompts.default_task_description()
@@ -279,37 +274,57 @@ class EvolutionEngine:
         )
         return self.provider.complete(request).text
 
-    def _request_rule(
-        self, tag: str, user_prompt: str
-    ) -> tuple[prompts.ParsedResponse | None, TypedRule | None, list[str], str | None]:
+    def _slot(
+        self, tag: str, user_prompt: str, generation: int, parents: tuple[str, ...] = ()
+    ) -> RuleCandidate:
         """Ask for a rule, retrying extraction/parse/typecheck failures.
 
-        Returns (parsed, compiled, tags_used, error). Provider failures
-        propagate to the caller, which decides between aborting and marking
-        the slot invalid.
+        Always yields the slot's one candidate, whose `request_tags_used`
+        holds one tag per request the slot issued. A provider failure makes
+        it invalid with the provider's message, and during init also aborts
+        the run. A spent call budget propagates, carrying the candidate in
+        `kept` if the slot issued any request.
         """
         temperature = (
             self.config.init_temperature if tag == "init" else self.config.refine_temperature
         )
-        tags_used: list[str] = []
-        last_error: str | None = None
-        last_parsed: prompts.ParsedResponse | None = None
-        for _ in range(1 + self.config.retry_budget):
-            text = self._complete(tag, self._system_prompt, user_prompt, temperature)
-            tags_used.append(tag)
-            try:
-                parsed = prompts.parse_response(text)
-            except prompts.ExtractionError as exc:
-                last_error = str(exc)
-                continue
-            last_parsed = parsed
-            try:
-                rule = compile_rule(parsed.code, self._feature_names)
-            except DslError as exc:
-                last_error = str(exc)
-                continue
-            return parsed, rule, tags_used, None
-        return last_parsed, None, tags_used, last_error
+        first_call = self.llm_calls
+        parsed = rule = error = stop = None
+        try:
+            for _ in range(1 + self.config.retry_budget):
+                text = self._complete(tag, self._system_prompt, user_prompt, temperature)
+                try:
+                    parsed = prompts.parse_response(text)
+                    rule = compile_rule(parsed.code, self._feature_names)
+                except (prompts.ExtractionError, DslError) as exc:
+                    error = str(exc)
+                else:
+                    error = None
+                    break
+        except ProviderError as exc:
+            error = str(exc)
+            if tag == "init":
+                # No population to fall back on yet: the run ends after generation 0.
+                self._aborted = True
+        except _CallBudgetExhausted as exc:
+            if self.llm_calls == first_call:
+                raise
+            stop = exc
+        candidate = RuleCandidate(
+            id=self._new_id(),
+            code=parsed.code if parsed else "",
+            context=parsed.context if parsed else "",
+            operator=tag,
+            generation=generation,
+            parent_ids=parents,
+            request_tags_used=tuple(self._request_tags[first_call:]),
+            error=error,
+            rule=rule,
+        )
+        if stop is not None:
+            stop.kept = (candidate,)
+            raise stop
+        return candidate
 
     def _new_id(self) -> str:
         candidate_id = f"c{self._next_index:04d}"
@@ -319,7 +334,11 @@ class EvolutionEngine:
     # ---- operators ---------------------------------------------------------
 
     def init_population(self, seed_rule: tuple[str, str] | None = None) -> list[RuleCandidate]:
-        """Seed candidate plus N-1 init-prompt completions."""
+        """Seed candidate plus N-1 init-prompt completions.
+
+        Stops early, keeping the slot that stopped it, when the call budget
+        runs out or the provider fails; a provider failure aborts the run.
+        """
         code, context = seed_rule or default_seed_rule(self.train_table.features)
         seed = RuleCandidate(
             id=self._new_id(),
@@ -342,21 +361,12 @@ class EvolutionEngine:
         )
         for _ in range(self.config.population_size - 1):
             try:
-                parsed, rule, tags, error = self._request_rule("init", user_prompt)
-            except _CallBudgetExhausted:
+                population.append(self._slot("init", user_prompt, generation=0))
+            except _CallBudgetExhausted as stop:
+                population.extend(stop.kept)
                 break
-            population.append(
-                RuleCandidate(
-                    id=self._new_id(),
-                    code=parsed.code if parsed else "",
-                    context=parsed.context if parsed else "",
-                    operator="init",
-                    generation=0,
-                    request_tags_used=tuple(tags),
-                    error=error,
-                    rule=rule,
-                )
-            )
+            if self._aborted:
+                break
         return population
 
     def evaluate_population(self, population: Sequence[RuleCandidate]) -> None:
@@ -445,13 +455,7 @@ class EvolutionEngine:
         bindings["reflection_comments"] = reflection.comments if reflection else NO_REFLECTION_TEXT
         bindings["reflection_context"] = reflection.context if reflection else ""
         user_prompt = prompts.render("crossover", bindings, prompts_dir=self.prompts_dir)
-        return self._offspring(
-            tag="crossover",
-            user_prompt=user_prompt,
-            operator="crossover",
-            parents=(worse.id, better.id),
-            generation=generation,
-        )
+        return self._slot("crossover", user_prompt, generation, (worse.id, better.id))
 
     def elitist_mutate(self, elite: RuleCandidate, generation: int) -> RuleCandidate:
         digest = long_term_reflection(self._reflections, self.config.long_term_window)
@@ -464,37 +468,7 @@ class EvolutionEngine:
             "elitist_code": f"```rule\n{elite.code}\n```",
         }
         user_prompt = prompts.render("elitist_mutation", bindings, prompts_dir=self.prompts_dir)
-        return self._offspring(
-            tag="mutation",
-            user_prompt=user_prompt,
-            operator="mutation",
-            parents=(elite.id,),
-            generation=generation,
-        )
-
-    def _offspring(
-        self,
-        tag: str,
-        user_prompt: str,
-        operator: str,
-        parents: tuple[str, ...],
-        generation: int,
-    ) -> RuleCandidate:
-        try:
-            parsed, rule, tags, error = self._request_rule(tag, user_prompt)
-        except ProviderError as exc:
-            parsed, rule, tags, error = None, None, [tag], str(exc)
-        return RuleCandidate(
-            id=self._new_id(),
-            code=parsed.code if parsed else "",
-            context=parsed.context if parsed else "",
-            operator=operator,
-            generation=generation,
-            parent_ids=parents,
-            request_tags_used=tuple(tags),
-            error=error,
-            rule=rule,
-        )
+        return self._slot("mutation", user_prompt, generation, (elite.id,))
 
     # ---- the loop ----------------------------------------------------------
 
@@ -505,49 +479,43 @@ class EvolutionEngine:
 
     def run(self, seed_rule: tuple[str, str] | None = None) -> RunResult:
         config = self.config
-        aborted = False
         history: list[float] = []
-        population: list[RuleCandidate] = []
         generations_completed = 0
-        try:
-            try:
-                population = self.init_population(seed_rule)
-            except ProviderError as exc:
-                raise _RunAborted(f"provider failed during init: {exc}") from exc
-            self.evaluate_population(population)
-            if self._best_ever is not None:
-                history.append(self._best_ever.fitness)
+        population = self.init_population(seed_rule)
+        self.evaluate_population(population)
+        if self._best_ever is not None:
+            history.append(self._best_ever.fitness)
 
-            for generation in range(1, config.generations + 1):
-                fresh: list[RuleCandidate] = []
-                exhausted = False
-                try:
-                    pairs = select_pairs(population, self._rng, config.pairs_per_gen)
-                    reflections: list[Reflection | None] = []
-                    for pair in pairs:
-                        reflections.append(self.reflect(pair) if config.enable_pir else None)
-                    if config.enable_pic:
-                        for pair, reflection in zip(pairs, reflections):
-                            fresh.append(self.crossover(pair, reflection, generation))
-                    else:
-                        # Ablation: spend the same call budget on extra
-                        # mutations of the best valid candidate, one per pair.
-                        for _ in pairs:
-                            target = self._valid_sorted(population)[0]
-                            fresh.append(self.elitist_mutate(target, generation))
-                    for elite in self._valid_sorted(population)[: config.elite_count]:
-                        fresh.append(self.elitist_mutate(elite, generation))
-                except _CallBudgetExhausted:
-                    exhausted = True
-                self.evaluate_population(fresh)
-                if exhausted:
-                    break
-                elites = sorted(population, key=_rank_key)[: config.elite_count]
-                population = sorted(elites + fresh, key=_rank_key)[: config.population_size]
-                generations_completed = generation
-                history.append(self._best_ever.fitness if self._best_ever else 0.0)
-        except _RunAborted:
-            aborted = True
+        last_generation = 0 if self._aborted else config.generations
+        for generation in range(1, last_generation + 1):
+            fresh: list[RuleCandidate] = []
+            exhausted = False
+            try:
+                pairs = select_pairs(population, self._rng, config.pairs_per_gen)
+                reflections: list[Reflection | None] = []
+                for pair in pairs:
+                    reflections.append(self.reflect(pair) if config.enable_pir else None)
+                if config.enable_pic:
+                    for pair, reflection in zip(pairs, reflections):
+                        fresh.append(self.crossover(pair, reflection, generation))
+                else:
+                    # Ablation: spend the same call budget on extra
+                    # mutations of the best valid candidate, one per pair.
+                    for _ in pairs:
+                        target = self._valid_sorted(population)[0]
+                        fresh.append(self.elitist_mutate(target, generation))
+                for elite in self._valid_sorted(population)[: config.elite_count]:
+                    fresh.append(self.elitist_mutate(elite, generation))
+            except _CallBudgetExhausted as stop:
+                fresh.extend(stop.kept)
+                exhausted = True
+            self.evaluate_population(fresh)
+            if exhausted:
+                break
+            elites = sorted(population, key=_rank_key)[: config.elite_count]
+            population = sorted(elites + fresh, key=_rank_key)[: config.population_size]
+            generations_completed = generation
+            history.append(self._best_ever.fitness if self._best_ever else 0.0)
 
         return RunResult(
             best=self._best_ever,
@@ -555,7 +523,7 @@ class EvolutionEngine:
             records=self._records,
             generations_completed=generations_completed,
             llm_calls=self.llm_calls,
-            aborted=aborted,
+            aborted=self._aborted,
             best_fitness_history=history,
             request_tags=tuple(self._request_tags),
         )

@@ -11,6 +11,7 @@ runs reproducible with zero network access.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import threading
@@ -18,6 +19,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol, Sequence
+from urllib.parse import urlsplit
 
 from .dsl.formatter import format_rule
 from .dsl.nodes import BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef, walk
@@ -104,10 +106,21 @@ class HttpProvider:
         session: requests.Session | None = None,
         sleeper=time.sleep,
     ) -> None:
-        if not endpoint:
-            raise ProviderConfigError("http provider requires an endpoint URL")
-        if not model:
-            raise ProviderConfigError("http provider requires a model name")
+        url = urlsplit(endpoint) if isinstance(endpoint, str) else None
+        if url is None or url.scheme not in ("http", "https") or not url.netloc:
+            raise ProviderConfigError(
+                f"http provider requires an http:// or https:// endpoint URL, got {endpoint!r}"
+            )
+        if not isinstance(model, str) or not model:
+            raise ProviderConfigError(f"http provider requires a model name, got {model!r}")
+        if (
+            not isinstance(timeout_secs, (int, float))
+            or isinstance(timeout_secs, bool)
+            or not 0 < timeout_secs < math.inf
+        ):
+            raise ProviderConfigError(
+                f"timeout_secs must be a finite number > 0, got {timeout_secs!r}"
+            )
         api_key = os.environ.get(API_KEY_ENV)
         if not api_key:
             raise ProviderConfigError(
@@ -116,7 +129,7 @@ class HttpProvider:
             )
         self._endpoint = endpoint
         self._model = model
-        self._timeout = timeout_secs
+        self._timeout = float(timeout_secs)
         self._api_key = api_key
         # Imported on first use: only this backend needs it, and it takes ~0.1 s to import.
         import requests
@@ -173,10 +186,12 @@ class HttpProvider:
     @staticmethod
     def _extract_text(response, tag: str) -> str:
         try:
-            body = response.json()
-            return body["choices"][0]["message"]["content"]
+            text = response.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError):
-            raise CompletionError(f"[{tag}] malformed response body") from None
+            text = None
+        if not isinstance(text, str):
+            raise CompletionError(f"[{tag}] malformed response body")
+        return text
 
 
 class ScriptedProvider:

@@ -110,11 +110,18 @@ class TestGenData:
         assert result.exit_code == 3
 
     def test_unparseable_window(self, tmp_path, runner):
-        result = runner.invoke(
-            main,
-            ["gen-data", "--out", str(tmp_path / "x"), "--fault", "sensor_bias", "--window", "ten"],
-        )
-        assert result.exit_code == 3
+        for args in (
+            ["--window", "ten"],
+            ["--window", "10:5"],
+            ["--window", "5:5"],
+            ["--window", "10:20", "--intensity", "0"],
+            ["--window", "10:20", "--intensity", "1.5"],
+        ):
+            result = runner.invoke(
+                main, ["gen-data", "--out", str(tmp_path / "x"), "--fault", "sensor_bias", *args]
+            )
+            assert result.exit_code == 3, (args, result.output)
+            assert "error: " in result.output, args
 
     def test_bad_length(self, tmp_path, runner):
         result = runner.invoke(main, ["gen-data", "--out", str(tmp_path / "x"), "--length", "1"])
@@ -315,6 +322,43 @@ class TestEvolve:
             assert result.exit_code == 3, (bad, result.output)
             assert list(out.iterdir()) == []
 
+    def test_bad_http_provider_block_exits_3_before_run_dir(
+        self, tmp_path, runner, sim_corpus, monkeypatch
+    ):
+        monkeypatch.setenv("PILLM_API_KEY", "test-key")
+        data, meta = sim_corpus
+        out = tmp_path / "runs"
+        out.mkdir()
+        good = {"endpoint": "http://127.0.0.1:9/v1/chat/completions", "model": "m"}
+        for bad in (
+            {"timeout_secs": "abc"},
+            {"timeout_secs": -1},
+            {"timeout_secs": 0},
+            {"endpoint": 5},
+            {"endpoint": "localhost:8000/v1"},
+            {"model": ""},
+        ):
+            config = evolve_config(tmp_path, provider={**good, **bad})
+            result = runner.invoke(
+                main,
+                [
+                    "evolve",
+                    "--data",
+                    str(data),
+                    "--meta",
+                    str(meta),
+                    "--config",
+                    str(config),
+                    "--provider",
+                    "http",
+                    "--out",
+                    str(out),
+                ],
+            )
+            assert result.exit_code == 3, (bad, result.output)
+            assert "error: " in result.output, bad
+            assert list(out.iterdir()) == []
+
     def test_malformed_json_exits_3(self, tmp_path, runner, sim_corpus):
         data, meta = sim_corpus
         config = tmp_path / "config.json"
@@ -370,6 +414,27 @@ class TestEvolve:
         assert "aborted=true" in result.output
         run_dir = run_dir_from(result.output)
         assert (run_dir / "requests.log").read_text(encoding="utf-8") == "init\n"
+        # Generation 0 is kept: the seed and the init slot whose request failed.
+        records = [json.loads(line) for line in (run_dir / "run.jsonl").read_text().splitlines()]
+        assert [r["candidate_id"] for r in records] == ["c0000", "c0001"]
+        assert records[0]["operator"] == "seed" and records[0]["fitness"] is not None
+        assert records[1]["operator"] == "init" and records[1]["fitness"] is None
+        assert records[1]["request_tags_used"] == ["init"]
+        assert (run_dir / "best.rule").exists()
+        assert "best_id=c0000" in result.output
+        report = runner.invoke(
+            main,
+            [
+                "report",
+                "--run",
+                str(run_dir),
+                "--data",
+                str(run_dir / "test.csv"),
+                "--meta",
+                str(run_dir / "meta.json"),
+            ],
+        )
+        assert report.exit_code == 0, report.output
 
     def test_crashed_run_keeps_streams(self, tmp_path, runner, sim_corpus, monkeypatch):
         data, meta = sim_corpus
@@ -396,8 +461,8 @@ class TestEvolve:
         out = tmp_path / "crashed"
         result = self.invoke_evolve(runner, data, meta, config, out)
         assert isinstance(result.exception, RuntimeError)
-        assert "run_dir=" not in result.output
-        (run_dir,) = out.iterdir()
+        run_dir = run_dir_from(result.output)
+        assert list(out.iterdir()) == [run_dir]
         tags = (run_dir / "requests.log").read_text(encoding="utf-8").splitlines()
         assert tags == calls == full_tags[:crash_at]
         assert tags[:3] == ["init"] * 3 and tags[-1] != "init"

@@ -427,9 +427,71 @@ class TestRun:
     def test_abort_when_provider_dies_during_init(self, small_table):
         result = run_evolution(base_config(), small_table, FailingProvider(), seed_rule=SEED_DUD)
         assert result.aborted
-        assert result.best is None
-        assert result.records == []
+        assert result.best.id == "c0000"
+        assert [r["operator"] for r in result.records] == ["seed", "init"]
         assert result.generations_completed == 0
+
+    @staticmethod
+    def assert_every_request_logged(result):
+        """Each request is a reflection or belongs to exactly one candidate record."""
+        slot_requests = sum(len(r["request_tags_used"]) for r in result.records)
+        assert slot_requests + result.request_tags.count("reflection") == result.llm_calls
+
+    def test_provider_failure_on_retry_counts_both_requests(self, small_table):
+        provider = CannedProvider(
+            {
+                "init": [RULE_HALF, RULE_GOOD],
+                "reflection": ["Hint.\n\nContext."],
+                "crossover": ["no code block here"],
+                "mutation": [RULE_PERFECT],
+            }
+        )
+        result = run_evolution(
+            base_config(generations=1, retry_budget=1), small_table, provider, seed_rule=SEED_DUD
+        )
+        assert not result.aborted
+        self.assert_every_request_logged(result)
+        (child,) = [r for r in result.records if r["operator"] == "crossover"]
+        assert child["request_tags_used"] == ["crossover", "crossover"]
+        assert child["error"] == "no canned text for 'crossover'"
+        assert child["fitness"] is None
+
+    def test_call_budget_on_retry_keeps_the_slot(self, small_table):
+        provider = CannedProvider(
+            {
+                "init": [RULE_HALF, RULE_GOOD],
+                "reflection": ["Hint.\n\nContext."],
+                "crossover": ["no code block here", RULE_PERFECT],
+                "mutation": [RULE_PERFECT],
+            }
+        )
+        result = run_evolution(
+            base_config(generations=3, retry_budget=1, llm_call_budget=4),
+            small_table,
+            provider,
+            seed_rule=SEED_DUD,
+        )
+        assert result.llm_calls == 4
+        assert result.generations_completed == 0
+        self.assert_every_request_logged(result)
+        child = result.records[-1]
+        assert child["operator"] == "crossover"
+        assert child["request_tags_used"] == ["crossover"]
+        assert child["error"] == "response contains no fenced code block"
+
+    def test_provider_failure_on_second_init_logs_generation_zero(self, small_table):
+        provider = CannedProvider({"init": [RULE_HALF]})
+        result = run_evolution(base_config(), small_table, provider, seed_rule=SEED_DUD)
+        assert result.aborted
+        assert result.generations_completed == 0
+        self.assert_every_request_logged(result)
+        assert [r["operator"] for r in result.records] == ["seed", "init", "init"]
+        assert result.records[1]["fitness"] == pytest.approx(0.5)
+        failed = result.records[2]
+        assert failed["request_tags_used"] == ["init"]
+        assert failed["error"] == "no canned text for 'init'"
+        assert result.best.id == "c0001"
+        assert result.best_fitness_history == pytest.approx([0.5])
 
     def test_call_budget_stops_mid_generation(self, small_table):
         result = run_evolution(

@@ -105,6 +105,28 @@ class TestHttpProvider:
             HttpProvider(endpoint="", model="m")
         with pytest.raises(ProviderConfigError):
             HttpProvider(endpoint="https://x", model="")
+        for bad in (
+            {"endpoint": 5},
+            {"endpoint": None},
+            {"endpoint": "localhost:8000/v1"},
+            {"endpoint": "ftp://x/v1"},
+            {"endpoint": "http:///v1"},
+            {"model": 5},
+            {"model": None},
+            {"timeout_secs": "abc"},
+            {"timeout_secs": "30"},
+            {"timeout_secs": -1},
+            {"timeout_secs": 0},
+            {"timeout_secs": True},
+            {"timeout_secs": float("nan")},
+            {"timeout_secs": float("inf")},
+        ):
+            with pytest.raises(ProviderConfigError):
+                HttpProvider(**{"endpoint": "https://x", "model": "m", **bad})
+        session = FakeSession([FakeResponse(200, ok_body("ok"))])
+        provider = HttpProvider(endpoint="HTTP://x:8000/v1", model="m", timeout_secs=5, session=session)
+        assert provider.complete(req()).text == "ok"
+        assert session.calls[0]["timeout"] == 5.0
 
     def test_success_path_and_payload_shape(self, api_key):
         session = FakeSession([FakeResponse(200, ok_body("hello"))])
@@ -165,10 +187,15 @@ class TestHttpProvider:
         assert len(sleeps) == 4
 
     def test_malformed_body(self, api_key):
-        session = FakeSession([FakeResponse(200, {"choices": []})])
-        provider = make_http(session)
-        with pytest.raises(CompletionError, match="malformed"):
-            provider.complete(req())
+        for body in (
+            {"choices": []},
+            {"choices": [{"message": {"content": None}}]},
+            {"choices": [{"message": {"content": [{"type": "text", "text": "hi"}]}}]},
+        ):
+            session = FakeSession([FakeResponse(200, body)])
+            provider = make_http(session)
+            with pytest.raises(CompletionError, match="malformed response body"):
+                provider.complete(req())
 
 
 class TestScriptedProvider:
