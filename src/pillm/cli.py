@@ -141,6 +141,8 @@ def _build_provider(kind: str, provider_block: dict, script: str | None, config:
             script = provider_block.get("script")
         if not script:
             raise ProviderConfigError("scripted provider requires --script FILE")
+        if not isinstance(script, str):
+            raise ProviderConfigError(f"provider.script must be a file path, got {script!r}")
         return ScriptedProvider.from_path(script)
     if kind == "sampler":
         return SamplerProvider(seed=config.seed, feature_names=feature_names)

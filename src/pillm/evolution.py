@@ -2,11 +2,14 @@
 
 Each generation reflects on worse/better rule pairs (physical-context-aware
 hints), crosses pairs over into offspring guided by those hints, and mutates
-the elites under a rolling digest of recent reflections. Survivor selection
-is mu+lambda truncation with explicit elitism, so best-ever fitness never
-decreases. Fitness is the event-level point-adjusted F1 on the training
-split. Both reflection and crossover can be disabled independently for
-ablation runs.
+the elites under a rolling digest of recent reflections. The operators' LLM
+requests go out in two concurrent waves per generation, the reflections and
+then the crossovers and mutations, up to the provider's `max_in_flight` at
+a time; their results are committed in slot order, so a run does not depend
+on which reply came back first. Survivor selection is mu+lambda truncation
+with explicit elitism, so best-ever fitness never decreases. Fitness is the
+event-level point-adjusted F1 on the training split. Both reflection and
+crossover can be disabled independently for ablation runs.
 """
 
 from __future__ import annotations
@@ -15,8 +18,11 @@ import hashlib
 import math
 import random
 import re
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, fields
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
 from . import prompts
 from .dsl import BudgetError, DslError, TypedRule, compile_rule, evaluate, to_flags
@@ -38,7 +44,8 @@ class RuleCandidate:
 
     `fitness is None` is the INVALID sentinel: the candidate failed response
     extraction, parsing, typechecking, or blew the evaluation budget. Such
-    candidates stay in the log but never act as parents.
+    candidates stay in the log but never act as parents. The engine gives a
+    candidate its `id` when it logs it; until then `id` is empty.
     """
 
     id: str
@@ -206,20 +213,44 @@ def _rank_key(candidate: RuleCandidate) -> tuple:
 
 
 class _CallBudgetExhausted(Exception):
-    """`llm_call_budget` allows no further request.
+    """`llm_call_budget` allows no further request."""
 
-    `kept` holds the interrupted slot's candidate when that slot had already
-    issued a request, so the caller can log it before stopping.
-    """
 
-    kept: tuple[RuleCandidate, ...] = ()
+@dataclass(frozen=True)
+class _Job:
+    """One operator slot: its request, and the code that issues and reads it."""
+
+    request: CompletionRequest
+    run: Callable[[CompletionRequest], object]
+
+    def __call__(self):
+        return self.run(self.request)
 
 
 class EvolutionEngine:
     """Coordinates providers, prompts, the DSL, and metrics for one run.
 
-    `log`, when given, receives `request(tag)` as each LLM request is issued
-    and `append(record)` as each candidate is evaluated (see `RunLog`).
+    Every LLM request belongs to one operator slot: an init, a reflection, a
+    crossover or a mutation. The N-1 init requests are identical, so they run
+    one after another in the calling thread. Each generation then runs two
+    waves through `_wave`: the reflections, then the crossovers and
+    mutations, whose prompts need only the first wave's digest. A wave runs
+    on a thread pool `provider.max_in_flight` wide, which `run` owns. Slots
+    whose requests are identical run one after another, in slot order, so a
+    provider that answers by (request, occurrence) answers the same way on
+    every run; at width 1 every slot runs in slot order, as a provider that
+    answers by call order needs. Reflections, candidate ids and records are
+    committed in slot order after the wave, never in completion order.
+
+    The `llm_call_budget` check, the request's tag and `log.request(tag)`
+    happen together under one lock, so every request issued belongs to
+    exactly one slot. The run stops after a wave in which a slot found the
+    budget spent or an init request failed; slots that issued a request are
+    kept.
+
+    `log`, when given, receives `request(tag)` as each LLM request is issued,
+    in issue order, and `append(record)` as each candidate is evaluated, in
+    slot order (see `RunLog`). An engine runs once.
     """
 
     def __init__(
@@ -241,6 +272,10 @@ class EvolutionEngine:
         self._next_index = 0
         self._records: list[dict] = []
         self._request_tags: list[str] = []
+        self._lock = threading.Lock()
+        # Set when the budget is spent, an init request fails or a slot raises:
+        # no further slot starts.
+        self._halt = threading.Event()
         self._best_ever: RuleCandidate | None = None
         self._aborted = False
         self._reflections: list[Reflection] = []
@@ -259,40 +294,46 @@ class EvolutionEngine:
     def llm_calls(self) -> int:
         return len(self._request_tags)
 
-    def _complete(self, tag: str, system: str, user: str, temperature: float) -> str:
-        if self.llm_calls >= self.config.llm_call_budget:
-            raise _CallBudgetExhausted()
-        self._request_tags.append(tag)
-        if self.log is not None:
-            self.log.request(tag)
-        request = CompletionRequest(
-            system_prompt=system,
+    def _request(self, tag: str, user: str, system: str | None = None) -> CompletionRequest:
+        temperature = (
+            self.config.init_temperature if tag == "init" else self.config.refine_temperature
+        )
+        return CompletionRequest(
+            system_prompt=system or self._system_prompt,
             user_prompt=user,
             tag=tag,
             temperature=temperature,
             max_tokens=self.config.max_tokens,
         )
+
+    def _complete(self, request: CompletionRequest, issued: list[str]) -> str:
+        """Send `request` unless the call budget is spent; its tag goes to `issued`."""
+        with self._lock:
+            if self.llm_calls >= self.config.llm_call_budget:
+                self._halt.set()
+                raise _CallBudgetExhausted()
+            self._request_tags.append(request.tag)
+            issued.append(request.tag)
+            if self.log is not None:
+                self.log.request(request.tag)
         return self.provider.complete(request).text
 
     def _slot(
-        self, tag: str, user_prompt: str, generation: int, parents: tuple[str, ...] = ()
-    ) -> RuleCandidate:
+        self, request: CompletionRequest, generation: int, parents: tuple[str, ...] = ()
+    ) -> RuleCandidate | None:
         """Ask for a rule, retrying extraction/parse/typecheck failures.
 
-        Always yields the slot's one candidate, whose `request_tags_used`
-        holds one tag per request the slot issued. A provider failure makes
-        it invalid with the provider's message, and during init also aborts
-        the run. A spent call budget propagates, carrying the candidate in
-        `kept` if the slot issued any request.
+        Yields the slot's one candidate, whose `request_tags_used` holds one
+        tag per request the slot issued, or None when the call budget was
+        spent before the slot's first request. A provider failure makes the
+        candidate invalid with the provider's message, and during init also
+        aborts the run.
         """
-        temperature = (
-            self.config.init_temperature if tag == "init" else self.config.refine_temperature
-        )
-        first_call = self.llm_calls
-        parsed = rule = error = stop = None
+        issued: list[str] = []
+        parsed = rule = error = None
         try:
             for _ in range(1 + self.config.retry_budget):
-                text = self._complete(tag, self._system_prompt, user_prompt, temperature)
+                text = self._complete(request, issued)
                 try:
                     parsed = prompts.parse_response(text)
                     rule = compile_rule(parsed.code, self._feature_names)
@@ -303,28 +344,53 @@ class EvolutionEngine:
                     break
         except ProviderError as exc:
             error = str(exc)
-            if tag == "init":
+            if request.tag == "init":
                 # No population to fall back on yet: the run ends after generation 0.
                 self._aborted = True
-        except _CallBudgetExhausted as exc:
-            if self.llm_calls == first_call:
-                raise
-            stop = exc
-        candidate = RuleCandidate(
-            id=self._new_id(),
+                self._halt.set()
+        except _CallBudgetExhausted:
+            if not issued:
+                return None
+        return RuleCandidate(
+            id="",
             code=parsed.code if parsed else "",
             context=parsed.context if parsed else "",
-            operator=tag,
+            operator=request.tag,
             generation=generation,
             parent_ids=parents,
-            request_tags_used=tuple(self._request_tags[first_call:]),
+            request_tags_used=tuple(issued),
             error=error,
             rule=rule,
         )
-        if stop is not None:
-            stop.kept = (candidate,)
-            raise stop
-        return candidate
+
+    def _start(self, job: _Job, previous: Future | None = None):
+        """Run `job` once `previous` is done; None if the run has halted by then."""
+        if previous is not None:
+            wait([previous])
+        if self._halt.is_set():
+            return None
+        try:
+            return job()
+        except BaseException:
+            # No further slot of the wave starts.
+            self._halt.set()
+            raise
+
+    def _wave(self, pool: ThreadPoolExecutor, jobs: Sequence[_Job]) -> list:
+        """Run `jobs` on `pool`, one task each; results in job order, None if not run.
+
+        A job first waits for the last earlier job with an identical request,
+        so identical requests go out in job order. The pool starts tasks in
+        the order they were submitted, so that job is already running or
+        done, and with one worker every job runs in job order.
+        """
+        tasks: list[Future] = []
+        latest: dict[CompletionRequest, Future] = {}
+        for job in jobs:
+            task = pool.submit(self._start, job, latest.get(job.request))
+            latest[job.request] = task
+            tasks.append(task)
+        return [task.result() for task in tasks]
 
     def _new_id(self) -> str:
         candidate_id = f"c{self._next_index:04d}"
@@ -341,14 +407,13 @@ class EvolutionEngine:
         """
         code, context = seed_rule or default_seed_rule(self.train_table.features)
         seed = RuleCandidate(
-            id=self._new_id(),
+            id="",
             code=code,
             context=context,
             operator="seed",
             generation=0,
             rule=compile_rule(code, self._feature_names),
         )
-        population = [seed]
         user_prompt = prompts.render(
             "init",
             {
@@ -359,18 +424,12 @@ class EvolutionEngine:
             },
             prompts_dir=self.prompts_dir,
         )
-        for _ in range(self.config.population_size - 1):
-            try:
-                population.append(self._slot("init", user_prompt, generation=0))
-            except _CallBudgetExhausted as stop:
-                population.extend(stop.kept)
-                break
-            if self._aborted:
-                break
-        return population
+        job = _Job(self._request("init", user_prompt), partial(self._slot, generation=0))
+        slots = [self._start(job) for _ in range(self.config.population_size - 1)]
+        return [seed] + [candidate for candidate in slots if candidate is not None]
 
     def evaluate_population(self, population: Sequence[RuleCandidate]) -> None:
-        """Fill fitness for pending candidates and log each exactly once."""
+        """Fill fitness for pending candidates, then give each its id and log it once."""
         for candidate in population:
             if candidate.fitness is None and candidate.error is None:
                 try:
@@ -385,6 +444,7 @@ class EvolutionEngine:
             self._log_candidate(candidate)
 
     def _log_candidate(self, candidate: RuleCandidate) -> None:
+        candidate.id = self._new_id()
         # Best-ever considers every logged candidate, not just survivors.
         if candidate.fitness is not None and (
             self._best_ever is None or _rank_key(candidate) < _rank_key(self._best_ever)
@@ -418,20 +478,19 @@ class EvolutionEngine:
             "better_rules_physical_context": better.context,
         }
 
-    def reflect(self, pair: tuple[RuleCandidate, RuleCandidate]) -> Reflection | None:
-        """Ask for hints about why the better rule wins; None drops the pair."""
-        worse, better = pair
+    def _reflection_job(self, pair: tuple[RuleCandidate, RuleCandidate]) -> _Job:
         system = prompts.render(
-            "reflection_system", self._pair_bindings(worse, better), prompts_dir=self.prompts_dir
+            "reflection_system", self._pair_bindings(*pair), prompts_dir=self.prompts_dir
         )
+        user = "Respond now with your hints and the improved physical context."
+        return _Job(self._request("reflection", user, system), partial(self._reflect, pair=pair))
+
+    def _reflect(
+        self, request: CompletionRequest, pair: tuple[RuleCandidate, RuleCandidate]
+    ) -> Reflection | None:
         try:
-            text = self._complete(
-                "reflection",
-                system,
-                "Respond now with your hints and the improved physical context.",
-                self.config.refine_temperature,
-            )
-        except ProviderError:
+            text = self._complete(request, [])
+        except (ProviderError, _CallBudgetExhausted):
             return None
         parts = [p.strip() for p in re.split(r"\n\s*\n", text.strip()) if p.strip()]
         if not parts:
@@ -440,24 +499,36 @@ class EvolutionEngine:
             comments, context = parts[0], "(none provided)"
         else:
             comments, context = "\n\n".join(parts[:-1]), parts[-1]
-        reflection = Reflection(comments=comments, context=context, pair=(worse.id, better.id))
-        self._reflections.append(reflection)
-        return reflection
+        worse, better = pair
+        return Reflection(comments=comments, context=context, pair=(worse.id, better.id))
+
+    def reflect(self, pair: tuple[RuleCandidate, RuleCandidate]) -> Reflection | None:
+        """Ask for hints about why the better rule wins; None drops the pair."""
+        return self._reflection_job(pair)()
+
+    def _crossover_job(
+        self,
+        pair: tuple[RuleCandidate, RuleCandidate],
+        reflection: Reflection | None,
+        generation: int,
+    ) -> _Job:
+        worse, better = pair
+        bindings = self._pair_bindings(worse, better)
+        bindings["reflection_comments"] = reflection.comments if reflection else NO_REFLECTION_TEXT
+        bindings["reflection_context"] = reflection.context if reflection else ""
+        user_prompt = prompts.render("crossover", bindings, prompts_dir=self.prompts_dir)
+        slot = partial(self._slot, generation=generation, parents=(worse.id, better.id))
+        return _Job(self._request("crossover", user_prompt), slot)
 
     def crossover(
         self,
         pair: tuple[RuleCandidate, RuleCandidate],
         reflection: Reflection | None,
         generation: int,
-    ) -> RuleCandidate:
-        worse, better = pair
-        bindings = self._pair_bindings(worse, better)
-        bindings["reflection_comments"] = reflection.comments if reflection else NO_REFLECTION_TEXT
-        bindings["reflection_context"] = reflection.context if reflection else ""
-        user_prompt = prompts.render("crossover", bindings, prompts_dir=self.prompts_dir)
-        return self._slot("crossover", user_prompt, generation, (worse.id, better.id))
+    ) -> RuleCandidate | None:
+        return self._crossover_job(pair, reflection, generation)()
 
-    def elitist_mutate(self, elite: RuleCandidate, generation: int) -> RuleCandidate:
+    def _mutation_job(self, elite: RuleCandidate, generation: int) -> _Job:
         digest = long_term_reflection(self._reflections, self.config.long_term_window)
         latest_context = self._reflections[-1].context if self._reflections else NO_REFLECTIONS_YET
         bindings = {
@@ -468,7 +539,11 @@ class EvolutionEngine:
             "elitist_code": f"```rule\n{elite.code}\n```",
         }
         user_prompt = prompts.render("elitist_mutation", bindings, prompts_dir=self.prompts_dir)
-        return self._slot("mutation", user_prompt, generation, (elite.id,))
+        slot = partial(self._slot, generation=generation, parents=(elite.id,))
+        return _Job(self._request("mutation", user_prompt), slot)
+
+    def elitist_mutate(self, elite: RuleCandidate, generation: int) -> RuleCandidate | None:
+        return self._mutation_job(elite, generation)()
 
     # ---- the loop ----------------------------------------------------------
 
@@ -478,6 +553,17 @@ class EvolutionEngine:
         )
 
     def run(self, seed_rule: tuple[str, str] | None = None) -> RunResult:
+        width = self.provider.max_in_flight
+        # Leaving the block waits for the pool's threads; once the run halts,
+        # a task still queued returns without starting a slot.
+        with ThreadPoolExecutor(width, thread_name_prefix="pillm-operator") as pool:
+            try:
+                return self._run(pool, seed_rule)
+            except BaseException:
+                self._halt.set()
+                raise
+
+    def _run(self, pool: ThreadPoolExecutor, seed_rule: tuple[str, str] | None) -> RunResult:
         config = self.config
         history: list[float] = []
         generations_completed = 0
@@ -486,31 +572,32 @@ class EvolutionEngine:
         if self._best_ever is not None:
             history.append(self._best_ever.fitness)
 
-        last_generation = 0 if self._aborted else config.generations
-        for generation in range(1, last_generation + 1):
-            fresh: list[RuleCandidate] = []
-            exhausted = False
-            try:
-                pairs = select_pairs(population, self._rng, config.pairs_per_gen)
-                reflections: list[Reflection | None] = []
-                for pair in pairs:
-                    reflections.append(self.reflect(pair) if config.enable_pir else None)
-                if config.enable_pic:
-                    for pair, reflection in zip(pairs, reflections):
-                        fresh.append(self.crossover(pair, reflection, generation))
-                else:
-                    # Ablation: spend the same call budget on extra
-                    # mutations of the best valid candidate, one per pair.
-                    for _ in pairs:
-                        target = self._valid_sorted(population)[0]
-                        fresh.append(self.elitist_mutate(target, generation))
-                for elite in self._valid_sorted(population)[: config.elite_count]:
-                    fresh.append(self.elitist_mutate(elite, generation))
-            except _CallBudgetExhausted as stop:
-                fresh.extend(stop.kept)
-                exhausted = True
+        for generation in range(1, config.generations + 1):
+            if self._halt.is_set():
+                break
+            pairs = select_pairs(population, self._rng, config.pairs_per_gen)
+            reflections: list[Reflection | None] = [None] * len(pairs)
+            if config.enable_pir:
+                reflections = self._wave(pool, [self._reflection_job(pair) for pair in pairs])
+                self._reflections.extend(r for r in reflections if r is not None)
+                if self._halt.is_set():
+                    break
+            ranked = self._valid_sorted(population)
+            if config.enable_pic:
+                jobs = [
+                    self._crossover_job(pair, reflection, generation)
+                    for pair, reflection in zip(pairs, reflections)
+                ]
+            else:
+                # Ablation: spend the same call budget on extra
+                # mutations of the best valid candidate, one per pair.
+                jobs = [self._mutation_job(ranked[0], generation) for _ in pairs]
+            jobs += [
+                self._mutation_job(elite, generation) for elite in ranked[: config.elite_count]
+            ]
+            fresh = [candidate for candidate in self._wave(pool, jobs) if candidate is not None]
             self.evaluate_population(fresh)
-            if exhausted:
+            if self._halt.is_set():
                 break
             elites = sorted(population, key=_rank_key)[: config.elite_count]
             population = sorted(elites + fresh, key=_rank_key)[: config.population_size]

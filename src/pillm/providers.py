@@ -36,6 +36,8 @@ API_KEY_ENV = "PILLM_API_KEY"
 RETRY_MAX_ATTEMPTS = 5
 RETRY_BASE_SECONDS = 1.0
 RETRY_FACTOR = 2.0
+# A server's Retry-After is honoured up to the largest backoff ceiling.
+RETRY_AFTER_MAX_SECONDS = RETRY_BASE_SECONDS * RETRY_FACTOR ** (RETRY_MAX_ATTEMPTS - 1)
 
 
 class ProviderError(Exception):
@@ -85,6 +87,8 @@ class CompletionResult:
 
 class Provider(Protocol):
     provider_id: str
+    # How many `complete` calls the caller may have running at once.
+    max_in_flight: int
 
     def complete(self, request: CompletionRequest) -> CompletionResult: ...
 
@@ -93,8 +97,11 @@ class HttpProvider:
     """Chat-completions-style HTTP backend with retry and an in-flight cap.
 
     Retries 429, 5xx, timeouts, and connection failures with exponential
-    backoff (base 1 s, factor 2, full jitter, at most 5 attempts). The API
-    key is read from the environment only; config files never carry it.
+    backoff (base 1 s, factor 2, full jitter, at most 5 attempts). A 429 or
+    503 reply with a numeric `Retry-After` waits that many seconds instead,
+    at most `RETRY_AFTER_MAX_SECONDS`. At most `max_in_flight` requests are
+    on the wire at once. The API key is read from the environment only;
+    config files never carry it.
     """
 
     def __init__(
@@ -121,6 +128,12 @@ class HttpProvider:
             raise ProviderConfigError(
                 f"timeout_secs must be a finite number > 0, got {timeout_secs!r}"
             )
+        if (
+            not isinstance(max_in_flight, int)
+            or isinstance(max_in_flight, bool)
+            or max_in_flight < 1
+        ):
+            raise ProviderConfigError(f"max_in_flight must be an int >= 1, got {max_in_flight!r}")
         api_key = os.environ.get(API_KEY_ENV)
         if not api_key:
             raise ProviderConfigError(
@@ -137,6 +150,7 @@ class HttpProvider:
         self._session = session or requests.Session()
         self._network_errors = (requests.Timeout, requests.ConnectionError)
         self._sleep = sleeper
+        self.max_in_flight = max_in_flight
         self._gate = threading.Semaphore(max_in_flight)
         self._rng = random.Random()
         self.provider_id = f"http:{model}"
@@ -155,6 +169,7 @@ class HttpProvider:
         start = time.monotonic()
         last_reason = "no attempt made"
         for attempt in range(1, RETRY_MAX_ATTEMPTS + 1):
+            retry_after = None
             try:
                 with self._gate:
                     response = self._session.post(
@@ -165,6 +180,8 @@ class HttpProvider:
             else:
                 if response.status_code == 429 or response.status_code >= 500:
                     last_reason = f"HTTP {response.status_code}"
+                    if response.status_code in (429, 503):
+                        retry_after = _retry_after_seconds(response.headers.get("Retry-After"))
                 elif response.status_code != 200:
                     raise CompletionError(
                         f"[{request.tag}] HTTP {response.status_code}: {response.text[:200]}"
@@ -177,8 +194,11 @@ class HttpProvider:
                         latency_ms=latency, attempt=attempt,
                     )
             if attempt < RETRY_MAX_ATTEMPTS:
-                ceiling = RETRY_BASE_SECONDS * (RETRY_FACTOR ** (attempt - 1))
-                self._sleep(self._rng.uniform(0.0, ceiling))
+                if retry_after is not None:
+                    self._sleep(min(retry_after, RETRY_AFTER_MAX_SECONDS))
+                else:
+                    ceiling = RETRY_BASE_SECONDS * (RETRY_FACTOR ** (attempt - 1))
+                    self._sleep(self._rng.uniform(0.0, ceiling))
         raise CompletionError(
             f"[{request.tag}] gave up after {RETRY_MAX_ATTEMPTS} attempts ({last_reason})"
         )
@@ -194,6 +214,15 @@ class HttpProvider:
         return text
 
 
+def _retry_after_seconds(value: str | None) -> float | None:
+    """Seconds from a numeric `Retry-After` header; None when absent, negative or a date."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if 0 <= seconds < math.inf else None
+
+
 class ScriptedProvider:
     """Replays canned responses from a JSON-lines script, matched by tag.
 
@@ -201,10 +230,12 @@ class ScriptedProvider:
     unconsumed record with its tag, in file order; when none remains the
     provider raises, which fails the run loudly instead of improvising.
     Requests tagged `narrate` echo the prompt (pass-through contract for the
-    reporting path), so scripts never need narration records.
+    reporting path), so scripts never need narration records. Records are
+    consumed in call order, so callers issue one request at a time.
     """
 
     provider_id = "scripted"
+    max_in_flight = 1
 
     def __init__(self, records: Sequence[dict]) -> None:
         cleaned = []
@@ -220,8 +251,12 @@ class ScriptedProvider:
 
     @classmethod
     def from_path(cls, path: str | Path) -> "ScriptedProvider":
+        try:
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ProviderConfigError(f"cannot read script {str(path)!r}: {exc}") from None
         records = []
-        for line_num, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for line_num, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:
@@ -251,8 +286,11 @@ class SamplerProvider:
 
     Ignores the prompt text entirely. Every call yields a fenced, valid DSL
     rule over the configured features plus a fixed-format context paragraph;
-    the sequence of responses is a pure function of (seed, call order).
+    the sequence of responses is a pure function of (seed, call order), so
+    callers issue one request at a time.
     """
+
+    max_in_flight = 1
 
     def __init__(self, seed: int, feature_names: Sequence[str], depth_budget: int = 4) -> None:
         if not feature_names:

@@ -387,6 +387,32 @@ class TestEvolve:
         )
         assert result.exit_code == 3
 
+    def test_bad_script_config_exits_3_before_run_dir(self, tmp_path, runner, sim_corpus):
+        data, meta = sim_corpus
+        out = tmp_path / "runs"
+        out.mkdir()
+        for bad in (5, ["script.jsonl"], str(tmp_path / "missing.jsonl"), str(tmp_path)):
+            config = evolve_config(tmp_path, provider={"script": bad})
+            result = runner.invoke(
+                main,
+                [
+                    "evolve",
+                    "--data",
+                    str(data),
+                    "--meta",
+                    str(meta),
+                    "--config",
+                    str(config),
+                    "--provider",
+                    "scripted",
+                    "--out",
+                    str(out),
+                ],
+            )
+            assert result.exit_code == 3, (bad, result.output)
+            assert "error: " in result.output, bad
+            assert list(out.iterdir()) == []
+
     def test_exhausted_script_aborts_with_exit_2(self, tmp_path, runner, sim_corpus):
         data, meta = sim_corpus
         config = evolve_config(tmp_path)
@@ -564,6 +590,31 @@ class TestReport:
         narrated = runner.invoke(main, args + ["--narrate"])
         assert narrated.exit_code == 0, narrated.output
         assert narrated.output == plain.output
+
+
+    def test_narrate_with_bad_script_exits_3(self, tmp_path, runner, sim_corpus):
+        run_dir = self.finished_run(tmp_path, runner, sim_corpus)
+        snapshot_path = run_dir / "config.snapshot"
+        snapshot = json.loads(snapshot_path.read_text(encoding="utf-8"))
+        for bad in (5, str(tmp_path / "missing.jsonl")):
+            snapshot["provider"] = {"type": "scripted", "script": bad}
+            snapshot_path.write_text(json.dumps(snapshot), encoding="utf-8")
+            result = runner.invoke(
+                main,
+                [
+                    "report",
+                    "--run",
+                    str(run_dir),
+                    "--data",
+                    str(run_dir / "test.csv"),
+                    "--meta",
+                    str(run_dir / "meta.json"),
+                    "--narrate",
+                ],
+            )
+            assert result.exit_code == 3, (bad, result.output)
+            assert "error: " in result.output, bad
+            assert not (run_dir / "report.txt").exists()
 
 
 class TestVersion:

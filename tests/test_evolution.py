@@ -1,4 +1,9 @@
+import hashlib
 import random
+import sys
+import threading
+import time
+from collections import Counter
 
 import pytest
 
@@ -15,8 +20,10 @@ from pillm.evolution import (
     run_evolution,
     select_pairs,
 )
+from pillm.prompts import parse_response
 from pillm.providers import (
     CompletionError,
+    CompletionRequest,
     CompletionResult,
     SamplerProvider,
     ScriptedProvider,
@@ -39,6 +46,7 @@ class CannedProvider:
     """Returns queued texts per tag and remembers every request it saw."""
 
     provider_id = "canned"
+    max_in_flight = 1
 
     def __init__(self, texts_by_tag: dict[str, list[str]]) -> None:
         self.requests = []
@@ -67,6 +75,7 @@ class ListSink(list):
 
 class FailingProvider:
     provider_id = "failing"
+    max_in_flight = 1
 
     def __init__(self, only_tags: set[str] | None = None, fallback=None) -> None:
         self._only_tags = only_tags
@@ -574,3 +583,165 @@ class TestRun:
         assert by_tag["init"] == pytest.approx(0.7)
         assert by_tag["crossover"] == pytest.approx(0.2)
         assert by_tag["reflection"] == pytest.approx(0.2)
+
+
+class KeyedProvider:
+    """Answers as a pure function of (request, occurrence), after a short sleep.
+
+    Like the benchmark's loopback stub, the answer does not depend on arrival
+    order, only on how many identical requests came before. About one rule
+    answer in five has no code block, so retries repeat a request. Calls
+    whose issue index is in `fail_at` raise `error`.
+    """
+
+    provider_id = "keyed"
+
+    def __init__(self, max_in_flight=4, delay=0.02, fail_at=(), error=None) -> None:
+        self.max_in_flight = max_in_flight
+        self._delay = delay
+        self._fail_at = set(fail_at)
+        self._error = error or CompletionError("synthetic failure")
+        self._seen = Counter()
+        self._lock = threading.Lock()
+        self._running = 0
+        self.most_in_flight = 0
+        self.issued = []
+
+    @staticmethod
+    def answer(request, occurrence: int) -> str:
+        key = f"{request.system_prompt}|{request.user_prompt}|{request.temperature}|{occurrence}"
+        rng = random.Random(hashlib.sha256(key.encode()).digest())
+        if request.tag == "reflection":
+            return f"Hint {rng.randrange(1000)}.\n\nContext {rng.randrange(1000)}."
+        if rng.random() < 0.2:
+            return "no code block in this answer"
+        rule = f"return $x {rng.choice(('>', '<'))} {rng.uniform(-1.5, 4.5):.3f}"
+        return f"```rule\n{rule}\n```\n```context\nc{occurrence}\n```"
+
+    def complete(self, request) -> CompletionResult:
+        with self._lock:
+            index = len(self.issued)
+            occurrence = self._seen[request]
+            self._seen[request] += 1
+            self.issued.append((request, occurrence))
+            self._running += 1
+            self.most_in_flight = max(self.most_in_flight, self._running)
+        try:
+            time.sleep(self._delay)
+            if index in self._fail_at:
+                raise self._error
+            return CompletionResult(
+                text=self.answer(request, occurrence),
+                provider_id=self.provider_id,
+                latency_ms=0,
+                attempt=1,
+            )
+        finally:
+            with self._lock:
+                self._running -= 1
+
+
+class TestConcurrentWaves:
+    @staticmethod
+    def config(**overrides) -> EvolutionConfig:
+        kwargs = dict(
+            population_size=6, generations=3, elite_count=2, pairs_per_gen=3, retry_budget=1
+        )
+        kwargs.update(overrides)
+        return EvolutionConfig(**kwargs)
+
+    @pytest.mark.parametrize("enable_pir, enable_pic", [(True, True), (True, False), (False, True)])
+    def test_width_four_logs_what_width_one_logs(self, small_table, enable_pir, enable_pic):
+        config = self.config(enable_pir=enable_pir, enable_pic=enable_pic)
+        serial = run_evolution(config, small_table, KeyedProvider(max_in_flight=1, delay=0))
+        provider = KeyedProvider(max_in_flight=4)
+        sink = ListSink()
+        concurrent = run_evolution(config, small_table, provider, log=sink)
+        assert provider.most_in_flight >= 2
+        assert concurrent.generations_completed == serial.generations_completed == 3
+        assert concurrent.records == serial.records
+        assert list(sink) == serial.records
+        assert sorted(concurrent.request_tags) == sorted(serial.request_tags)
+        assert sink.tags == list(concurrent.request_tags)
+        assert concurrent.best_fitness_history == serial.best_fitness_history
+        TestRun.assert_every_request_logged(concurrent)
+
+    def test_width_one_issues_requests_in_slot_order(self, small_table):
+        # The sampler answers by call order, so its rules show the order in
+        # which the slots issued their requests. Without reflections, pairs
+        # drawn twice give identical crossover requests that are not adjacent.
+        config = self.config(enable_pir=False, retry_budget=0, pairs_per_gen=5, generations=6)
+        names = small_table.feature_names
+        result = run_evolution(config, small_table, SamplerProvider(seed=5, feature_names=names))
+        fresh = SamplerProvider(seed=5, feature_names=names)
+        request = CompletionRequest(system_prompt="s", user_prompt="u", tag="init")
+        expected = [parse_response(fresh.complete(request).text).code for _ in result.records[1:]]
+        assert [r["code"] for r in result.records[1:]] == expected
+
+    def test_identical_init_requests_go_out_in_slot_order(self, small_table):
+        provider = KeyedProvider(max_in_flight=4)
+        result = run_evolution(self.config(retry_budget=0, generations=0), small_table, provider)
+        inits = [r for r in result.records if r["operator"] == "init"]
+        assert [occurrence for _, occurrence in provider.issued] == list(range(5))
+        request = provider.issued[0][0]
+        for occurrence, record in enumerate(inits):
+            text = KeyedProvider.answer(request, occurrence)
+            expected = text.split("\n")[1] if "```rule" in text else ""
+            assert record["code"] == expected
+
+    def test_call_budget_mid_wave(self, small_table):
+        # Six init requests (one a retry) and three reflections come first.
+        # Generation 1's second wave has five slots; two of them get a request.
+        provider = KeyedProvider(max_in_flight=4)
+        result = run_evolution(self.config(llm_call_budget=11), small_table, provider)
+        assert result.llm_calls == len(provider.issued) == 11
+        assert result.generations_completed == 0
+        TestRun.assert_every_request_logged(result)
+        offspring = [r for r in result.records if r["generation"] == 1]
+        assert len(offspring) == 2
+        assert [r["candidate_id"] for r in result.records] == [f"c{i:04d}" for i in range(8)]
+
+    def test_call_budget_under_thread_switching(self, small_table):
+        # More workers than cores and frequent thread switches: a lost update
+        # of the shared request count would overshoot the budget or drop a tag.
+        config = self.config(
+            population_size=12, pairs_per_gen=6, elite_count=3, generations=20, llm_call_budget=60
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                provider = KeyedProvider(max_in_flight=8, delay=0)
+                sink = ListSink()
+                result = run_evolution(config, small_table, provider, log=sink)
+                assert result.llm_calls == len(provider.issued) == len(sink.tags) == 60
+                TestRun.assert_every_request_logged(result)
+                ids = [r["candidate_id"] for r in result.records]
+                assert ids == [f"c{i:04d}" for i in range(len(ids))]
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_init_provider_failure_keeps_generation_zero(self, small_table):
+        provider = KeyedProvider(max_in_flight=4, fail_at={2})
+        result = run_evolution(self.config(retry_budget=0), small_table, provider)
+        assert result.aborted
+        assert result.generations_completed == 0
+        assert result.llm_calls == 3
+        assert [r["operator"] for r in result.records] == ["seed", "init", "init", "init"]
+        assert result.records[-1]["error"] == "synthetic failure"
+        TestRun.assert_every_request_logged(result)
+
+    @pytest.mark.parametrize(
+        "fail_at, error",
+        [((), None), ({1}, None), ({9}, RuntimeError("provider crashed"))],
+        ids=["success", "abort", "exception"],
+    )
+    def test_no_worker_thread_outlives_the_run(self, small_table, fail_at, error):
+        before = set(threading.enumerate())
+        provider = KeyedProvider(max_in_flight=4, fail_at=fail_at, error=error)
+        if isinstance(error, RuntimeError):
+            with pytest.raises(RuntimeError, match="provider crashed"):
+                run_evolution(self.config(retry_budget=0), small_table, provider)
+        else:
+            run_evolution(self.config(retry_budget=0), small_table, provider)
+        assert set(threading.enumerate()) == before

@@ -50,10 +50,11 @@ class TestCompletionRequest:
 
 
 class FakeResponse:
-    def __init__(self, status_code: int, body=None, text: str = ""):
+    def __init__(self, status_code: int, body=None, text: str = "", headers=None):
         self.status_code = status_code
         self._body = body
         self.text = text or json.dumps(body or {})
+        self.headers = headers or {}
 
     def json(self):
         if self._body is None:
@@ -120,9 +121,17 @@ class TestHttpProvider:
             {"timeout_secs": True},
             {"timeout_secs": float("nan")},
             {"timeout_secs": float("inf")},
+            {"max_in_flight": 0},
+            {"max_in_flight": -1},
+            {"max_in_flight": True},
+            {"max_in_flight": 2.0},
+            {"max_in_flight": "4"},
+            {"max_in_flight": None},
         ):
             with pytest.raises(ProviderConfigError):
                 HttpProvider(**{"endpoint": "https://x", "model": "m", **bad})
+        assert HttpProvider(endpoint="https://x", model="m").max_in_flight == 4
+        assert HttpProvider(endpoint="https://x", model="m", max_in_flight=1).max_in_flight == 1
         session = FakeSession([FakeResponse(200, ok_body("ok"))])
         provider = HttpProvider(endpoint="HTTP://x:8000/v1", model="m", timeout_secs=5, session=session)
         assert provider.complete(req()).text == "ok"
@@ -151,6 +160,38 @@ class TestHttpProvider:
         assert result.attempt == 2
         assert len(sleeps) == 1
         assert 0.0 <= sleeps[0] <= 1.0  # full jitter within the base ceiling
+
+    def test_retry_after_is_honoured_up_to_the_largest_ceiling(self, api_key):
+        session = FakeSession(
+            [
+                FakeResponse(429, headers={"Retry-After": "3"}),
+                FakeResponse(503, headers={"Retry-After": "0"}),
+                FakeResponse(429, headers={"Retry-After": "2.5"}),
+                FakeResponse(503, headers={"Retry-After": "120"}),
+                FakeResponse(200, ok_body("ok")),
+            ]
+        )
+        sleeps = []
+        provider = make_http(session, sleeps)
+        assert provider.complete(req()).attempt == 5
+        assert sleeps == [3.0, 0.0, 2.5, 16.0]
+
+    def test_unusable_retry_after_falls_back_to_jitter(self, api_key):
+        session = FakeSession(
+            [
+                FakeResponse(429, headers={"Retry-After": "-1"}),
+                FakeResponse(503, headers={"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+                FakeResponse(429, headers={"Retry-After": "nan"}),
+                FakeResponse(500, headers={"Retry-After": "3"}),
+                FakeResponse(200, ok_body("ok")),
+            ]
+        )
+        sleeps = []
+        provider = make_http(session, sleeps)
+        provider.complete(req())
+        assert len(sleeps) == 4
+        for sleep, ceiling in zip(sleeps, (1.0, 2.0, 4.0, 8.0)):
+            assert 0.0 <= sleep <= ceiling
 
     def test_backoff_ceilings_double(self, api_key):
         session = FakeSession(
@@ -229,6 +270,19 @@ class TestScriptedProvider:
         )
         provider = ScriptedProvider.from_path(script)
         assert provider.complete(req("mutation")).text == "b"
+
+    def test_from_path_unreadable(self, tmp_path):
+        for path in (tmp_path / "missing.jsonl", tmp_path):
+            with pytest.raises(ProviderConfigError, match="cannot read script"):
+                ScriptedProvider.from_path(path)
+        binary = tmp_path / "binary.jsonl"
+        binary.write_bytes(b"\xff\xfe")
+        with pytest.raises(ProviderConfigError, match="cannot read script"):
+            ScriptedProvider.from_path(binary)
+
+    def test_offline_providers_take_one_request_at_a_time(self):
+        assert ScriptedProvider([]).max_in_flight == 1
+        assert SamplerProvider(1, FEATURES).max_in_flight == 1
 
     def test_from_path_bad_json(self, tmp_path):
         script = tmp_path / "bad.jsonl"
