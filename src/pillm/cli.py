@@ -35,6 +35,9 @@ EXIT_OK = 0
 EXIT_ABORTED = 2
 EXIT_BAD_CONFIG = 3
 
+# The keys a config's `provider` block may hold; the snapshot adds `type`.
+_PROVIDER_KEYS = ("endpoint", "model", "timeout_secs", "script")
+
 _METRIC_FUNCS = {
     "pointwise": pointwise_report,
     "pa": point_adjusted_report,
@@ -212,6 +215,9 @@ def evolve(
     provider_block = doc.get("provider", {})
     if not isinstance(provider_block, dict):
         _fail("config key 'provider' must be an object", EXIT_BAD_CONFIG)
+    unknown = sorted(set(provider_block) - set(_PROVIDER_KEYS))
+    if unknown:
+        _fail(f"unknown provider keys: {', '.join(unknown)}", EXIT_BAD_CONFIG)
     try:
         provider = _build_provider(provider_kind, provider_block, script_path, config, table.feature_names)
     except ProviderConfigError as exc:

@@ -3,9 +3,10 @@
 Each generation reflects on worse/better rule pairs (physical-context-aware
 hints), crosses pairs over into offspring guided by those hints, and mutates
 the elites under a rolling digest of recent reflections. The operators' LLM
-requests go out in two concurrent waves per generation, the reflections and
-then the crossovers and mutations, up to the provider's `max_in_flight` at
-a time; their results are committed in slot order, so a run does not depend
+requests run concurrently, up to the provider's `max_in_flight` at a time,
+each waiting only for the replies its prompt reads: crossover i waits for
+reflection i, and the mutations wait for all of the generation's
+reflections. Results are committed in slot order, so a run does not depend
 on which reply came back first. Survivor selection is mu+lambda truncation
 with explicit elitism, so best-ever fitness never decreases. Fitness is the
 event-level point-adjusted F1 on the training split. Both reflection and
@@ -232,21 +233,25 @@ class EvolutionEngine:
 
     Every LLM request belongs to one operator slot: an init, a reflection, a
     crossover or a mutation. The N-1 init requests are identical, so they run
-    one after another in the calling thread. Each generation then runs two
-    waves through `_wave`: the reflections, then the crossovers and
-    mutations, whose prompts need only the first wave's digest. A wave runs
-    on a thread pool `provider.max_in_flight` wide, which `run` owns. Slots
-    whose requests are identical run one after another, in slot order, so a
-    provider that answers by (request, occurrence) answers the same way on
-    every run; at width 1 every slot runs in slot order, as a provider that
-    answers by call order needs. Reflections, candidate ids and records are
-    committed in slot order after the wave, never in completion order.
+    one after another in the calling thread. Each generation then submits
+    its slots in slot order to a thread pool `provider.max_in_flight` wide,
+    which `run` owns (`_generation`): all reflections first; then crossover i
+    as soon as reflections 1..i are back, since its prompt reads reflection
+    i only; then, once every reflection is back, the mutations, whose prompts
+    read the digest of all of them. Slots whose requests are identical run
+    one after another, in slot order, so a provider that answers by
+    (request, occurrence) answers the same way on every run; at width 1
+    every slot runs in slot order, as a provider that answers by call order
+    needs. Reflections, candidate ids and records are committed in slot
+    order, never in completion order.
 
     The `llm_call_budget` check, the request's tag and `log.request(tag)`
     happen together under one lock, so every request issued belongs to
-    exactly one slot. The run stops after a wave in which a slot found the
-    budget spent or an init request failed; slots that issued a request are
-    kept.
+    exactly one slot. Once a slot finds the budget spent or an init request
+    fails, no further slot starts, and the run stops after the slots already
+    started have finished; those that issued a request are kept. A slot that
+    raises halts the run the same way, and its exception propagates once the
+    other slots' candidates are logged.
 
     `log`, when given, receives `request(tag)` as each LLM request is issued,
     in issue order, and `append(record)` as each candidate is evaluated, in
@@ -372,25 +377,24 @@ class EvolutionEngine:
         try:
             return job()
         except BaseException:
-            # No further slot of the wave starts.
+            # No further slot starts.
             self._halt.set()
             raise
 
-    def _wave(self, pool: ThreadPoolExecutor, jobs: Sequence[_Job]) -> list:
-        """Run `jobs` on `pool`, one task each; results in job order, None if not run.
+    def _submit(
+        self, pool: ThreadPoolExecutor, latest: dict[CompletionRequest, Future], job: _Job
+    ) -> Future:
+        """Submit `job` to `pool` as one task; `latest` maps requests to their last task.
 
-        A job first waits for the last earlier job with an identical request,
-        so identical requests go out in job order. The pool starts tasks in
-        the order they were submitted, so that job is already running or
-        done, and with one worker every job runs in job order.
+        The task first waits for the last earlier task with an identical
+        request, so identical requests go out in submission order. The pool
+        starts tasks in the order they were submitted, so that task is
+        already running or done, and with one worker every job runs in
+        submission order.
         """
-        tasks: list[Future] = []
-        latest: dict[CompletionRequest, Future] = {}
-        for job in jobs:
-            task = pool.submit(self._start, job, latest.get(job.request))
-            latest[job.request] = task
-            tasks.append(task)
-        return [task.result() for task in tasks]
+        task = pool.submit(self._start, job, latest.get(job.request))
+        latest[job.request] = task
+        return task
 
     def _new_id(self) -> str:
         candidate_id = f"c{self._next_index:04d}"
@@ -552,6 +556,48 @@ class EvolutionEngine:
             (c for c in population if c.fitness is not None), key=_rank_key
         )
 
+    def _generation(
+        self, pool: ThreadPoolExecutor, population: Sequence[RuleCandidate], generation: int
+    ) -> list[RuleCandidate]:
+        """Run one generation's operator slots on `pool`; its offspring, logged in slot order.
+
+        Slots are submitted in slot order: the reflections, then each pair's
+        crossover as soon as its reflection and every earlier one are back,
+        then the mutations, which read the digest of all of them. A slot
+        that raised has halted the run; its exception is re-raised once the
+        offspring of the other slots are logged.
+        """
+        config = self.config
+        submit = partial(self._submit, pool, {})
+        pairs = select_pairs(population, self._rng, config.pairs_per_gen)
+        ranked = self._valid_sorted(population)
+        reflecting = [
+            submit(self._reflection_job(pair)) if config.enable_pir else None for pair in pairs
+        ]
+        offspring: list[Future] = []
+        for pair, task in zip(pairs, reflecting):
+            reflection = None
+            if task is not None and task.exception() is None:
+                reflection = task.result()
+            if reflection is not None:
+                self._reflections.append(reflection)
+            if config.enable_pic:
+                offspring.append(submit(self._crossover_job(pair, reflection, generation)))
+        if not config.enable_pic:
+            # Ablation: spend the same call budget on extra mutations of the
+            # best valid candidate, one per pair.
+            offspring += [submit(self._mutation_job(ranked[0], generation)) for _ in pairs]
+        offspring += [
+            submit(self._mutation_job(elite, generation)) for elite in ranked[: config.elite_count]
+        ]
+        children = [task.result() for task in offspring if task.exception() is None]
+        fresh = [candidate for candidate in children if candidate is not None]
+        self.evaluate_population(fresh)
+        for task in (*reflecting, *offspring):
+            if task is not None:
+                task.result()
+        return fresh
+
     def run(self, seed_rule: tuple[str, str] | None = None) -> RunResult:
         width = self.provider.max_in_flight
         # Leaving the block waits for the pool's threads; once the run halts,
@@ -575,28 +621,7 @@ class EvolutionEngine:
         for generation in range(1, config.generations + 1):
             if self._halt.is_set():
                 break
-            pairs = select_pairs(population, self._rng, config.pairs_per_gen)
-            reflections: list[Reflection | None] = [None] * len(pairs)
-            if config.enable_pir:
-                reflections = self._wave(pool, [self._reflection_job(pair) for pair in pairs])
-                self._reflections.extend(r for r in reflections if r is not None)
-                if self._halt.is_set():
-                    break
-            ranked = self._valid_sorted(population)
-            if config.enable_pic:
-                jobs = [
-                    self._crossover_job(pair, reflection, generation)
-                    for pair, reflection in zip(pairs, reflections)
-                ]
-            else:
-                # Ablation: spend the same call budget on extra
-                # mutations of the best valid candidate, one per pair.
-                jobs = [self._mutation_job(ranked[0], generation) for _ in pairs]
-            jobs += [
-                self._mutation_job(elite, generation) for elite in ranked[: config.elite_count]
-            ]
-            fresh = [candidate for candidate in self._wave(pool, jobs) if candidate is not None]
-            self.evaluate_population(fresh)
+            fresh = self._generation(pool, population, generation)
             if self._halt.is_set():
                 break
             elites = sorted(population, key=_rank_key)[: config.elite_count]

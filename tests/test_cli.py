@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -359,6 +360,20 @@ class TestEvolve:
             assert "error: " in result.output, bad
             assert list(out.iterdir()) == []
 
+    def test_unknown_provider_key_exits_3_before_run_dir(self, tmp_path, runner, sim_corpus):
+        data, meta = sim_corpus
+        out = tmp_path / "runs"
+        out.mkdir()
+        for bad, named in (
+            ({"timeout_sec": 0.5, "max_in_flight": 16}, "max_in_flight, timeout_sec"),
+            ({"type": "http"}, "type"),
+        ):
+            config = evolve_config(tmp_path, provider=bad)
+            result = self.invoke_evolve(runner, data, meta, config, out)
+            assert result.exit_code == 3, (bad, result.output)
+            assert f"error: unknown provider keys: {named}" in result.output
+            assert list(out.iterdir()) == []
+
     def test_malformed_json_exits_3(self, tmp_path, runner, sim_corpus):
         data, meta = sim_corpus
         config = tmp_path / "config.json"
@@ -519,6 +534,41 @@ class TestEvolve:
         assert tags
         assert "crossover" not in tags
         assert "mutation" in tags
+
+    # sha256 of run.jsonl, requests.log and best.rule of the README corpus
+    # run at pop 10 x gen 10, seed 7, taken from the sequential engine. Any
+    # change in the order the sampler's requests are issued changes them.
+    GOLDEN = {
+        (): (
+            "3708494ed3a8f5695ab7a035e67eda627b895849bba061b3e24b525fa3f28c48",
+            "dea4d447da20fc7af3810e74f6aa374ddb6de5b84f6c8d56888aacbf7f804d34",
+            "469bb3a173f4de9ea71752c9aa679234d8f61e5cdbd2a75dd55e115aacacffb3",
+        ),
+        ("--no-pir",): (
+            "8202af0c18ca829c1083a498533865167bcad5662a7708c34dc84c1685b8ffb0",
+            "35bb62254164d16aa033058298339c522c0a902677e4eeb785f6a1fcde3641ba",
+            "469bb3a173f4de9ea71752c9aa679234d8f61e5cdbd2a75dd55e115aacacffb3",
+        ),
+        ("--no-pic",): (
+            "b05c5896dc0a3d6387c22dfe69966a1584ca765bd255e8c0f417509a23a49398",
+            "ba3b4ecfe78d82ae4723b08ebb0b28785d503e8849266ac1e234e37e1f633e88",
+            "469bb3a173f4de9ea71752c9aa679234d8f61e5cdbd2a75dd55e115aacacffb3",
+        ),
+    }
+
+    @pytest.mark.parametrize("flags", list(GOLDEN), ids=["default", "no-pir", "no-pic"])
+    def test_sampler_run_directory_is_pinned(self, tmp_path, runner, sim_corpus, flags):
+        data, meta = sim_corpus
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"population_size": 10, "generations": 10, "seed": 7}))
+        result = self.invoke_evolve(runner, data, meta, config, tmp_path / "runs", *flags)
+        assert result.exit_code == 0, result.output
+        run_dir = run_dir_from(result.output)
+        digests = tuple(
+            hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+            for name in ("run.jsonl", "requests.log", "best.rule")
+        )
+        assert digests == self.GOLDEN[flags]
 
 
 class TestReport:

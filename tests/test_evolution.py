@@ -641,6 +641,62 @@ class KeyedProvider:
                 self._running -= 1
 
 
+class GatedProvider(KeyedProvider):
+    """Holds one request, `gate` = (request, occurrence), until a crossover arrives.
+
+    `released` tells whether one arrived within `timeout` seconds, so an
+    engine that never issues a crossover while `gate` is in flight fails
+    the test instead of hanging it. With `crash`, the held request then
+    raises it.
+    """
+
+    def __init__(self, gate, timeout=5.0, crash=None, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self._gate = gate
+        self._timeout = timeout
+        self._crash = crash
+        self._crossover_issued = threading.Event()
+        self._gate_seen = 0
+        self.released = None
+
+    def complete(self, request) -> CompletionResult:
+        if request.tag == "crossover":
+            self._crossover_issued.set()
+        elif request == self._gate[0]:
+            with self._lock:
+                occurrence = self._gate_seen
+                self._gate_seen += 1
+            if occurrence == self._gate[1]:
+                self.released = self._crossover_issued.wait(self._timeout)
+                if self._crash is not None:
+                    raise self._crash
+        return super().complete(request)
+
+
+class EventSink:
+    """Run log that keeps request tags and records in one stream, in arrival order."""
+
+    def __init__(self) -> None:
+        self.events: list[tuple[str, object]] = []
+
+    def request(self, tag: str) -> None:
+        self.events.append(("request", tag))
+
+    def append(self, record: dict) -> None:
+        self.events.append(("record", record["generation"]))
+
+    def request_generations(self) -> list[int]:
+        """The generation of each request, in issue order: that of the next record logged."""
+        generations, pending = [], 0
+        for kind, value in self.events:
+            if kind == "request":
+                pending += 1
+            else:
+                generations += [value] * pending
+                pending = 0
+        return generations
+
+
 class TestConcurrentWaves:
     @staticmethod
     def config(**overrides) -> EvolutionConfig:
@@ -689,9 +745,75 @@ class TestConcurrentWaves:
             expected = text.split("\n")[1] if "```rule" in text else ""
             assert record["code"] == expected
 
+    def test_crossover_starts_before_the_last_reflection_returns(self, small_table):
+        config = self.config()
+        serial_provider = KeyedProvider(max_in_flight=1, delay=0)
+        serial = run_evolution(config, small_table, serial_provider)
+        reflections = [issued for issued in serial_provider.issued if issued[0].tag == "reflection"]
+        # Generation 1's last reflection in slot order is held until a
+        # crossover of generation 1 has been issued.
+        provider = GatedProvider(reflections[2], max_in_flight=4)
+        sink = EventSink()
+        concurrent = run_evolution(config, small_table, provider, log=sink)
+        assert provider.released is True
+        assert concurrent.records == serial.records
+
+        # Mutations wait for the whole digest: each mutation prompt carries
+        # every reflection of its own generation.
+        by_generation: dict[int, list] = {}
+        for generation, issued in zip(sink.request_generations(), provider.issued):
+            by_generation.setdefault(generation, []).append(issued)
+        assert sorted(by_generation) == [0, 1, 2, 3]
+        for generation in (1, 2, 3):
+            issued = by_generation[generation]
+            texts = [
+                " ".join(KeyedProvider.answer(request, occurrence).split())
+                for request, occurrence in issued
+                if request.tag == "reflection"
+            ]
+            mutations = [request for request, _ in issued if request.tag == "mutation"]
+            assert texts and mutations
+            for mutation in mutations:
+                assert all(text in mutation.user_prompt for text in texts)
+
+    def test_reflection_crash_still_logs_issued_crossovers(self, small_table):
+        config = self.config()
+        serial_provider = KeyedProvider(max_in_flight=1, delay=0)
+        run_evolution(config, small_table, serial_provider)
+        reflections = [issued for issued in serial_provider.issued if issued[0].tag == "reflection"]
+        crash = RuntimeError("provider crashed")
+        provider = GatedProvider(reflections[2], crash=crash, max_in_flight=4)
+        sink = ListSink()
+        with pytest.raises(RuntimeError, match="provider crashed"):
+            run_evolution(config, small_table, provider, log=sink)
+        assert provider.released is True
+        offspring = [r for r in sink if r["generation"] == 1]
+        assert offspring and {r["operator"] for r in offspring} == {"crossover"}
+        slot_requests = sum(len(r["request_tags_used"]) for r in sink)
+        assert slot_requests + sink.tags.count("reflection") == len(sink.tags)
+
+    @pytest.mark.parametrize("reflections", [1, 2])
+    def test_call_budget_among_reflections(self, small_table, reflections):
+        # Six init requests (one a retry) come first; the budget runs out
+        # among generation 1's three reflections.
+        config = self.config(llm_call_budget=6 + reflections)
+        serial = run_evolution(config, small_table, KeyedProvider(max_in_flight=1, delay=0))
+        assert serial.request_tags.count("reflection") == reflections
+        provider = KeyedProvider(max_in_flight=4)
+        sink = ListSink()
+        concurrent = run_evolution(config, small_table, provider, log=sink)
+        assert concurrent.generations_completed == serial.generations_completed == 0
+        assert concurrent.records == serial.records
+        assert list(sink) == serial.records
+        assert concurrent.request_tags == serial.request_tags
+        assert sink.tags == list(concurrent.request_tags)
+        assert concurrent.llm_calls == len(provider.issued) == 6 + reflections
+        TestRun.assert_every_request_logged(concurrent)
+
     def test_call_budget_mid_wave(self, small_table):
         # Six init requests (one a retry) and three reflections come first.
-        # Generation 1's second wave has five slots; two of them get a request.
+        # Generation 1's crossovers and mutations are five slots; two of them
+        # get a request.
         provider = KeyedProvider(max_in_flight=4)
         result = run_evolution(self.config(llm_call_budget=11), small_table, provider)
         assert result.llm_calls == len(provider.issued) == 11
