@@ -9,7 +9,7 @@ layer persists runs and renders diagnostic reports.
 
 from .evolution import EvolutionConfig, RuleCandidate, RunResult, run_evolution
 from .metrics import MetricReport, event_f1_pa
-from .simulate import FaultSpec, SimConfig, generate_corpus, inject_fault, simulate
+from .simulate import FaultSpec, SimConfig, generate_corpus
 from .timeseries import FeatureMeta, TimeSeriesTable, load_csv, load_meta, split
 
 __version__ = "0.1.0"
@@ -26,10 +26,8 @@ __all__ = [
     "__version__",
     "event_f1_pa",
     "generate_corpus",
-    "inject_fault",
     "load_csv",
     "load_meta",
     "run_evolution",
-    "simulate",
     "split",
 ]

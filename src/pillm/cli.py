@@ -109,6 +109,8 @@ def check(rule_path: str, meta_path: str | None) -> None:
         rule = typecheck(ast, features)
     except DslError as exc:
         _fail(str(exc))
+    except TableError as exc:
+        _fail(str(exc), EXIT_BAD_CONFIG)
     feature_list = ", ".join(sorted(rule.features)) or "(none)"
     click.echo(
         f"OK: {rule.node_count} nodes, max window {rule.max_window}, features: {feature_list}"

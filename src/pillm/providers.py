@@ -104,12 +104,13 @@ class HttpProvider:
     config files never carry it.
     """
 
+    max_in_flight = 4
+
     def __init__(
         self,
         endpoint: str,
         model: str,
         timeout_secs: float = 60.0,
-        max_in_flight: int = 4,
         session: requests.Session | None = None,
         sleeper=time.sleep,
     ) -> None:
@@ -128,12 +129,6 @@ class HttpProvider:
             raise ProviderConfigError(
                 f"timeout_secs must be a finite number > 0, got {timeout_secs!r}"
             )
-        if (
-            not isinstance(max_in_flight, int)
-            or isinstance(max_in_flight, bool)
-            or max_in_flight < 1
-        ):
-            raise ProviderConfigError(f"max_in_flight must be an int >= 1, got {max_in_flight!r}")
         api_key = os.environ.get(API_KEY_ENV)
         if not api_key:
             raise ProviderConfigError(
@@ -150,8 +145,7 @@ class HttpProvider:
         self._session = session or requests.Session()
         self._network_errors = (requests.Timeout, requests.ConnectionError)
         self._sleep = sleeper
-        self.max_in_flight = max_in_flight
-        self._gate = threading.Semaphore(max_in_flight)
+        self._gate = threading.Semaphore(self.max_in_flight)
         self._rng = random.Random()
         self.provider_id = f"http:{model}"
 

@@ -6,10 +6,18 @@ The model is a first-order thermal zone under a bang-bang thermostat:
     zone[t + 1]  = zone[t] + a*(outdoor[t] - zone[t]) + b*heat[t]
                    - c*cool[t] + d*occupancy[t] + noise
 
-One row per minute; the default horizon is two days. Faults follow a small
-taxonomy: two sensor faults are overlays on the reported zone temperature,
-while actuator/control faults are re-simulated so downstream variables
-respond physically. Labels are 1 exactly on the fault window.
+One row per minute; the default horizon is two days. `generate_corpus` runs
+the model once and applies at most one fault, from a small taxonomy:
+
+- `heating_coil_leak` and `simultaneous_heat_cool` act inside the loop. They
+  change the dynamics, so the zone temperature, the thermostat and the fan
+  respond downstream.
+- `sensor_bias`, `sensor_drift` and `damper_stuck` are overlays applied after
+  the loop. They change only what is reported (`zone_temp`, or `damper_pos`
+  held at the command of the window's first row); nothing in the model reads
+  the reported value, so no other column changes.
+
+Labels are 1 exactly on the fault window.
 """
 
 from __future__ import annotations
@@ -91,12 +99,6 @@ class FaultSpec:
         if start < 0 or end <= start:
             raise SimulationError("fault window must satisfy 0 <= start < end")
 
-    def check_against(self, table: TimeSeriesTable) -> None:
-        if self.window[1] > table.num_rows:
-            raise SimulationError(
-                f"fault window {self.window} extends past {table.num_rows} rows"
-            )
-
 
 def thermostat_step(mode: int, zone: float) -> int:
     """Advance the bang-bang state: -1 cooling, 0 idle, +1 heating.
@@ -129,9 +131,15 @@ def _damper_schedule(t: int, occupied: float) -> float:
     return 0.05
 
 
-def _run(cfg: SimConfig, fault: FaultSpec | None = None) -> TimeSeriesTable:
-    rng = np.random.default_rng(cfg.seed)
+def generate_corpus(cfg: SimConfig, fault: FaultSpec | None = None) -> TimeSeriesTable:
+    """Simulate one run, with at most one fault; labels are 1 exactly on its window."""
     n = cfg.length
+    start, end = (0, 0) if fault is None else fault.window
+    if end > n:
+        raise SimulationError(f"fault window {fault.window} extends past {n} rows")
+    kind = None if fault is None else fault.kind
+
+    rng = np.random.default_rng(cfg.seed)
     outdoor_noise = rng.normal(0.0, cfg.sigma, n)
     zone_noise = rng.normal(0.0, cfg.sigma, n)
 
@@ -150,40 +158,40 @@ def _run(cfg: SimConfig, fault: FaultSpec | None = None) -> TimeSeriesTable:
     heat_cmd = np.zeros(n)
     cool_cmd = np.zeros(n)
     damper_cmd = np.empty(n)
-    damper_pos = np.empty(n)
     fan_speed = np.zeros(n)
-
-    def in_window(t: int) -> bool:
-        return fault is not None and fault.window[0] <= t < fault.window[1]
-
-    stuck_pos = None
-    if fault is not None and fault.kind == "damper_stuck":
-        start = fault.window[0]
-        stuck_pos = _damper_schedule(start, occupancy[start] if start < n else 0.0)
 
     zone[0] = SETPOINT_C
     mode = 0
     for t in range(n):
+        in_window = start <= t < end
         mode = thermostat_step(mode, zone[t])
         heat = 1.0 if mode == 1 else 0.0
         cool = 1.0 if mode == -1 else 0.0
-        if fault is not None and fault.kind == "simultaneous_heat_cool" and in_window(t):
+        if in_window and kind == "simultaneous_heat_cool":
             heat, cool = 1.0, 1.0
         heat_cmd[t], cool_cmd[t] = heat, cool
 
         damper_cmd[t] = _damper_schedule(t, occupancy[t])
-        damper_pos[t] = stuck_pos if in_window(t) and stuck_pos is not None else damper_cmd[t]
         fan_speed[t] = occupancy[t] * min(abs(zone[t] - SETPOINT_C) / 2.0, 1.0)
 
         if t + 1 < n:
             nxt = zone_step(cfg, zone[t], outdoor[t], heat, cool, occupancy[t])
-            if fault is not None and fault.kind == "heating_coil_leak" and in_window(t) and heat == 0.0:
+            if in_window and kind == "heating_coil_leak" and heat == 0.0:
                 nxt += cfg.b * fault.intensity
             zone[t + 1] = nxt + zone_noise[t]
 
+    # Overlays: they change only what a sensor reports, after the dynamics.
+    damper_pos = damper_cmd.copy()
     labels = np.zeros(n, dtype=np.uint8)
     if fault is not None:
-        labels[fault.window[0] : fault.window[1]] = 1
+        labels[start:end] = 1
+        span = SENSOR_FAULT_SPAN_C * fault.intensity
+        if kind == "sensor_bias":
+            zone[start:end] += span
+        elif kind == "sensor_drift":
+            zone[start:end] += np.linspace(0.0, span, end - start)
+        elif kind == "damper_stuck":
+            damper_pos[start:end] = damper_cmd[start]
 
     values = np.column_stack(
         [
@@ -204,50 +212,3 @@ def _run(cfg: SimConfig, fault: FaultSpec | None = None) -> TimeSeriesTable:
         timestamps=t_arr.astype(np.int64),
         labels=labels,
     )
-
-
-def simulate(cfg: SimConfig) -> TimeSeriesTable:
-    """Fault-free run; labels are all zero."""
-    return _run(cfg, fault=None)
-
-
-def inject_fault(table: TimeSeriesTable, spec: FaultSpec, cfg: SimConfig) -> TimeSeriesTable:
-    """Apply one fault to a clean run.
-
-    Sensor faults overlay the reported zone temperature without touching the
-    dynamics; all other faults re-simulate forward from the window start so
-    downstream variables respond. `cfg` must be the config that produced
-    `table`, since re-simulation replays the same noise streams.
-    """
-    spec.check_against(table)
-    start, end = spec.window
-    if spec.kind not in ("sensor_bias", "sensor_drift"):
-        return _run(cfg, fault=spec)
-
-    if "zone_temp" not in table.feature_names:
-        raise SimulationError("sensor faults require a zone_temp column")
-
-    values = table.values.copy()
-    zone_col = table.feature_names.index("zone_temp")
-    if spec.kind == "sensor_bias":
-        values[start:end, zone_col] += SENSOR_FAULT_SPAN_C * spec.intensity
-    else:
-        values[start:end, zone_col] += np.linspace(
-            0.0, SENSOR_FAULT_SPAN_C * spec.intensity, end - start
-        )
-    labels = np.zeros(table.num_rows, dtype=np.uint8)
-    labels[start:end] = 1
-    return TimeSeriesTable(
-        features=table.features,
-        values=values,
-        timestamps=table.timestamps,
-        labels=labels,
-    )
-
-
-def generate_corpus(cfg: SimConfig, fault: FaultSpec | None = None) -> TimeSeriesTable:
-    """Simulate and optionally inject one fault, in a single call."""
-    table = simulate(cfg)
-    if fault is None:
-        return table
-    return inject_fault(table, fault, cfg)

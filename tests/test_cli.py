@@ -12,6 +12,7 @@ from click.testing import CliRunner
 import pillm
 from pillm.cli import main
 from pillm.providers import SamplerProvider
+from pillm.reporting import RunLog, best_record
 from pillm.timeseries import load_csv, load_meta, save_csv, save_meta
 
 from .conftest import make_table
@@ -117,6 +118,7 @@ class TestGenData:
             ["--window", "5:5"],
             ["--window", "10:20", "--intensity", "0"],
             ["--window", "10:20", "--intensity", "1.5"],
+            ["--window", "2800:2900"],
         ):
             result = runner.invoke(
                 main, ["gen-data", "--out", str(tmp_path / "x"), "--fault", "sensor_bias", *args]
@@ -166,6 +168,16 @@ class TestCheck:
         result = runner.invoke(main, ["check", "--rule", str(rule), "--meta", str(meta)])
         assert result.exit_code == 1
         assert "ghost" in result.output
+
+    def test_bad_meta_is_a_config_error(self, tmp_path, runner):
+        rule = tmp_path / "rule.txt"
+        rule.write_text(RULE_OK)
+        meta = tmp_path / "meta.json"
+        for text in ('{"bad": 1}', "not json"):
+            meta.write_text(text)
+            result = runner.invoke(main, ["check", "--rule", str(rule), "--meta", str(meta)])
+            assert result.exit_code == 3, (text, result.output)
+            assert "error: " in result.output, text
 
 
 class TestEval:
@@ -569,6 +581,9 @@ class TestEvolve:
             for name in ("run.jsonl", "requests.log", "best.rule")
         )
         assert digests == self.GOLDEN[flags]
+        # `report` picks its candidate again from run.jsonl; it must agree with evolve's.
+        best = best_record(RunLog(run_dir.parent, run_dir.name).records())
+        assert f"best_id={best['candidate_id']} " in result.output
 
 
 class TestReport:

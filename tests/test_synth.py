@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,10 @@ from pillm.simulate import (
     SimConfig,
     SimulationError,
     generate_corpus,
-    inject_fault,
-    simulate,
     thermostat_step,
     zone_step,
 )
+from pillm.timeseries import save_csv
 
 CFG = SimConfig(length=2000, seed=5)
 WINDOW = (700, 900)
@@ -23,7 +24,7 @@ WINDOW = (700, 900)
 
 @pytest.fixture(scope="module")
 def clean():
-    return simulate(CFG)
+    return generate_corpus(CFG)
 
 
 def faulted(kind: str, intensity: float = 1.0):
@@ -53,10 +54,11 @@ class TestValidation:
         with pytest.raises(SimulationError):
             FaultSpec("sensor_bias", 1.0, (10, 10))
 
-    def test_window_past_end_rejected(self, clean):
-        spec = FaultSpec("sensor_bias", 1.0, (1990, 2010))
-        with pytest.raises(SimulationError, match="extends past"):
-            inject_fault(clean, spec, CFG)
+    @pytest.mark.parametrize("kind", ["sensor_bias", "heating_coil_leak"])
+    def test_window_past_end_rejected(self, kind):
+        spec = FaultSpec(kind, 1.0, (1990, 2010))
+        with pytest.raises(SimulationError, match=r"fault window \(1990, 2010\) extends past 2000 rows"):
+            generate_corpus(CFG, spec)
 
 
 class TestCleanRun:
@@ -70,10 +72,10 @@ class TestCleanRun:
         assert clean.labels.sum() == 0
 
     def test_determinism(self, clean):
-        assert simulate(CFG) == clean
+        assert generate_corpus(CFG) == clean
 
     def test_seed_changes_output(self, clean):
-        other = simulate(SimConfig(length=2000, seed=6))
+        other = generate_corpus(SimConfig(length=2000, seed=6))
         assert other != clean
 
     def test_commands_are_binary_and_exclusive(self, clean):
@@ -110,7 +112,7 @@ class TestCleanRun:
 
     def test_outdoor_sinusoid_noise_free(self):
         cfg = SimConfig(length=1500, seed=0, sigma=0.0)
-        table = simulate(cfg)
+        table = generate_corpus(cfg)
         t = np.arange(1500)
         expected = cfg.outdoor_mean + cfg.outdoor_amplitude * np.sin(2 * np.pi * t / 1440)
         np.testing.assert_allclose(table.column("outdoor_temp"), expected, atol=1e-12)
@@ -174,10 +176,14 @@ class TestFaults:
         assert np.all(delta[: WINDOW[0]] == 0.0)
         assert np.all(delta[WINDOW[1] :] == 0.0)
 
-    def test_sensor_bias_leaves_dynamics_alone(self, clean):
-        table = faulted("sensor_bias")
+    @pytest.mark.parametrize(
+        "kind, column",
+        [("sensor_bias", "zone_temp"), ("sensor_drift", "zone_temp"), ("damper_stuck", "damper_pos")],
+    )
+    def test_sensor_bias_leaves_dynamics_alone(self, clean, kind, column):
+        table = faulted(kind)
         for name in table.feature_names:
-            if name == "zone_temp":
+            if name == column:
                 continue
             np.testing.assert_array_equal(table.column(name), clean.column(name), err_msg=name)
 
@@ -224,13 +230,36 @@ class TestFaults:
                 table.values[: WINDOW[0]], clean.values[: WINDOW[0]], err_msg=kind
             )
 
-    def test_generate_corpus_without_fault_is_simulate(self, clean):
-        assert generate_corpus(CFG) == clean
-
     def test_faulted_corpus_is_deterministic(self):
         spec = FaultSpec("damper_stuck", 1.0, WINDOW)
         assert generate_corpus(CFG, spec) == generate_corpus(CFG, spec)
 
-    def test_sensor_fault_requires_zone_temp(self, small_table):
-        with pytest.raises(SimulationError, match="zone_temp"):
-            inject_fault(small_table, FaultSpec("sensor_bias", 1.0, (1, 3)), CFG)
+
+# sha256 of the data.csv that `pillm gen-data --length 2880 --seed 42` writes,
+# clean and for every fault kind at intensity 0.6, with windows at the start,
+# in the middle and at the very end of the series.
+CORPUS_SHA256 = {
+    None: "b1b40ead1d3903dc17d6371ce604494db57c306a372b9916bbe05b91ec770ac1",
+    ("heating_coil_leak", (1000, 1400)): "f33d1ca06e0c7fc5e113d51e8d53f51923cf5ec5285aa490c3054d4dfc60716c",
+    ("damper_stuck", (1000, 1400)): "6e1333e4d90ae0866269445727a48c4e02ecd98a7ce195101d4354e5cb9e55d8",
+    ("sensor_bias", (1000, 1400)): "a34e037861a975f8f2318c5317243e072f38180ac853f6c03bdd394fb506f9a3",
+    ("sensor_drift", (1000, 1400)): "2633abd024423229d5f01961c6ff9508fa693add981845a019dae9818f3e91b7",
+    ("simultaneous_heat_cool", (1000, 1400)): "ee96e40ad4a593dc7159ce40bc4d590e98ada5eccc6c19edd73e2952c97e8ec7",
+    ("heating_coil_leak", (0, 400)): "eb0b14b1c2fb3f1fce7a52f4be794a0e94f0fadb0f42eebbe11985509d314fa1",
+    ("damper_stuck", (0, 400)): "2de8612f64a0c2c7ce92e768d36e82a4fc7fd57d3c9bf3c04a239c2280cf2286",
+    ("sensor_bias", (0, 400)): "a4b46e29aefcf85df948bdb461395e95f9a222f473b3394527cb3460555a4d99",
+    ("sensor_drift", (0, 400)): "93462f2e6c2b7b5addf06b03f1bcd6b1b87ab2567eebcc1be084432a8641e97d",
+    ("simultaneous_heat_cool", (0, 400)): "9bc6dd1932ce6dd9d490ff3724ef11c453de1fd68ef39ff3d3e4fa115ade2c1d",
+    ("heating_coil_leak", (2480, 2880)): "471cd242fe20e257ce32e63f56097ed127b447e6c90b46accdd51e84cef48e84",
+    ("damper_stuck", (2480, 2880)): "4159869e4f5682da72230eff9ea5292d9c60c0a1a05c1da8807aeafd269ee27b",
+    ("sensor_bias", (2480, 2880)): "37322bb882fb42665432b3a56f73eeb22a44654f786d254009d7b5c505955203",
+    ("sensor_drift", (2480, 2880)): "1217a34fbd1a69afd6acb85ee13f83e5c2ddda6124b46c0aa94b164d0c43160b",
+    ("simultaneous_heat_cool", (2480, 2880)): "13cda181bfbe6ae7d1680ce2c1303fe5a85141b1b3d96d481e38e93744041aa0",
+}
+
+
+@pytest.mark.parametrize("case", list(CORPUS_SHA256), ids=str)
+def test_corpus_bytes_are_pinned(case):
+    spec = None if case is None else FaultSpec(case[0], 0.6, case[1])
+    data = save_csv(generate_corpus(SimConfig(length=2880, seed=42), spec))
+    assert hashlib.sha256(data).hexdigest() == CORPUS_SHA256[case]
