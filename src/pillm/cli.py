@@ -50,6 +50,20 @@ def _fail(message: str, code: int = 1) -> None:
     sys.exit(code)
 
 
+def _read_text(path: str, what: str) -> str:
+    """A UTF-8 text file's contents; any other encoding is a configuration error."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        _fail(
+            f"{what} is not valid UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}",
+            EXIT_BAD_CONFIG,
+        )
+    # Universal newlines, as Path.read_text reads them.
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _load_table(data_path: str, meta_path: str):
     metas = load_meta(Path(meta_path).read_bytes())
     return load_csv(Path(data_path).read_bytes(), metas), metas
@@ -98,7 +112,7 @@ def gen_data(out_dir: str, fault_kind: str | None, intensity: float, window_text
 @click.option("--meta", "meta_path", type=click.Path(exists=True, dir_okay=False), default=None)
 def check(rule_path: str, meta_path: str | None) -> None:
     """Parse and typecheck a rule file; print diagnostics on failure."""
-    source = Path(rule_path).read_text(encoding="utf-8")
+    source = _read_text(rule_path, "rule file")
     try:
         ast = parse(source)
         if meta_path is not None:
@@ -131,7 +145,7 @@ def eval_cmd(rule_path: str, data_path: str, meta_path: str, metric: str, thresh
         _fail(str(exc), EXIT_BAD_CONFIG)
     if not table.has_labels:
         _fail("data has no label column; scoring requires labels", EXIT_BAD_CONFIG)
-    source = Path(rule_path).read_text(encoding="utf-8")
+    source = _read_text(rule_path, "rule file")
     try:
         rule = compile_rule(source, table.feature_names)
         flags = to_flags(evaluate(rule, table), threshold)
@@ -192,7 +206,7 @@ def evolve(
 ) -> None:
     """Run the evolutionary loop and persist the run directory."""
     try:
-        doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        doc = json.loads(_read_text(config_path, "config"))
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
         config = EvolutionConfig.from_dict(doc)

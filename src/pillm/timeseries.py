@@ -24,6 +24,17 @@ VALID_ROLES = ("sensor", "command", "status", "derived")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _CSV_CHUNK = 256
+_BOM = "\ufeff"
+# Bytes that send a whole file to the row path: quotes and carriage returns
+# mean something to csv.reader that numpy's tokenizer does not see, and a NUL
+# would pass for the padding of a fixed-width text cell.
+_ROW_PATH_CHARS = (b'"', b"\r", b"\0")
+_CONTENT_RE = re.compile(rb"[^\n]")
+# Stamp text is read 19 bytes wide and the last byte must stay NUL, so the
+# check sees every character of a stamp the columnar path accepts.
+_STAMP_WIDTH = 19
+_MINUS, _ZERO = ord("-"), ord("0")
+_INT64 = np.iinfo(np.int64)
 
 
 class TableError(ValueError):
@@ -223,7 +234,10 @@ def incidents_from_labels(labels: Sequence[int] | np.ndarray) -> IncidentSet:
 def _parse_timestamp(cell: str, row: int) -> int:
     text = cell.strip()
     if _INT_RE.match(text):
-        return int(text)
+        value = int(text)
+        if not _INT64.min <= value <= _INT64.max:
+            raise ParseError(f"row {row}: timestamp {cell!r} is out of range")
+        return value
     try:
         moment = datetime.fromisoformat(text)
     except ValueError:
@@ -235,31 +249,149 @@ def _parse_timestamp(cell: str, row: int) -> int:
     return int(moment.timestamp())
 
 
-def load_csv(data: bytes | str, meta: Sequence[FeatureMeta]) -> TimeSeriesTable:
-    """Parse CSV text into a table against the given feature metadata.
+def _decode(data: bytes | str, what: str, error: type[TableError]) -> str:
+    """UTF-8 text without a leading byte-order mark; a bad byte raises `error` with its offset."""
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(
+                f"{what} is not valid UTF-8: byte 0x{exc.object[exc.start]:02x} "
+                f"at offset {exc.start}"
+            ) from None
+    return data.removeprefix(_BOM)
 
-    The header must contain a ``timestamp`` column and every declared feature
-    name; a ``label`` column is optional and extra columns are ignored. Row
-    numbers in error messages count data rows from 1 (the header is row 0).
-    """
-    metas = tuple(meta)
-    if not metas:
-        raise SchemaError("feature metadata must declare at least one feature")
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise SchemaError("CSV is empty") from None
-    header = [h.strip() for h in header]
+
+def _column_positions(header: list[str], metas: Sequence[FeatureMeta]) -> dict[str, int]:
+    """Map each header name to its first column; every required column must be there."""
     positions: dict[str, int] = {}
     for col_index, name in enumerate(header):
-        positions.setdefault(name, col_index)
+        positions.setdefault(name.strip(), col_index)
     if "timestamp" not in positions:
         raise SchemaError("missing required column 'timestamp'")
     for m in metas:
         if m.name not in positions:
             raise SchemaError(f"missing required column {m.name!r}")
+    return positions
+
+
+def load_csv(data: bytes | str, meta: Sequence[FeatureMeta]) -> TimeSeriesTable:
+    """Parse CSV text into a table against the given feature metadata.
+
+    The text is UTF-8, optionally behind a byte-order mark. The header must
+    contain a ``timestamp`` column and every declared feature name; a
+    ``label`` column is optional and extra columns are ignored. Row numbers
+    in error messages count data rows from 1 (the header is row 0).
+
+    Plain files are read a column at a time (`_load_columns`). Anything that
+    path cannot vouch for, every malformed file included, is read again row
+    by row (`_load_rows`), which gives each error its row number.
+    """
+    metas = tuple(meta)
+    if not metas:
+        raise SchemaError("feature metadata must declare at least one feature")
+    # The columnar path reads ASCII bytes; text beyond ASCII goes row by row.
+    if not (isinstance(data, bytes) and data.isascii()):
+        text = _decode(data, "CSV", ParseError)
+        if not text.isascii():
+            return _load_rows(text, metas)
+        data = text.encode("ascii")
+    table = _load_columns(data, metas)
+    return table if table is not None else _load_rows(data.decode("ascii"), metas)
+
+
+def _load_columns(data: bytes, metas: tuple[FeatureMeta, ...]) -> TimeSeriesTable | None:
+    """The table of a plain ASCII CSV file, or None where `_load_rows` must decide.
+
+    Plain means without quotes, carriage returns or NULs, no row
+    shorter than the header, increasing ``-?[0-9]+`` stamps of at most 18
+    characters, ``0``/``1`` labels and features that numpy's tokenizer
+    converts. One `np.loadtxt` call reads every needed column, with no
+    Python object per cell: the stamp as text and as int64, the features as
+    float64 and the label as text.
+    """
+    if any(ch in data for ch in _ROW_PATH_CHARS):
+        return None
+    header_end = data.find(b"\n")
+    if header_end < 0 or not _CONTENT_RE.search(data, header_end + 1):
+        return None
+    header = data[:header_end].decode("ascii").split(",")
+    positions = _column_positions(header, metas)
+    ts_pos, label_pos = positions["timestamp"], positions.get("label")
+    feature_pos = [positions[m.name] for m in metas]
+
+    fields = [("stamp", f"S{_STAMP_WIDTH}"), ("ts", "i8"), ("values", "f8", (len(metas),))]
+    usecols = [ts_pos, ts_pos, *feature_pos]
+    if label_pos is not None:
+        # Two bytes wide, so that a cell longer than "0" or "1" shows.
+        fields.append(("label", "S2"))
+        usecols.append(label_pos)
+    if len(header) - 1 not in usecols:
+        # Reading the last column makes numpy reject any row shorter than the header.
+        fields.append(("last", "S1"))
+        usecols.append(len(header) - 1)
+    try:
+        cells = np.loadtxt(
+            io.BytesIO(data),
+            dtype=np.dtype(fields),
+            delimiter=",",
+            comments=None,
+            quotechar=None,
+            skiprows=1,
+            usecols=usecols,
+            encoding="ascii",
+            ndmin=1,
+        )
+    except ValueError:
+        return None
+
+    # numpy parsed the stamps as int64; the text is checked as well because
+    # older numpy versions also read float text such as "5.0" into an int.
+    stamp = _text_matrix(cells["stamp"])
+    digit = (stamp - _ZERO) <= 9
+    plain = digit | (stamp == 0)
+    plain[:, 0] = digit[:, 0] | ((stamp[:, 0] == _MINUS) & digit[:, 1])
+    if not plain.all() or stamp[:, -1].any():
+        return None
+    timestamps = np.ascontiguousarray(cells["ts"])
+    if not np.all(np.diff(timestamps) > 0):
+        return None
+    labels = None
+    if label_pos is not None:
+        label = _text_matrix(cells["label"])
+        labels = label[:, 0] - _ZERO
+        if label[:, 1].any() or not np.all(labels <= 1):
+            return None
+    return TimeSeriesTable(
+        features=metas,
+        values=np.ascontiguousarray(cells["values"]),
+        timestamps=timestamps,
+        labels=labels,
+    )
+
+
+def _text_matrix(column: np.ndarray) -> np.ndarray:
+    """A fixed-width bytes column as a (rows, width) uint8 matrix, NUL-padded."""
+    return np.ascontiguousarray(column).view(np.uint8).reshape(len(column), -1)
+
+
+def _csv_records(text: str) -> Iterator[list[str]]:
+    """csv.reader's records; a line that csv.reader cannot split raises ParseError."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+
+
+def _load_rows(text: str, metas: tuple[FeatureMeta, ...]) -> TimeSeriesTable:
+    """Parse the CSV one row at a time, raising the first error in row order."""
+    reader = _csv_records(text)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("CSV is empty") from None
+    positions = _column_positions(header, metas)
     label_pos = positions.get("label")
 
     timestamps: list[int] = []
@@ -325,8 +457,11 @@ def save_csv(table: TimeSeriesTable) -> bytes:
 
 
 def load_meta(data: bytes | str) -> tuple[FeatureMeta, ...]:
-    """Parse the feature-metadata JSON document (a list of feature objects)."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    """Parse the feature-metadata JSON document (a list of feature objects).
+
+    The text is UTF-8, optionally behind a byte-order mark.
+    """
+    text = _decode(data, "metadata", SchemaError)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -152,3 +152,22 @@ def save_csv_brute(table) -> bytes:
             row.append(str(int(table.labels[i])))
         writer.writerow(row)
     return out.getvalue().encode("utf-8")
+
+
+def load_csv_brute(text: str, feature_names) -> tuple[list[int], list[list[float]], list[int] | None]:
+    """Stamps, feature rows and labels of a CSV, one cell at a time through `csv.reader`.
+
+    Reads the layout `save_csv` writes: integer stamps, no blank or short rows.
+    """
+    records = list(csv.reader(io.StringIO(text)))
+    header = records[0]
+    stamp_col = header.index("timestamp")
+    feature_cols = [header.index(name) for name in feature_names]
+    label_col = header.index("label") if "label" in header else None
+    stamps, rows, labels = [], [], []
+    for record in records[1:]:
+        stamps.append(int(record[stamp_col]))
+        rows.append([float(record[col]) for col in feature_cols])
+        if label_col is not None:
+            labels.append(int(record[label_col]))
+    return stamps, rows, labels if label_col is not None else None

@@ -682,6 +682,97 @@ class TestReport:
             assert not (run_dir / "report.txt").exists()
 
 
+NOT_UTF8 = b"\xff\xfe"
+
+
+class TestInputEncoding:
+    """Files that are not UTF-8 exit 3 with an `error:` line naming the file kind and offset."""
+
+    def expect_encoding_error(self, result, what: str) -> None:
+        assert result.exit_code == 3, result.output
+        assert f"error: {what} is not valid UTF-8: byte 0xff at offset 0" in result.output
+        assert "Traceback" not in result.output
+
+    def test_check_rule(self, tmp_path, runner):
+        rule = tmp_path / "rule.txt"
+        rule.write_bytes(NOT_UTF8 + RULE_OK.encode("utf-8"))
+        result = runner.invoke(main, ["check", "--rule", str(rule)])
+        self.expect_encoding_error(result, "rule file")
+
+    def test_check_meta(self, tmp_path, runner):
+        _, meta = write_spike_corpus(tmp_path)
+        meta.write_bytes(NOT_UTF8 + meta.read_bytes())
+        rule = tmp_path / "rule.txt"
+        rule.write_text(RULE_OK)
+        result = runner.invoke(main, ["check", "--rule", str(rule), "--meta", str(meta)])
+        self.expect_encoding_error(result, "metadata")
+
+    def test_eval(self, tmp_path, runner):
+        data, meta = write_spike_corpus(tmp_path)
+        data.write_bytes(NOT_UTF8 + data.read_bytes())
+        rule = tmp_path / "rule.txt"
+        rule.write_text(RULE_OK)
+        result = runner.invoke(
+            main, ["eval", "--rule", str(rule), "--data", str(data), "--meta", str(meta)]
+        )
+        self.expect_encoding_error(result, "CSV")
+
+    def test_evolve(self, tmp_path, runner, sim_corpus):
+        data, meta = sim_corpus
+        bad_data = tmp_path / "bad.csv"
+        bad_data.write_bytes(NOT_UTF8 + data.read_bytes())
+        bad_config = tmp_path / "bad_config.json"
+        bad_config.write_bytes(NOT_UTF8 + b"{}")
+        for data_path, config, what in (
+            (bad_data, evolve_config(tmp_path), "CSV"),
+            (data, bad_config, "config"),
+        ):
+            out = tmp_path / "runs"
+            result = runner.invoke(
+                main,
+                [
+                    "evolve",
+                    "--data", str(data_path),
+                    "--meta", str(meta),
+                    "--config", str(config),
+                    "--provider", "sampler",
+                    "--out", str(out),
+                ],
+            )
+            self.expect_encoding_error(result, what)
+            assert not out.exists()
+
+    def test_report(self, tmp_path, runner, sim_corpus):
+        run_dir = TestReport().finished_run(tmp_path, runner, sim_corpus)
+        bad_data = tmp_path / "bad.csv"
+        bad_data.write_bytes(NOT_UTF8 + (run_dir / "test.csv").read_bytes())
+        result = runner.invoke(
+            main,
+            ["report", "--run", str(run_dir), "--data", str(bad_data), "--meta", str(run_dir / "meta.json")],
+        )
+        self.expect_encoding_error(result, "CSV")
+        assert not (run_dir / "report.txt").exists()
+
+    def test_byte_order_mark_and_crlf_score_the_same(self, tmp_path, runner, sim_corpus):
+        data, meta = sim_corpus
+        bom_data = tmp_path / "bom.csv"
+        bom_data.write_bytes(b"\xef\xbb\xbf" + data.read_bytes().replace(b"\n", b"\r\n"))
+        bom_meta = tmp_path / "bom.json"
+        bom_meta.write_bytes(b"\xef\xbb\xbf" + meta.read_bytes())
+        rule = tmp_path / "rule.txt"
+        rule.write_text("return zscore($zone_temp, 60) > 2\n")
+        lines = []
+        for data_path, meta_path in ((data, meta), (bom_data, bom_meta)):
+            result = runner.invoke(
+                main,
+                ["eval", "--rule", str(rule), "--data", str(data_path), "--meta", str(meta_path)],
+            )
+            assert result.exit_code == 0, result.output
+            lines.append(result.output)
+        assert lines[0] == lines[1]
+        assert lines[0].startswith("mode=event_pa ")
+
+
 class TestVersion:
     def test_version_flag(self, runner):
         result = runner.invoke(main, ["--version"])

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pillm import timeseries
+from pillm.simulate import FaultSpec, SimConfig, generate_corpus
 from pillm.timeseries import (
     FeatureMeta,
     IncidentSet,
@@ -10,6 +12,7 @@ from pillm.timeseries import (
     ParseError,
     SchemaError,
     SplitRangeError,
+    TableError,
     TimeSeriesTable,
     incidents_from_labels,
     load_csv,
@@ -216,6 +219,165 @@ class TestCsv:
         table = make_table({"x": np.array(xs, dtype=np.float64)})
         again = load_csv(save_csv(table), table.features)
         assert np.array_equal(again.values, table.values)
+
+
+def assert_matches_brute(table, data: bytes) -> None:
+    """`table` holds exactly the cells `reference.load_csv_brute` reads, bit for bit."""
+    stamps, rows, labels = reference.load_csv_brute(data.decode("utf-8"), table.feature_names)
+    assert table.timestamps.dtype == np.int64 and table.timestamps.tolist() == stamps
+    assert table.values.dtype == np.float64 and table.values.flags.c_contiguous
+    assert table.values.tobytes() == np.array(rows, dtype=np.float64).tobytes()
+    if labels is None:
+        assert table.labels is None
+    else:
+        assert table.labels.dtype == np.uint8 and table.labels.tolist() == labels
+
+
+def outcome(parse, text):
+    """What `parse` makes of `text`: a table, or its error's type and message."""
+    try:
+        return parse(text, META)
+    except TableError as exc:
+        return type(exc), str(exc)
+
+
+# Cells the row parser accepts or rejects in ways the columnar reader must match.
+ODD_STAMPS = [
+    "+5", "5.0", " 7", "007", "-0", "1e2", "", "#", "x", "-", "1_0",
+    "2024-01-01T00:00:00", "2024-01-01T00:01:00+01:00", "123456789012345678",
+    "-12345678901234567", "99999999999999999999", '"9"',
+]
+ODD_VALUES = [
+    "nan", "inf", "-inf", "1e400", "1_0", "#", "", " ", " 1.5 ", "\x0b2", "\x1c3", "\xa04",
+    "+4", "-0.0", "1E3", ".5", "5.", "0x10", "1.5e", "\u0663", '"2.5"', "2,5",
+]
+ODD_LABELS = ["+1", "1.0", " 1", "01", "-0", "2", "", "#", '"1"', "1 "]
+ODD_JUNK = ["", "#", "1", '"a,b"', '"q"', "zé", '"x\n9,9,9"']
+
+
+@st.composite
+def csv_texts(draw) -> str:
+    """CSV text for META, mostly well formed, with odd cells, rows and headers mixed in."""
+
+    def rare(one_in: int) -> bool:
+        return draw(st.integers(0, one_in - 1)) == 0
+
+    names = ["timestamp", "temp", "cmd"]
+    names += draw(st.lists(st.sampled_from(["label", "junk", "temp"]), unique=True))
+    if rare(20):
+        names.remove(draw(st.sampled_from(names)))
+    header = draw(st.permutations(names))
+
+    def cell(name: str, stamp: int) -> str:
+        if name == "junk":
+            return draw(st.sampled_from(ODD_JUNK)) if rare(4) else "j"
+        odd = rare(40)
+        if name == "timestamp":
+            return draw(st.sampled_from(ODD_STAMPS)) if odd else str(stamp)
+        if name == "label":
+            return draw(st.sampled_from(ODD_LABELS if odd else ["0", "1"]))
+        value = repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+        return draw(st.sampled_from(ODD_VALUES)) if odd else value
+
+    lines = [",".join(header)]
+    stamp = draw(st.integers(-50, 50))
+    for _ in range(draw(st.integers(1, 8))):
+        stamp += 0 if rare(30) else draw(st.integers(1, 3))
+        cells = [cell(name, stamp) for name in header]
+        if rare(10):
+            cells = draw(st.sampled_from([[], [""] * len(header), cells[:-1], [*cells, "extra"]]))
+        lines.append(",".join(cells))
+    end = "\r\n" if rare(6) else "\n"
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+class TestCsvIngest:
+    def test_pinned_corpus_matches_brute(self, bias_corpus):
+        data = save_csv(bias_corpus)
+        assert timeseries._load_columns(data, bias_corpus.features) is not None
+        table = load_csv(data, bias_corpus.features)
+        assert table == bias_corpus
+        assert_matches_brute(table, data)
+
+    def test_large_corpus_matches_brute(self):
+        corpus = generate_corpus(
+            SimConfig(length=100_000, seed=5), FaultSpec("sensor_drift", 1.0, (60_000, 61_440))
+        )
+        data = save_csv(corpus)
+        assert timeseries._load_columns(data, corpus.features) is not None
+        table = load_csv(data, corpus.features)
+        assert table == corpus
+        assert_matches_brute(table, data)
+
+    def test_edge_cells_match_brute(self):
+        data = (
+            b"cmd,timestamp,junk,temp,label\n"
+            b"-0.0,-17,x,5e-324,1\n"
+            b"1e+16,0,,0.1,0\n"
+            b" 2.5 ,123456789012345678,#,1E3,1\n"
+            b"\n"
+            b".5,123456789012345679,q,-1e-300,0,extra\n"
+        )
+        assert timeseries._load_columns(data, META) is not None
+        assert_matches_brute(load_csv(data, META), data.replace(b"\n\n", b"\n"))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'timestamp,temp,cmd\n0,"1",0\n',
+            b'timestamp,temp,cmd,junk\n0,1,0,"x\n2,3,1,y"\n',
+            b"timestamp,temp,cmd\r\n0,1,0\r\n",
+            b"timestamp,temp,cmd\n0,1,0\n1,2\n",
+            b"timestamp,temp,cmd,junk\n0,1,0,a\n1,2,1\n",
+            b"timestamp,temp,cmd\n2024-01-01T00:00:00,1,0\n",
+            b"timestamp,temp,cmd\n+5,1,0\n",
+            b"timestamp,temp,cmd\n1234567890123456789,1,0\n",
+            b"timestamp,temp,cmd\n1,1,0\n1,2,1\n",
+            b"timestamp,temp,cmd\n0,1_0,0\n",
+            b"timestamp,temp,cmd,label\n0,1,0, 1\n",
+            b"timestamp,temp,cmd,label\n0,1,0,01\n",
+            b"timestamp,temp,cmd\n0,1\x00,0\n",
+            b"timestamp,temp,cmd\n\n\n",
+            "timestamp,temp,cmd\n0,1,0,\u00e9\n".encode("utf-8"),
+        ],
+    )
+    def test_row_parser_decides(self, data):
+        if data.isascii():
+            assert timeseries._load_columns(data, META) is None
+        assert outcome(load_csv, data) == outcome(timeseries._load_rows, data.decode("utf-8"))
+
+    @given(csv_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_same_outcome_as_row_parser(self, text):
+        got, want = outcome(load_csv, text), outcome(timeseries._load_rows, text)
+        assert got == want
+        if isinstance(want, TimeSeriesTable):
+            assert got.values.tobytes() == want.values.tobytes()
+
+    def test_byte_order_mark_and_crlf_accepted(self, bias_corpus):
+        data = save_csv(bias_corpus)
+        bom = b"\xef\xbb\xbf" + data
+        assert load_csv(bom, bias_corpus.features) == bias_corpus
+        assert load_csv(bom.replace(b"\n", b"\r\n"), bias_corpus.features) == bias_corpus
+        assert load_csv(bom.decode("utf-8"), bias_corpus.features) == bias_corpus
+        meta = save_meta(bias_corpus.features).encode("utf-8")
+        assert load_meta(b"\xef\xbb\xbf" + meta) == bias_corpus.features
+
+    def test_invalid_utf8_names_offset(self):
+        with pytest.raises(ParseError, match=r"^CSV is not valid UTF-8: byte 0xff at offset 0$"):
+            load_csv(b"\xff\xfetimestamp,temp,cmd\n0,1,0\n", META)
+        with pytest.raises(ParseError, match=r"at offset 24$"):
+            load_csv(b"\xef\xbb\xbftimestamp,temp,cmd\n0,\xe9,0\n", META)
+        with pytest.raises(SchemaError, match=r"^metadata is not valid UTF-8: byte 0xff at offset 0$"):
+            load_meta(b"\xff\xfe[]")
+
+    def test_unsplittable_line_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="^line 2: new-line character seen in unquoted field"):
+            load_csv(b"timestamp,temp,cmd\n0,1\r5,0\n", META)
+
+    def test_out_of_range_stamp(self):
+        with pytest.raises(ParseError, match="row 1: timestamp '99999999999999999999' is out of range"):
+            load_csv("timestamp,temp,cmd\n99999999999999999999,1,0\n", META)
 
 
 class TestMeta:
