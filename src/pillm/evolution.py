@@ -4,13 +4,15 @@ Each generation reflects on worse/better rule pairs (physical-context-aware
 hints), crosses pairs over into offspring guided by those hints, and mutates
 the elites under a rolling digest of recent reflections. The operators' LLM
 requests run concurrently, up to the provider's `max_in_flight` at a time,
-each waiting only for the replies its prompt reads: crossover i waits for
-reflection i, and the mutations wait for all of the generation's
-reflections. Results are committed in slot order, so a run does not depend
-on which reply came back first. Survivor selection is mu+lambda truncation
-with explicit elitism, so best-ever fitness never decreases. Fitness is the
-event-level point-adjusted F1 on the training split. Both reflection and
-crossover can be disabled independently for ablation runs.
+the initial population's among them. Each request waits only for the
+replies its prompt reads: crossover i waits for reflection i, and the
+mutations wait for all of the generation's reflections. Every request
+carries its own seed, so no two requests of a run are equal, and results
+are committed in slot order, so a run does not depend on which reply came
+back first. Survivor selection is mu+lambda truncation with explicit
+elitism, so best-ever fitness never decreases. Fitness is the event-level
+point-adjusted F1 on the training split. Both reflection and crossover can
+be disabled independently for ablation runs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import random
 import re
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import Callable, Mapping, Sequence
@@ -33,6 +35,11 @@ from .timeseries import FeatureMeta, TimeSeriesTable
 
 NO_REFLECTION_TEXT = "No reflection available."
 NO_REFLECTIONS_YET = "(no reflections yet)"
+
+# Request seeds are 31-bit. The stride is odd, so stepping by it visits every
+# seed once before any repeats.
+_SEED_MODULUS = 2**31
+_SEED_STRIDE = 0x9E3779B1
 
 
 class ConfigError(ValueError):
@@ -208,6 +215,20 @@ def long_term_reflection(history: Sequence[Reflection], window: int) -> str:
     return "\n".join(bullets)
 
 
+def request_seed(config: EvolutionConfig, ordinal: int, attempt: int) -> int:
+    """The seed of the `attempt`-th request (from 0) of the `ordinal`-th slot submitted.
+
+    Each slot has room for its 1 + `retry_budget` attempts, so the pair
+    numbers the run's requests without repeats; seed i lies i odd strides
+    past a hash of `config.seed`. So no two requests of a run share a seed
+    while slots × (1 + `retry_budget`) stays below 2**31, and runs with
+    different seeds draw unrelated sequences.
+    """
+    base = int.from_bytes(hashlib.sha256(b"%d" % config.seed).digest()[:4], "big")
+    index = ordinal * (1 + config.retry_budget) + attempt
+    return (base + index * _SEED_STRIDE) % _SEED_MODULUS
+
+
 def _rank_key(candidate: RuleCandidate) -> tuple:
     invalid = candidate.fitness is None
     return (invalid, -(candidate.fitness or 0.0), candidate.id)
@@ -219,31 +240,33 @@ class _CallBudgetExhausted(Exception):
 
 @dataclass(frozen=True)
 class _Job:
-    """One operator slot: its request, and the code that issues and reads it."""
+    """One operator slot: its requests, one per attempt, and the code that issues them."""
 
-    request: CompletionRequest
-    run: Callable[[CompletionRequest], object]
+    requests: tuple[CompletionRequest, ...]
+    run: Callable[[tuple[CompletionRequest, ...]], object]
 
     def __call__(self):
-        return self.run(self.request)
+        return self.run(self.requests)
 
 
 class EvolutionEngine:
     """Coordinates providers, prompts, the DSL, and metrics for one run.
 
     Every LLM request belongs to one operator slot: an init, a reflection, a
-    crossover or a mutation. The N-1 init requests are identical, so they run
-    one after another in the calling thread. Each generation then submits
-    its slots in slot order to a thread pool `provider.max_in_flight` wide,
-    which `run` owns (`_generation`): all reflections first; then crossover i
-    as soon as reflections 1..i are back, since its prompt reads reflection
-    i only; then, once every reflection is back, the mutations, whose prompts
-    read the digest of all of them. Slots whose requests are identical run
-    one after another, in slot order, so a provider that answers by
-    (request, occurrence) answers the same way on every run; at width 1
-    every slot runs in slot order, as a provider that answers by call order
-    needs. Reflections, candidate ids and records are committed in slot
-    order, never in completion order.
+    crossover or a mutation. Slots are submitted in slot order to a thread
+    pool `provider.max_in_flight` wide, which `run` owns: first the N-1 init
+    slots, all at once; then, in each generation (`_generation`), all
+    reflections; then crossover i as soon as reflections 1..i are back,
+    since its prompt reads reflection i only; then, once every reflection is
+    back, the mutations, whose prompts read the digest of all of them. Each
+    request carries a seed, `request_seed(config, ordinal, attempt)`, from
+    the slot's ordinal in submission order and its attempt, so no two
+    requests of a run are equal, and a provider that answers by request
+    answers the same way whatever order they arrive in; a retry gets a new
+    seed, so a provider that honours seeds does not repeat a bad reply. At
+    width 1 every slot runs in slot order, as a provider that answers by
+    call order needs. Reflections, candidate ids and records are committed
+    in slot order, never in completion order.
 
     The `llm_call_budget` check, the request's tag and `log.request(tag)`
     happen together under one lock, so every request issued belongs to
@@ -275,6 +298,7 @@ class EvolutionEngine:
         self.prompts_dir = prompts_dir
         self._rng = random.Random(config.seed)
         self._next_index = 0
+        self._next_ordinal = 0
         self._records: list[dict] = []
         self._request_tags: list[str] = []
         self._lock = threading.Lock()
@@ -299,16 +323,24 @@ class EvolutionEngine:
     def llm_calls(self) -> int:
         return len(self._request_tags)
 
-    def _request(self, tag: str, user: str, system: str | None = None) -> CompletionRequest:
-        temperature = (
-            self.config.init_temperature if tag == "init" else self.config.refine_temperature
-        )
-        return CompletionRequest(
-            system_prompt=system or self._system_prompt,
-            user_prompt=user,
-            tag=tag,
-            temperature=temperature,
-            max_tokens=self.config.max_tokens,
+    def _requests(
+        self, tag: str, user: str, system: str | None = None
+    ) -> tuple[CompletionRequest, ...]:
+        """The next slot's requests, one per attempt, each with its own seed."""
+        config = self.config
+        ordinal = self._next_ordinal
+        self._next_ordinal += 1
+        temperature = config.init_temperature if tag == "init" else config.refine_temperature
+        return tuple(
+            CompletionRequest(
+                system_prompt=system or self._system_prompt,
+                user_prompt=user,
+                tag=tag,
+                temperature=temperature,
+                max_tokens=config.max_tokens,
+                seed=request_seed(config, ordinal, attempt),
+            )
+            for attempt in range(1 + config.retry_budget)
         )
 
     def _complete(self, request: CompletionRequest, issued: list[str]) -> str:
@@ -324,9 +356,12 @@ class EvolutionEngine:
         return self.provider.complete(request).text
 
     def _slot(
-        self, request: CompletionRequest, generation: int, parents: tuple[str, ...] = ()
+        self,
+        requests: tuple[CompletionRequest, ...],
+        generation: int,
+        parents: tuple[str, ...] = (),
     ) -> RuleCandidate | None:
-        """Ask for a rule, retrying extraction/parse/typecheck failures.
+        """Ask for a rule, retrying extraction/parse/typecheck failures with the next request.
 
         Yields the slot's one candidate, whose `request_tags_used` holds one
         tag per request the slot issued, or None when the call budget was
@@ -334,10 +369,11 @@ class EvolutionEngine:
         candidate invalid with the provider's message, and during init also
         aborts the run.
         """
+        tag = requests[0].tag
         issued: list[str] = []
         parsed = rule = error = None
         try:
-            for _ in range(1 + self.config.retry_budget):
+            for request in requests:
                 text = self._complete(request, issued)
                 try:
                     parsed = prompts.parse_response(text)
@@ -349,7 +385,7 @@ class EvolutionEngine:
                     break
         except ProviderError as exc:
             error = str(exc)
-            if request.tag == "init":
+            if tag == "init":
                 # No population to fall back on yet: the run ends after generation 0.
                 self._aborted = True
                 self._halt.set()
@@ -360,7 +396,7 @@ class EvolutionEngine:
             id="",
             code=parsed.code if parsed else "",
             context=parsed.context if parsed else "",
-            operator=request.tag,
+            operator=tag,
             generation=generation,
             parent_ids=parents,
             request_tags_used=tuple(issued),
@@ -368,10 +404,8 @@ class EvolutionEngine:
             rule=rule,
         )
 
-    def _start(self, job: _Job, previous: Future | None = None):
-        """Run `job` once `previous` is done; None if the run has halted by then."""
-        if previous is not None:
-            wait([previous])
+    def _start(self, job: _Job):
+        """Run `job`; None if the run has halted before it starts."""
         if self._halt.is_set():
             return None
         try:
@@ -381,20 +415,9 @@ class EvolutionEngine:
             self._halt.set()
             raise
 
-    def _submit(
-        self, pool: ThreadPoolExecutor, latest: dict[CompletionRequest, Future], job: _Job
-    ) -> Future:
-        """Submit `job` to `pool` as one task; `latest` maps requests to their last task.
-
-        The task first waits for the last earlier task with an identical
-        request, so identical requests go out in submission order. The pool
-        starts tasks in the order they were submitted, so that task is
-        already running or done, and with one worker every job runs in
-        submission order.
-        """
-        task = pool.submit(self._start, job, latest.get(job.request))
-        latest[job.request] = task
-        return task
+    def _pool(self) -> ThreadPoolExecutor:
+        """A pool as wide as the provider allows; it starts tasks in submission order."""
+        return ThreadPoolExecutor(self.provider.max_in_flight, thread_name_prefix="pillm-operator")
 
     def _new_id(self) -> str:
         candidate_id = f"c{self._next_index:04d}"
@@ -403,12 +426,20 @@ class EvolutionEngine:
 
     # ---- operators ---------------------------------------------------------
 
-    def init_population(self, seed_rule: tuple[str, str] | None = None) -> list[RuleCandidate]:
-        """Seed candidate plus N-1 init-prompt completions.
+    def init_population(
+        self, seed_rule: tuple[str, str] | None = None, pool: ThreadPoolExecutor | None = None
+    ) -> list[RuleCandidate]:
+        """Seed candidate plus N-1 init-prompt completions, in slot order.
 
-        Stops early, keeping the slot that stopped it, when the call budget
-        runs out or the provider fails; a provider failure aborts the run.
+        The init slots run on `pool` (a pool of their own when None). When
+        the call budget runs out or the provider fails, no further slot
+        starts; the slot that stopped it and every slot already started are
+        kept. A provider failure aborts the run. A slot that raises halts it
+        too; the population is then logged before the exception propagates.
         """
+        if pool is None:
+            with self._pool() as pool:
+                return self.init_population(seed_rule, pool)
         code, context = seed_rule or default_seed_rule(self.train_table.features)
         seed = RuleCandidate(
             id="",
@@ -428,9 +459,19 @@ class EvolutionEngine:
             },
             prompts_dir=self.prompts_dir,
         )
-        job = _Job(self._request("init", user_prompt), partial(self._slot, generation=0))
-        slots = [self._start(job) for _ in range(self.config.population_size - 1)]
-        return [seed] + [candidate for candidate in slots if candidate is not None]
+        run_slot = partial(self._slot, generation=0)
+        tasks = [
+            pool.submit(self._start, _Job(self._requests("init", user_prompt), run_slot))
+            for _ in range(self.config.population_size - 1)
+        ]
+        finished = [task.result() for task in tasks if task.exception() is None]
+        population = [seed] + [candidate for candidate in finished if candidate is not None]
+        if len(finished) < len(tasks):
+            # A slot raised and halted the run: log the others' work, then re-raise.
+            self.evaluate_population(population)
+            for task in tasks:
+                task.result()
+        return population
 
     def evaluate_population(self, population: Sequence[RuleCandidate]) -> None:
         """Fill fitness for pending candidates, then give each its id and log it once."""
@@ -487,13 +528,13 @@ class EvolutionEngine:
             "reflection_system", self._pair_bindings(*pair), prompts_dir=self.prompts_dir
         )
         user = "Respond now with your hints and the improved physical context."
-        return _Job(self._request("reflection", user, system), partial(self._reflect, pair=pair))
+        return _Job(self._requests("reflection", user, system), partial(self._reflect, pair=pair))
 
     def _reflect(
-        self, request: CompletionRequest, pair: tuple[RuleCandidate, RuleCandidate]
+        self, requests: tuple[CompletionRequest, ...], pair: tuple[RuleCandidate, RuleCandidate]
     ) -> Reflection | None:
         try:
-            text = self._complete(request, [])
+            text = self._complete(requests[0], [])
         except (ProviderError, _CallBudgetExhausted):
             return None
         parts = [p.strip() for p in re.split(r"\n\s*\n", text.strip()) if p.strip()]
@@ -522,7 +563,7 @@ class EvolutionEngine:
         bindings["reflection_context"] = reflection.context if reflection else ""
         user_prompt = prompts.render("crossover", bindings, prompts_dir=self.prompts_dir)
         slot = partial(self._slot, generation=generation, parents=(worse.id, better.id))
-        return _Job(self._request("crossover", user_prompt), slot)
+        return _Job(self._requests("crossover", user_prompt), slot)
 
     def crossover(
         self,
@@ -544,7 +585,7 @@ class EvolutionEngine:
         }
         user_prompt = prompts.render("elitist_mutation", bindings, prompts_dir=self.prompts_dir)
         slot = partial(self._slot, generation=generation, parents=(elite.id,))
-        return _Job(self._request("mutation", user_prompt), slot)
+        return _Job(self._requests("mutation", user_prompt), slot)
 
     def elitist_mutate(self, elite: RuleCandidate, generation: int) -> RuleCandidate | None:
         return self._mutation_job(elite, generation)()
@@ -568,7 +609,7 @@ class EvolutionEngine:
         offspring of the other slots are logged.
         """
         config = self.config
-        submit = partial(self._submit, pool, {})
+        submit = partial(pool.submit, self._start)
         pairs = select_pairs(population, self._rng, config.pairs_per_gen)
         ranked = self._valid_sorted(population)
         reflecting = [
@@ -599,10 +640,9 @@ class EvolutionEngine:
         return fresh
 
     def run(self, seed_rule: tuple[str, str] | None = None) -> RunResult:
-        width = self.provider.max_in_flight
         # Leaving the block waits for the pool's threads; once the run halts,
         # a task still queued returns without starting a slot.
-        with ThreadPoolExecutor(width, thread_name_prefix="pillm-operator") as pool:
+        with self._pool() as pool:
             try:
                 return self._run(pool, seed_rule)
             except BaseException:
@@ -613,7 +653,7 @@ class EvolutionEngine:
         config = self.config
         history: list[float] = []
         generations_completed = 0
-        population = self.init_population(seed_rule)
+        population = self.init_population(seed_rule, pool)
         self.evaluate_population(population)
         if self._best_ever is not None:
             history.append(self._best_ever.fitness)

@@ -63,6 +63,8 @@ class CompletionRequest:
     tag: str
     temperature: float = 0.2
     max_tokens: int = 1024
+    # Sampling seed for providers that honour one; None sends none.
+    seed: int | None = None
 
     def __post_init__(self) -> None:
         if not self.system_prompt.strip():
@@ -75,6 +77,8 @@ class CompletionRequest:
             raise ValueError("temperature must be >= 0")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,8 @@ class HttpProvider:
     backoff (base 1 s, factor 2, full jitter, at most 5 attempts). A 429 or
     503 reply with a numeric `Retry-After` waits that many seconds instead,
     at most `RETRY_AFTER_MAX_SECONDS`. At most `max_in_flight` requests are
-    on the wire at once. The API key is read from the environment only;
+    on the wire at once. A request's `seed`, when set, is sent as the
+    payload's `seed` field. The API key is read from the environment only;
     config files never carry it.
     """
 
@@ -159,6 +164,8 @@ class HttpProvider:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
+        if request.seed is not None:
+            payload["seed"] = request.seed
         headers = {"Authorization": f"Bearer {self._api_key}"}
         start = time.monotonic()
         last_reason = "no attempt made"

@@ -25,11 +25,14 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 _CSV_CHUNK = 256
 _BOM = "\ufeff"
-# Bytes that send a whole file to the row path: quotes and carriage returns
-# mean something to csv.reader that numpy's tokenizer does not see, and a NUL
-# would pass for the padding of a fixed-width text cell.
-_ROW_PATH_CHARS = (b'"', b"\r", b"\0")
-_CONTENT_RE = re.compile(rb"[^\n]")
+# Bytes that send a whole file to the row path: quotes mean something to
+# csv.reader that numpy's tokenizer does not see, and a NUL would pass for the
+# padding of a fixed-width text cell.
+_ROW_PATH_CHARS = (b'"', b"\0")
+# Both parsers end a line at \n or \r\n; a file with a \r anywhere else goes
+# to the row path too.
+_LONE_CR_RE = re.compile(rb"\r(?!\n)")
+_CONTENT_RE = re.compile(rb"[^\r\n]")
 # Stamp text is read 19 bytes wide and the last byte must stay NUL, so the
 # check sees every character of a stamp the columnar path accepts.
 _STAMP_WIDTH = 19
@@ -303,14 +306,17 @@ def load_csv(data: bytes | str, meta: Sequence[FeatureMeta]) -> TimeSeriesTable:
 def _load_columns(data: bytes, metas: tuple[FeatureMeta, ...]) -> TimeSeriesTable | None:
     """The table of a plain ASCII CSV file, or None where `_load_rows` must decide.
 
-    Plain means without quotes, carriage returns or NULs, no row
-    shorter than the header, increasing ``-?[0-9]+`` stamps of at most 18
-    characters, ``0``/``1`` labels and features that numpy's tokenizer
-    converts. One `np.loadtxt` call reads every needed column, with no
-    Python object per cell: the stamp as text and as int64, the features as
-    float64 and the label as text.
+    Plain means without quotes, NULs or carriage returns outside a CRLF
+    line end, no row shorter than the header, increasing ``-?[0-9]+`` stamps
+    of at most 18 characters, ``0``/``1`` labels and features that numpy's
+    tokenizer converts. One `np.loadtxt` call reads every needed column,
+    with no Python object per cell: the stamp as text and as int64, the
+    features as float64 and the label as text.
     """
     if any(ch in data for ch in _ROW_PATH_CHARS):
+        return None
+    # The membership test is a fast scan; most files have no \r at all.
+    if b"\r" in data and _LONE_CR_RE.search(data):
         return None
     header_end = data.find(b"\n")
     if header_end < 0 or not _CONTENT_RE.search(data, header_end + 1):

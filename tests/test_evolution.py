@@ -17,6 +17,7 @@ from pillm.evolution import (
     RuleCandidate,
     default_seed_rule,
     long_term_reflection,
+    request_seed,
     run_evolution,
     select_pairs,
 )
@@ -588,18 +589,20 @@ class TestRun:
 class KeyedProvider:
     """Answers as a pure function of (request, occurrence), after a short sleep.
 
-    Like the benchmark's loopback stub, the answer does not depend on arrival
-    order, only on how many identical requests came before. About one rule
-    answer in five has no code block, so retries repeat a request. Calls
-    whose issue index is in `fail_at` raise `error`.
+    Like the benchmark's loopback stub, the answer depends on the whole
+    request, seed included, and on how many identical requests came before,
+    not on arrival order. About one rule answer in five has no code block,
+    so slots retry. Calls whose issue index is in `fail_at`, or whose seed
+    is in `fail_seeds`, raise `error`.
     """
 
     provider_id = "keyed"
 
-    def __init__(self, max_in_flight=4, delay=0.02, fail_at=(), error=None) -> None:
+    def __init__(self, max_in_flight=4, delay=0.02, fail_at=(), fail_seeds=(), error=None) -> None:
         self.max_in_flight = max_in_flight
         self._delay = delay
         self._fail_at = set(fail_at)
+        self._fail_seeds = set(fail_seeds)
         self._error = error or CompletionError("synthetic failure")
         self._seen = Counter()
         self._lock = threading.Lock()
@@ -609,7 +612,10 @@ class KeyedProvider:
 
     @staticmethod
     def answer(request, occurrence: int) -> str:
-        key = f"{request.system_prompt}|{request.user_prompt}|{request.temperature}|{occurrence}"
+        key = (
+            f"{request.system_prompt}|{request.user_prompt}|{request.temperature}"
+            f"|{request.seed}|{occurrence}"
+        )
         rng = random.Random(hashlib.sha256(key.encode()).digest())
         if request.tag == "reflection":
             return f"Hint {rng.randrange(1000)}.\n\nContext {rng.randrange(1000)}."
@@ -617,6 +623,12 @@ class KeyedProvider:
             return "no code block in this answer"
         rule = f"return $x {rng.choice(('>', '<'))} {rng.uniform(-1.5, 4.5):.3f}"
         return f"```rule\n{rule}\n```\n```context\nc{occurrence}\n```"
+
+    @classmethod
+    def rule_code(cls, request) -> str:
+        """The rule in the answer to the first occurrence of `request`; empty if none."""
+        text = cls.answer(request, 0)
+        return text.split("\n")[1] if "```rule" in text else ""
 
     def complete(self, request) -> CompletionResult:
         with self._lock:
@@ -628,7 +640,7 @@ class KeyedProvider:
             self.most_in_flight = max(self.most_in_flight, self._running)
         try:
             time.sleep(self._delay)
-            if index in self._fail_at:
+            if index in self._fail_at or request.seed in self._fail_seeds:
                 raise self._error
             return CompletionResult(
                 text=self.answer(request, occurrence),
@@ -708,8 +720,11 @@ class TestConcurrentWaves:
 
     @pytest.mark.parametrize("enable_pir, enable_pic", [(True, True), (True, False), (False, True)])
     def test_width_four_logs_what_width_one_logs(self, small_table, enable_pir, enable_pic):
-        config = self.config(enable_pir=enable_pir, enable_pic=enable_pic)
+        # Seed 2: the first two init slots retry.
+        config = self.config(enable_pir=enable_pir, enable_pic=enable_pic, seed=2)
         serial = run_evolution(config, small_table, KeyedProvider(max_in_flight=1, delay=0))
+        inits = [r for r in serial.records if r["operator"] == "init"]
+        assert [len(r["request_tags_used"]) for r in inits] == [2, 2, 1, 1, 1]
         provider = KeyedProvider(max_in_flight=4)
         sink = ListSink()
         concurrent = run_evolution(config, small_table, provider, log=sink)
@@ -734,16 +749,25 @@ class TestConcurrentWaves:
         expected = [parse_response(fresh.complete(request).text).code for _ in result.records[1:]]
         assert [r["code"] for r in result.records[1:]] == expected
 
-    def test_identical_init_requests_go_out_in_slot_order(self, small_table):
+    def test_every_request_has_its_own_seed(self, small_table):
+        # Seed 2: init slots and later slots retry, and each retry gets a new seed.
+        config = self.config(seed=2)
+        issued_seeds = []
+        for _ in range(2):
+            provider = KeyedProvider(max_in_flight=4)
+            result = run_evolution(config, small_table, provider)
+            assert any(len(r["request_tags_used"]) > 1 for r in result.records)
+            seeds = [request.seed for request, _ in provider.issued]
+            assert len(set(seeds)) == len(seeds) == result.llm_calls
+            assert all(0 <= seed < 2**31 for seed in seeds)
+            issued_seeds.append(sorted(seeds))
+        assert issued_seeds[0] == issued_seeds[1]
+
+    def test_init_slots_overlap(self, small_table):
         provider = KeyedProvider(max_in_flight=4)
-        result = run_evolution(self.config(retry_budget=0, generations=0), small_table, provider)
-        inits = [r for r in result.records if r["operator"] == "init"]
-        assert [occurrence for _, occurrence in provider.issued] == list(range(5))
-        request = provider.issued[0][0]
-        for occurrence, record in enumerate(inits):
-            text = KeyedProvider.answer(request, occurrence)
-            expected = text.split("\n")[1] if "```rule" in text else ""
-            assert record["code"] == expected
+        result = run_evolution(self.config(generations=0), small_table, provider)
+        assert set(result.request_tags) == {"init"}
+        assert provider.most_in_flight >= 2
 
     def test_crossover_starts_before_the_last_reflection_returns(self, small_table):
         config = self.config()
@@ -792,11 +816,20 @@ class TestConcurrentWaves:
         slot_requests = sum(len(r["request_tags_used"]) for r in sink)
         assert slot_requests + sink.tags.count("reflection") == len(sink.tags)
 
+    @staticmethod
+    def init_requests(small_table) -> int:
+        """How many requests the init slots of `config()` issue, retries included."""
+        result = run_evolution(
+            TestConcurrentWaves.config(generations=0), small_table, KeyedProvider(delay=0)
+        )
+        return result.llm_calls
+
     @pytest.mark.parametrize("reflections", [1, 2])
     def test_call_budget_among_reflections(self, small_table, reflections):
-        # Six init requests (one a retry) come first; the budget runs out
-        # among generation 1's three reflections.
-        config = self.config(llm_call_budget=6 + reflections)
+        # The init requests come first; the budget runs out among generation
+        # 1's three reflections.
+        inits = self.init_requests(small_table)
+        config = self.config(llm_call_budget=inits + reflections)
         serial = run_evolution(config, small_table, KeyedProvider(max_in_flight=1, delay=0))
         assert serial.request_tags.count("reflection") == reflections
         provider = KeyedProvider(max_in_flight=4)
@@ -807,16 +840,16 @@ class TestConcurrentWaves:
         assert list(sink) == serial.records
         assert concurrent.request_tags == serial.request_tags
         assert sink.tags == list(concurrent.request_tags)
-        assert concurrent.llm_calls == len(provider.issued) == 6 + reflections
+        assert concurrent.llm_calls == len(provider.issued) == inits + reflections
         TestRun.assert_every_request_logged(concurrent)
 
     def test_call_budget_mid_wave(self, small_table):
-        # Six init requests (one a retry) and three reflections come first.
-        # Generation 1's crossovers and mutations are five slots; two of them
-        # get a request.
+        # The init requests and three reflections come first. Generation 1's
+        # crossovers and mutations are five slots; two of them get a request.
+        budget = self.init_requests(small_table) + 3 + 2
         provider = KeyedProvider(max_in_flight=4)
-        result = run_evolution(self.config(llm_call_budget=11), small_table, provider)
-        assert result.llm_calls == len(provider.issued) == 11
+        result = run_evolution(self.config(llm_call_budget=budget), small_table, provider)
+        assert result.llm_calls == len(provider.issued) == budget
         assert result.generations_completed == 0
         TestRun.assert_every_request_logged(result)
         offspring = [r for r in result.records if r["generation"] == 1]
@@ -844,14 +877,38 @@ class TestConcurrentWaves:
             sys.setswitchinterval(interval)
 
     def test_init_provider_failure_keeps_generation_zero(self, small_table):
-        provider = KeyedProvider(max_in_flight=4, fail_at={2})
-        result = run_evolution(self.config(retry_budget=0), small_table, provider)
+        # Four init slots, all in flight before the second one's request
+        # fails. The run aborts, and every slot is logged in slot order.
+        config = self.config(population_size=5, retry_budget=0)
+        provider = KeyedProvider(
+            max_in_flight=4, delay=0.05, fail_seeds={request_seed(config, 1, 0)}
+        )
+        result = run_evolution(config, small_table, provider)
         assert result.aborted
         assert result.generations_completed == 0
-        assert result.llm_calls == 3
-        assert [r["operator"] for r in result.records] == ["seed", "init", "init", "init"]
-        assert result.records[-1]["error"] == "synthetic failure"
+        assert result.llm_calls == 4
+        assert [r["operator"] for r in result.records] == ["seed"] + ["init"] * 4
+        assert [r["error"] for r in result.records] == [None, None, "synthetic failure", None, None]
+        by_seed = {request.seed: request for request, _ in provider.issued}
+        for ordinal in (0, 2, 3):
+            request = by_seed[request_seed(config, ordinal, 0)]
+            assert result.records[1 + ordinal]["code"] == KeyedProvider.rule_code(request)
         TestRun.assert_every_request_logged(result)
+
+    def test_init_crash_still_logs_the_other_init_slots(self, small_table):
+        # As above, but the second init slot raises.
+        config = self.config(population_size=5, retry_budget=0)
+        crash = RuntimeError("provider crashed")
+        provider = KeyedProvider(delay=0.05, fail_seeds={request_seed(config, 1, 0)}, error=crash)
+        sink = ListSink()
+        with pytest.raises(RuntimeError, match="provider crashed"):
+            run_evolution(config, small_table, provider, log=sink)
+        assert sink.tags == ["init"] * 4
+        assert [r["operator"] for r in sink] == ["seed", "init", "init", "init"]
+        by_seed = {request.seed: request for request, _ in provider.issued}
+        for record, ordinal in zip(sink[1:], (0, 2, 3)):
+            request = by_seed[request_seed(config, ordinal, 0)]
+            assert record["code"] == KeyedProvider.rule_code(request)
 
     @pytest.mark.parametrize(
         "fail_at, error",

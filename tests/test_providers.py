@@ -6,6 +6,7 @@ import requests
 
 from pillm.dsl import compile_rule
 from pillm.prompts import parse_response
+from pillm.reporting import narrate_report
 from pillm.providers import (
     API_KEY_ENV,
     CompletionError,
@@ -47,6 +48,8 @@ class TestCompletionRequest:
             req(temperature=-0.1)
         with pytest.raises(ValueError):
             req(max_tokens=0)
+        with pytest.raises(ValueError):
+            req(seed=-1)
 
 
 class FakeResponse:
@@ -133,7 +136,7 @@ class TestHttpProvider:
     def test_success_path_and_payload_shape(self, api_key):
         session = FakeSession([FakeResponse(200, ok_body("hello"))])
         provider = make_http(session)
-        result = provider.complete(req(temperature=0.7, max_tokens=256))
+        result = provider.complete(req(temperature=0.7, max_tokens=256, seed=2**31 - 1))
         assert result.text == "hello"
         assert result.attempt == 1
         call = session.calls[0]
@@ -141,8 +144,13 @@ class TestHttpProvider:
         assert call["json"]["model"] == "test-model"
         assert call["json"]["temperature"] == 0.7
         assert call["json"]["max_tokens"] == 256
+        assert type(call["json"]["seed"]) is int and call["json"]["seed"] == 2**31 - 1
         roles = [m["role"] for m in call["json"]["messages"]]
         assert roles == ["system", "user"]
+        # The report's narration request sets no seed, so the payload has none.
+        session.outcomes.append(FakeResponse(200, ok_body("prose")))
+        assert narrate_report("skeleton", provider) == "prose"
+        assert "seed" not in session.calls[1]["json"]
 
     def test_retries_429_with_jittered_backoff(self, api_key):
         session = FakeSession([FakeResponse(429), FakeResponse(200, ok_body("ok"))])

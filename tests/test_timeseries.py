@@ -1,3 +1,6 @@
+import statistics
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -309,6 +312,33 @@ class TestCsvIngest:
         assert table == corpus
         assert_matches_brute(table, data)
 
+    def test_crlf_corpus_is_read_a_column_at_a_time(self, bias_corpus):
+        data = save_csv(bias_corpus)
+        crlf = data.replace(b"\n", b"\r\n")
+        assert timeseries._load_columns(crlf, bias_corpus.features) is not None
+        want, got = load_csv(data, bias_corpus.features), load_csv(crlf, bias_corpus.features)
+        assert got == want
+        for column in ("values", "timestamps", "labels"):
+            assert getattr(got, column).tobytes() == getattr(want, column).tobytes()
+
+    def test_crlf_reads_about_as_fast_as_lf(self):
+        corpus = generate_corpus(SimConfig(length=14_400, seed=3))
+        lf = save_csv(corpus)
+        crlf = lf.replace(b"\n", b"\r\n")
+        # Each round times both files back to back in CPU time, so that the
+        # machine's other load cancels out of their ratio; the first round
+        # only warms up.
+        ratios = []
+        for round_ in range(11):
+            seconds = []
+            for data in (lf, crlf):
+                start = time.process_time()
+                load_csv(data, corpus.features)
+                seconds.append(time.process_time() - start)
+            if round_:
+                ratios.append(seconds[1] / seconds[0])
+        assert statistics.median(ratios) <= 1.15
+
     def test_edge_cells_match_brute(self):
         data = (
             b"cmd,timestamp,junk,temp,label\n"
@@ -326,7 +356,7 @@ class TestCsvIngest:
         [
             b'timestamp,temp,cmd\n0,"1",0\n',
             b'timestamp,temp,cmd,junk\n0,1,0,"x\n2,3,1,y"\n',
-            b"timestamp,temp,cmd\r\n0,1,0\r\n",
+            b"timestamp,temp,cmd\r\n0,1,0\r",
             b"timestamp,temp,cmd\n0,1,0\n1,2\n",
             b"timestamp,temp,cmd,junk\n0,1,0,a\n1,2,1\n",
             b"timestamp,temp,cmd\n2024-01-01T00:00:00,1,0\n",
@@ -338,6 +368,7 @@ class TestCsvIngest:
             b"timestamp,temp,cmd,label\n0,1,0,01\n",
             b"timestamp,temp,cmd\n0,1\x00,0\n",
             b"timestamp,temp,cmd\n\n\n",
+            b"timestamp,temp,cmd\r\n\r\n\r\n",
             "timestamp,temp,cmd\n0,1,0,\u00e9\n".encode("utf-8"),
         ],
     )
