@@ -9,7 +9,7 @@ from pathlib import Path
 
 import click
 
-from . import __version__
+from . import __version__, prompts
 from .dsl import DslError, FeatureRef, compile_rule, evaluate, parse, to_flags, typecheck, walk
 from .evolution import ConfigError, EvolutionConfig, default_seed_rule, run_evolution
 from .metrics import event_f1_pa, point_adjusted_report, pointwise_report
@@ -24,6 +24,7 @@ from .reporting import RunLog, RunLogError, best_record, generate_report, narrat
 from .simulate import FAULT_KINDS, FaultSpec, SimConfig, generate_corpus
 from .timeseries import (
     TableError,
+    cut_csv,
     load_csv,
     load_meta,
     save_csv,
@@ -194,6 +195,12 @@ def _unique_run_dir(root: Path, seed: int) -> str:
 @click.option("--no-pir", is_flag=True, help="Disable reflection (ablation).")
 @click.option("--no-pic", is_flag=True, help="Replace crossover with extra elitist mutations (ablation).")
 @click.option("--out", "out_root", required=True, type=click.Path(file_okay=False))
+@click.option(
+    "--prompts-dir",
+    type=click.Path(file_okay=False),
+    default=None,
+    help="Read the five prompt templates from this directory instead of the packaged set.",
+)
 def evolve(
     data_path: str,
     meta_path: str,
@@ -203,6 +210,7 @@ def evolve(
     no_pir: bool,
     no_pic: bool,
     out_root: str,
+    prompts_dir: str | None,
 ) -> None:
     """Run the evolutionary loop and persist the run directory."""
     try:
@@ -217,14 +225,16 @@ def evolve(
     if no_pic:
         config.enable_pic = False
 
+    data = Path(data_path).read_bytes()
     try:
-        table, metas = _load_table(data_path, meta_path)
+        metas = load_meta(Path(meta_path).read_bytes())
+        table = load_csv(data, metas)
     except TableError as exc:
         _fail(str(exc), EXIT_BAD_CONFIG)
     if not table.has_labels:
         _fail("training data must be labeled", EXIT_BAD_CONFIG)
     try:
-        train_table, test_table = split(table, config.train_fraction)
+        train_table, _ = split(table, config.train_fraction)
     except TableError as exc:
         _fail(str(exc), EXIT_BAD_CONFIG)
 
@@ -238,6 +248,10 @@ def evolve(
         provider = _build_provider(provider_kind, provider_block, script_path, config, table.feature_names)
     except ProviderConfigError as exc:
         _fail(str(exc), EXIT_BAD_CONFIG)
+    try:
+        templates = prompts.load_templates(prompts_dir)
+    except prompts.PromptError as exc:
+        _fail(str(exc), EXIT_BAD_CONFIG)
 
     root = Path(out_root)
     root.mkdir(parents=True, exist_ok=True)
@@ -246,11 +260,13 @@ def evolve(
     snapshot["provider"] = {"type": provider_kind, **provider_block}
     if script_path is not None:
         snapshot["provider"]["script"] = str(Path(script_path).resolve())
+    if prompts_dir is not None:
+        snapshot["prompts_dir"] = str(Path(prompts_dir).resolve())
     log = RunLog(root, run_id, config_snapshot=snapshot)
-    log.write_split(save_csv(train_table), save_csv(test_table), save_meta(metas))
+    log.write_split(*cut_csv(data, table.num_rows, train_table.num_rows), save_meta(metas))
     click.echo(f"run_dir={log.dir}")
 
-    result = run_evolution(config, train_table, provider, log=log)
+    result = run_evolution(config, train_table, provider, log=log, templates=templates)
     click.echo(f"generations={result.generations_completed} llm_calls={result.llm_calls}")
     if result.best is not None:
         log.write_best(result.best.code, result.best.context)
@@ -295,7 +311,8 @@ def report(run_dir: str, data_path: str, meta_path: str, narrate: bool) -> None:
         provider_block = dict(snapshot.get("provider", {}))
         kind = provider_block.get("type", "sampler")
         try:
-            config = EvolutionConfig.from_dict({k: v for k, v in snapshot.items() if k != "provider"})
+            keys = {k: v for k, v in snapshot.items() if k not in ("provider", "prompts_dir")}
+            config = EvolutionConfig.from_dict(keys)
             provider = _build_provider(kind, provider_block, provider_block.get("script"), config, table.feature_names)
         except (ProviderConfigError, ConfigError) as exc:
             _fail(str(exc), EXIT_BAD_CONFIG)

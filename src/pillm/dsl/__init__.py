@@ -1,9 +1,10 @@
 """Sandboxed expression language for anomaly rules.
 
 The public surface: `parse` source into an AST, `typecheck` it against a
-table's feature names, `evaluate` it into per-row scores, binarize with
-`to_flags`, and render canonically with `format_rule`. `compile_rule` chains
-parse and typecheck for the common case.
+table's feature names, `evaluate` it into per-row scores (sharing windowed
+results between rules through an `EvalMemo`), binarize with `to_flags`, and
+render canonically with `format_rule`. `compile_rule` chains parse and
+typecheck for the common case.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Iterable
 from .checker import TypedRule, typecheck
 from .errors import BudgetError, DslError, DslSyntaxError, DslTypeError
 from .formatter import format_rule
-from .interp import EVAL_BUDGET, evaluate, to_flags
+from .interp import EVAL_BUDGET, EvalMemo, evaluate, to_flags
 from .nodes import BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef, children, walk
 from .parser import BUILTINS, MAX_BINDINGS, MAX_NODES, MAX_WINDOW, parse
 
@@ -26,6 +27,7 @@ __all__ = [
     "DslSyntaxError",
     "DslTypeError",
     "EVAL_BUDGET",
+    "EvalMemo",
     "Expr",
     "FeatureRef",
     "MAX_BINDINGS",

@@ -15,6 +15,14 @@ with an error bound that sends the rare ill-conditioned window to an exact
 two-pass sum. The evaluation budget still charges node_count x T x
 max_window, a deliberately unchanged cap.
 
+Windowed results are kept in an `EvalMemo` tied to one table, so a term
+such as `zscore($zone_temp, 720)` that several rules share is computed once.
+Only the windowed builtins (`mean`, `std`, `rmin`, `rmax`, `zscore`, `ewma`)
+are kept: they cost 18-430 ns/row against 2-7 for elementwise nodes, and
+keeping every node would hold six times the memory for little speed. A
+memoized series is the one a fresh evaluation computes, bit for bit, so a
+score never depends on what the memo holds.
+
 Only the final result coerces MISSING to 0.0: a rule that cannot decide
 does not alarm.
 """
@@ -38,6 +46,11 @@ _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 # it are recomputed by `_two_pass`, _CHUNK gathered values at a time.
 _TOL = 1e-10
 _CHUNK = 1 << 16
+# The builtins whose results an `EvalMemo` keeps.
+_MEMOIZED = frozenset({"mean", "std", "rmin", "rmax", "zscore", "ewma"})
+# An `EvalMemo` holds at most this many bytes of series; inserting into a full
+# memo evicts its oldest entries first.
+MEMO_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -234,14 +247,53 @@ def _windowed(x: _Series, window: int, name: str) -> _Series:
     return _Series(np.where(mask, 0.0, values), mask)
 
 
-class _Evaluator:
+def _nbytes(series: _Series) -> int:
+    return series.values.nbytes + series.missing.nbytes
+
+
+class EvalMemo:
+    """The windowed sub-expression results of one table, shared by `evaluate` calls.
+
+    A result's key is its node's structure with every `VarRef` replaced by
+    the key of the expression bound to it, since one name may mean different
+    things in different rules. At most `MEMO_BYTES` of series are kept; an
+    insertion that would pass the bound evicts the oldest entries first. The
+    memo takes no lock: use it from one thread at a time.
+    """
+
     def __init__(self, table: TimeSeriesTable) -> None:
+        self.table = table
+        self._series: dict[tuple, _Series] = {}
+        self.nbytes = 0
+
+    def __len__(self) -> int:
+        return len(self._series)
+
+    def get(self, key: tuple) -> _Series | None:
+        return self._series.get(key)
+
+    def put(self, key: tuple, series: _Series) -> None:
+        size = _nbytes(series)
+        if size > MEMO_BYTES:
+            return
+        while self.nbytes + size > MEMO_BYTES:
+            oldest = next(iter(self._series))
+            self.nbytes -= _nbytes(self._series.pop(oldest))
+        self._series[key] = series
+        self.nbytes += size
+
+
+class _Evaluator:
+    def __init__(self, table: TimeSeriesTable, memo: EvalMemo | None = None) -> None:
+        self._memo = EvalMemo(table) if memo is None else memo
         self._table = table
         self._length = table.num_rows
         self._env: dict[str, _Series] = {}
+        self._keys: dict[str, tuple] = {}  # each binding's memo key
 
     def run(self, rule: TypedRule) -> np.ndarray:
         for name, expr in rule.ast.bindings:
+            self._keys[name] = self._key(expr)
             self._env[name] = self._eval(expr)
         result = self._eval(rule.ast.result)
         # Final coercion: MISSING scores do not alarm.
@@ -316,7 +368,32 @@ class _Evaluator:
                 )
         return _clean_arith(values, mask)
 
+    def _key(self, expr: Expr) -> tuple:
+        """`expr`'s memo key: its structure, with bound names replaced by their keys."""
+        if isinstance(expr, VarRef):
+            return self._keys[expr.name]
+        if isinstance(expr, Num):
+            # hex() tells 0.0 from -0.0, which compare equal.
+            return (Num, expr.value.hex())
+        if isinstance(expr, FeatureRef):
+            return (FeatureRef, expr.name)
+        if isinstance(expr, Call):
+            return (Call, expr.name, *map(self._key, expr.args))
+        if isinstance(expr, Unary):
+            return (Unary, expr.op, self._key(expr.operand))
+        return (BinOp, expr.op, self._key(expr.left), self._key(expr.right))
+
     def _eval_call(self, expr: Call) -> _Series:
+        if expr.name not in _MEMOIZED:
+            return self._eval_builtin(expr)
+        key = self._key(expr)
+        series = self._memo.get(key)
+        if series is None:
+            series = self._eval_builtin(expr)
+            self._memo.put(key, series)
+        return series
+
+    def _eval_builtin(self, expr: Call) -> _Series:
         name = expr.name
         if name == "abs":
             x = self._eval(expr.args[0])
@@ -348,22 +425,30 @@ class _Evaluator:
         return int(expr.value)
 
 
-def evaluate(rule: TypedRule, table: TimeSeriesTable) -> np.ndarray:
+def evaluate(rule: TypedRule, table: TimeSeriesTable, memo: EvalMemo | None = None) -> np.ndarray:
     """Evaluate a typechecked rule over all rows, returning finite scores.
 
+    Windowed results are looked up in, and added to, `memo`, which must
+    belong to `table` (a `ValueError` otherwise); without one, the call
+    makes its own, so repeats within the rule are still computed once. The
+    scores are the same, bit for bit, whatever the memo holds.
+
     Every builtin, windowed or not, costs O(T) per node. Even so, the budget
-    still charges node_count x T x max_window, so the set of accepted rules
-    stays what it was when windows cost O(T x w). Raises `BudgetError` when
-    that exceeds the fixed evaluation budget; the caller is expected to mark
-    such candidates invalid rather than retry.
+    still charges node_count x T x max_window whether or not the memo holds
+    a node, so the set of accepted rules stays what it was when windows cost
+    O(T x w). Raises `BudgetError` when that exceeds the fixed evaluation
+    budget, before any work; the caller is expected to mark such candidates
+    invalid rather than retry.
     """
+    if memo is not None and memo.table is not table:
+        raise ValueError("the memo belongs to another table")
     cost = rule.node_count * table.num_rows * rule.max_window
     if cost > EVAL_BUDGET:
         raise BudgetError(
             f"evaluation budget exceeded: {rule.node_count} nodes x {table.num_rows} rows "
             f"x window {rule.max_window} = {cost} > {EVAL_BUDGET}"
         )
-    return _Evaluator(table).run(rule)
+    return _Evaluator(table, memo).run(rule)
 
 
 def to_flags(scores: np.ndarray, threshold: float = 0.5) -> np.ndarray:

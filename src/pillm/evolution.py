@@ -28,7 +28,7 @@ from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from . import prompts
-from .dsl import BudgetError, DslError, TypedRule, compile_rule, evaluate, to_flags
+from .dsl import BudgetError, DslError, EvalMemo, RuleAst, TypedRule, compile_rule, evaluate, to_flags
 from .metrics import MetricReport, event_f1_pa
 from .providers import CompletionRequest, Provider, ProviderError
 from .timeseries import FeatureMeta, TimeSeriesTable
@@ -276,6 +276,14 @@ class EvolutionEngine:
     raises halts the run the same way, and its exception propagates once the
     other slots' candidates are logged.
 
+    Candidates are evaluated on the engine's own thread. Each distinct rule
+    (by `RuleAst`, which compares structurally) is scored once per run, and
+    every evaluation shares one `EvalMemo` of windowed results on
+    `train_table`, so the near-copies that crossover and mutation produce
+    reuse their parents' windowed terms. `templates` maps each template id to
+    its body, as `prompts.load_templates` reads them; the packaged set by
+    default, read when the engine starts.
+
     `log`, when given, receives `request(tag)` as each LLM request is issued,
     in issue order, and `append(record)` as each candidate is evaluated, in
     slot order (see `RunLog`). An engine runs once.
@@ -287,7 +295,7 @@ class EvolutionEngine:
         train_table: TimeSeriesTable,
         provider: Provider,
         log=None,
-        prompts_dir=None,
+        templates: Mapping[str, str] | None = None,
     ) -> None:
         if not train_table.has_labels:
             raise ValueError("training table must be labeled")
@@ -295,7 +303,8 @@ class EvolutionEngine:
         self.train_table = train_table
         self.provider = provider
         self.log = log
-        self.prompts_dir = prompts_dir
+        # Every template the engine renders, read once, now.
+        self._templates = dict(templates) if templates is not None else prompts.load_templates()
         self._rng = random.Random(config.seed)
         self._next_index = 0
         self._next_ordinal = 0
@@ -309,12 +318,15 @@ class EvolutionEngine:
         self._aborted = False
         self._reflections: list[Reflection] = []
         self._feature_names = tuple(train_table.feature_names)
+        # Evaluation runs on the engine's thread only, so neither takes a lock.
+        self._memo = EvalMemo(train_table)
+        self._reports: dict[RuleAst, MetricReport] = {}
         self._task_description = prompts.default_task_description()
         self._feature_list = prompts.feature_list_text(train_table.features)
         self._system_prompt = prompts.render(
             "generator_system",
             {"task_description": self._task_description},
-            prompts_dir=prompts_dir,
+            templates=self._templates,
         )
 
     # ---- provider plumbing -------------------------------------------------
@@ -457,7 +469,7 @@ class EvolutionEngine:
                 "seed_function": f"```rule\n{seed.code}\n```",
                 "context_template": f"```context\n{seed.context}\n```",
             },
-            prompts_dir=self.prompts_dir,
+            templates=self._templates,
         )
         run_slot = partial(self._slot, generation=0)
         tasks = [
@@ -478,15 +490,26 @@ class EvolutionEngine:
         for candidate in population:
             if candidate.fitness is None and candidate.error is None:
                 try:
-                    scores = evaluate(candidate.rule, self.train_table)
-                    flags = to_flags(scores, self.config.threshold)
-                    report = event_f1_pa(flags, self.train_table.labels)
+                    report = self._score(candidate.rule)
                     candidate.fitness = report.f1
                     candidate.metrics = report
                 except BudgetError as exc:
                     candidate.error = str(exc)
                     candidate.rule = None
             self._log_candidate(candidate)
+
+    def _score(self, rule: TypedRule) -> MetricReport:
+        """`rule`'s report on the training split, computed once per distinct rule.
+
+        A rule over the evaluation budget raises `BudgetError` each time and
+        is never cached.
+        """
+        report = self._reports.get(rule.ast)
+        if report is None:
+            scores = evaluate(rule, self.train_table, self._memo)
+            flags = to_flags(scores, self.config.threshold)
+            report = self._reports[rule.ast] = event_f1_pa(flags, self.train_table.labels)
+        return report
 
     def _log_candidate(self, candidate: RuleCandidate) -> None:
         candidate.id = self._new_id()
@@ -525,7 +548,7 @@ class EvolutionEngine:
 
     def _reflection_job(self, pair: tuple[RuleCandidate, RuleCandidate]) -> _Job:
         system = prompts.render(
-            "reflection_system", self._pair_bindings(*pair), prompts_dir=self.prompts_dir
+            "reflection_system", self._pair_bindings(*pair), templates=self._templates
         )
         user = "Respond now with your hints and the improved physical context."
         return _Job(self._requests("reflection", user, system), partial(self._reflect, pair=pair))
@@ -561,7 +584,7 @@ class EvolutionEngine:
         bindings = self._pair_bindings(worse, better)
         bindings["reflection_comments"] = reflection.comments if reflection else NO_REFLECTION_TEXT
         bindings["reflection_context"] = reflection.context if reflection else ""
-        user_prompt = prompts.render("crossover", bindings, prompts_dir=self.prompts_dir)
+        user_prompt = prompts.render("crossover", bindings, templates=self._templates)
         slot = partial(self._slot, generation=generation, parents=(worse.id, better.id))
         return _Job(self._requests("crossover", user_prompt), slot)
 
@@ -583,7 +606,7 @@ class EvolutionEngine:
             "reflection_context": latest_context,
             "elitist_code": f"```rule\n{elite.code}\n```",
         }
-        user_prompt = prompts.render("elitist_mutation", bindings, prompts_dir=self.prompts_dir)
+        user_prompt = prompts.render("elitist_mutation", bindings, templates=self._templates)
         slot = partial(self._slot, generation=generation, parents=(elite.id,))
         return _Job(self._requests("mutation", user_prompt), slot)
 
@@ -687,8 +710,8 @@ def run_evolution(
     provider: Provider,
     log=None,
     seed_rule: tuple[str, str] | None = None,
-    prompts_dir=None,
+    templates: Mapping[str, str] | None = None,
 ) -> RunResult:
     """Run the full loop; see EvolutionEngine for the phase structure."""
-    engine = EvolutionEngine(config, train_table, provider, log=log, prompts_dir=prompts_dir)
+    engine = EvolutionEngine(config, train_table, provider, log=log, templates=templates)
     return engine.run(seed_rule)

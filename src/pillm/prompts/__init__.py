@@ -2,15 +2,18 @@
 
 The five templates (initial generation, the generator system prompt, the
 reflection system prompt, crossover, and elitist mutation) live as plain
-text files so they can be inspected and swapped out without code changes;
-the library's `prompts_dir` argument (to `load_template`, `render` and the
-evolution engine) points at an alternative directory for prompt
-experimentation. No CLI flag sets it.
+text files so they can be inspected and swapped out without code changes:
+`prompts_dir` (the `load_template`, `load_templates` and `render` argument,
+and `pillm evolve --prompts-dir`) points at an alternative directory that
+holds all five, for prompt experimentation. The packaged bodies are read
+once per process; an override directory is read on every call, and the
+evolution engine reads its templates once, when it starts.
 Placeholders use `{name}` slots filled by literal substitution only.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from dataclasses import dataclass
@@ -132,20 +135,36 @@ def load_template(template_id: str, prompts_dir: str | Path | None = None) -> st
         if not path.is_file():
             raise PromptError(f"template override not found: {path}")
         return path.read_text(encoding="utf-8")
+    return _packaged_template(filename)
+
+
+@functools.cache
+def _packaged_template(filename: str) -> str:
     return (resources.files(__package__) / "templates" / filename).read_text(encoding="utf-8")
+
+
+def load_templates(prompts_dir: str | Path | None = None) -> dict[str, str]:
+    """Every template body by id, each read once; see `load_template`."""
+    return {template_id: load_template(template_id, prompts_dir) for template_id in TEMPLATE_IDS}
 
 
 def render(
     template_id: str,
     bindings: Mapping[str, str],
     prompts_dir: str | Path | None = None,
+    templates: Mapping[str, str] | None = None,
 ) -> str:
     """Substitute `{placeholder}` slots literally; no recursive expansion.
 
-    Missing bindings raise; bindings without a matching slot only warn, so
-    callers can reuse one binding dict across several templates.
+    The body comes from `templates` when given (as `load_templates` returns
+    them), else from `load_template(template_id, prompts_dir)`. Missing
+    bindings raise; bindings without a matching slot only warn, so callers
+    can reuse one binding dict across several templates.
     """
-    body = load_template(template_id, prompts_dir)
+    if templates is not None:
+        body = templates[template_id]
+    else:
+        body = load_template(template_id, prompts_dir)
     slots = set(_PLACEHOLDER_RE.findall(body))
     expected = PLACEHOLDERS[template_id]
     for slot in slots:

@@ -462,6 +462,47 @@ def save_csv(table: TimeSeriesTable) -> bytes:
     return b"".join(chunks)
 
 
+def cut_csv(data: bytes, num_rows: int, cut: int) -> tuple[bytes, bytes]:
+    """CSV `data`, which `load_csv` reads as `num_rows` rows, cut before data row `cut`.
+
+    Returns the bytes before that row, and the header line followed by the
+    bytes from that row on, so that `load_csv` reads them as rows [0, cut)
+    and [cut, num_rows), and the first followed by the second without its
+    header is `data` again. Rows are counted as `load_csv` counts them: a
+    blank record is no row (blank records just before the row stay with the
+    first part), and a quoted cell may span lines.
+    """
+    if not 0 < cut < num_rows:
+        raise SplitRangeError(f"cannot cut {num_rows} rows before row {cut}")
+    if b'"' not in data:
+        # Without quotes each line is one record. When the lines after the
+        # header are as many as the rows, none is blank: row i is line i + 1.
+        ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+        if len(ends) + (not data.endswith(b"\n")) == num_rows + 1:
+            header, start = ends[0] + 1, ends[cut] + 1
+            return data[:start], data[:header] + data[start:]
+    line_ends: list[int] = []
+
+    def lines() -> Iterator[str]:
+        end = 0
+        for line in io.BytesIO(data):  # split at b"\n" only, as load_csv splits
+            end += len(line)
+            line_ends.append(end)
+            yield line.decode("utf-8")
+
+    records = csv.reader(lines())
+    next(records)
+    header = start = line_ends[-1]
+    row = 0
+    for record in records:
+        if any(cell.strip() for cell in record):
+            if row == cut:
+                break
+            row += 1
+        start = line_ends[-1]
+    return data[:start], data[:header] + data[start:]
+
+
 def load_meta(data: bytes | str) -> tuple[FeatureMeta, ...]:
     """Parse the feature-metadata JSON document (a list of feature objects).
 

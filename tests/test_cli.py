@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 import pillm
 from pillm.cli import main
+from pillm.prompts import TEMPLATE_IDS, load_template
 from pillm.providers import SamplerProvider
 from pillm.reporting import RunLog, best_record
 from pillm.timeseries import load_csv, load_meta, save_csv, save_meta
@@ -546,6 +547,69 @@ class TestEvolve:
         assert tags
         assert "crossover" not in tags
         assert "mutation" in tags
+
+    def test_prompts_dir_overrides_the_prompts_sent(self, tmp_path, runner, sim_corpus, monkeypatch):
+        data, meta = sim_corpus
+        prompts_dir = tmp_path / "prompts"
+        prompts_dir.mkdir()
+        for template_id in TEMPLATE_IDS:
+            (prompts_dir / f"{template_id}.txt").write_text(
+                f"OVERRIDE {template_id}\n" + load_template(template_id), encoding="utf-8"
+            )
+        original = SamplerProvider.complete
+        sent = []
+
+        def recording(self, request):
+            sent.append(request)
+            return original(self, request)
+
+        monkeypatch.setattr(SamplerProvider, "complete", recording)
+        config = evolve_config(tmp_path)
+        out = tmp_path / "runs"
+        result = self.invoke_evolve(runner, data, meta, config, out, "--prompts-dir", str(prompts_dir))
+        assert result.exit_code == 0, result.output
+        assert {r.tag for r in sent} == {"init", "reflection", "crossover", "mutation"}
+        for request in sent:
+            assert request.system_prompt.startswith("OVERRIDE ")
+            if request.tag != "reflection":
+                assert request.user_prompt.startswith("OVERRIDE ")
+        snapshot = json.loads((run_dir_from(result.output) / "config.snapshot").read_text())
+        assert snapshot["prompts_dir"] == str(prompts_dir.resolve())
+
+        plain = self.invoke_evolve(runner, data, meta, config, tmp_path / "plain")
+        assert "prompts_dir" not in json.loads((run_dir_from(plain.output) / "config.snapshot").read_text())
+
+    def test_missing_prompt_override_exits_3_before_run_dir(self, tmp_path, runner, sim_corpus):
+        data, meta = sim_corpus
+        prompts_dir = tmp_path / "prompts"
+        prompts_dir.mkdir()
+        for template_id in TEMPLATE_IDS[:-1]:
+            (prompts_dir / f"{template_id}.txt").write_text(load_template(template_id), encoding="utf-8")
+        out = tmp_path / "runs"
+        out.mkdir()
+        config = evolve_config(tmp_path)
+        result = self.invoke_evolve(runner, data, meta, config, out, "--prompts-dir", str(prompts_dir))
+        assert result.exit_code == 3
+        assert f"error: template override not found: {prompts_dir / TEMPLATE_IDS[-1]}.txt" in result.output
+        assert list(out.iterdir()) == []
+
+    def test_split_archive_keeps_the_input_bytes(self, tmp_path, runner, sim_corpus):
+        data, meta = sim_corpus
+        crlf_bom = tmp_path / "crlf_bom.csv"
+        crlf_bom.write_bytes(b"\xef\xbb\xbf" + data.read_bytes().replace(b"\n", b"\r\n"))
+        config = evolve_config(tmp_path)
+        logs = []
+        for path in (data, crlf_bom):
+            result = self.invoke_evolve(runner, path, meta, config, tmp_path / path.stem)
+            assert result.exit_code == 0, result.output
+            run_dir = run_dir_from(result.output)
+            source = path.read_bytes()
+            header = source[: source.index(b"\n") + 1]
+            train, test = (run_dir / "train.csv").read_bytes(), (run_dir / "test.csv").read_bytes()
+            assert train.startswith(header) and test.startswith(header)
+            assert train + test[len(header) :] == source
+            logs.append((run_dir / "run.jsonl").read_bytes())
+        assert logs[0] == logs[1]
 
     # sha256 of run.jsonl, requests.log and best.rule of the README corpus
     # run at pop 10 x gen 10, seed 7, taken from the sequential engine. Any

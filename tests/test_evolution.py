@@ -7,6 +7,8 @@ from collections import Counter
 
 import pytest
 
+from pillm import evolution
+from pillm.dsl import format_rule, interp
 from pillm.evolution import (
     NO_REFLECTION_TEXT,
     NO_REFLECTIONS_YET,
@@ -310,6 +312,29 @@ class TestEngine:
         assert sink[1]["fitness"] == pytest.approx(0.5)
         assert sink[2]["fitness"] == pytest.approx(2 / 3)
         assert all(r["precision"] is not None for r in sink)
+
+    def test_each_distinct_rule_is_scored_once(self, small_table, monkeypatch):
+        # `return mean($x, 60) > 1` costs 4 nodes x 6 rows x window 60 > 100.
+        monkeypatch.setattr(interp, "EVAL_BUDGET", 100)
+        wide = "```rule\nreturn mean($x, 60) > 1\n```\n\n```context\nToo wide.\n```"
+        spaced = "```rule\nreturn   $x>0.5\n```\n\n```context\nSame rule, other spacing.\n```"
+        provider = scripted(("init", RULE_HALF), ("init", wide), ("init", spaced), ("init", wide))
+        scored = []
+        original = evolution.evaluate
+
+        def counting(rule, table, memo=None):
+            scored.append(format_rule(rule.ast))
+            return original(rule, table, memo)
+
+        monkeypatch.setattr(evolution, "evaluate", counting)
+        sink = ListSink()
+        engine = EvolutionEngine(base_config(population_size=5), small_table, provider, log=sink)
+        engine.evaluate_population(engine.init_population(SEED_DUD))
+        # Rules over the budget are never cached: each is rejected again.
+        assert scored == [SEED_DUD[0], "return $x > 0.5", "return mean($x, 60) > 1", "return mean($x, 60) > 1"]
+        assert [r["fitness"] for r in sink] == [0.0, pytest.approx(0.5), None, pytest.approx(0.5), None]
+        assert sink[1]["precision"] == sink[3]["precision"]
+        assert "evaluation budget exceeded" in sink[2]["error"] and sink[4]["error"] == sink[2]["error"]
 
     def test_reflection_paragraph_split(self, small_table):
         text = "First hint.\n\nSecond hint.\n\nThe coil leaks heat when idle."

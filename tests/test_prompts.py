@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from pillm import prompts
 from pillm.prompts import (
     PLACEHOLDERS,
     TEMPLATE_IDS,
@@ -12,6 +13,7 @@ from pillm.prompts import (
     feature_list_text,
     format_response,
     load_template,
+    load_templates,
     parse_response,
     render,
 )
@@ -46,6 +48,27 @@ class TestTemplates:
     def test_override_missing_file(self, tmp_path):
         with pytest.raises(PromptError, match="override"):
             load_template("init", prompts_dir=tmp_path)
+
+    def test_packaged_bodies_are_read_once(self, monkeypatch):
+        prompts._packaged_template.cache_clear()
+        reads = []
+        files = prompts.resources.files
+
+        def counting(package):
+            reads.append(package)
+            return files(package)
+
+        monkeypatch.setattr(prompts.resources, "files", counting)
+        for _ in range(3):
+            assert load_templates() == {t: load_template(t) for t in TEMPLATE_IDS}
+        assert len(reads) == len(TEMPLATE_IDS)
+
+    def test_override_directory_is_read_on_every_call(self, tmp_path):
+        for template_id in TEMPLATE_IDS:
+            (tmp_path / f"{template_id}.txt").write_text(f"first {template_id}")
+        assert load_templates(tmp_path)["init"] == "first init"
+        (tmp_path / "init.txt").write_text("second {task_description}")
+        assert render("init", {"task_description": "T"}, templates=load_templates(tmp_path)) == "second T"
 
 
 class TestRender:

@@ -448,3 +448,70 @@ class TestSplit:
             split(table, 0.1)  # floor(0.2) = 0 rows on the left
         with pytest.raises(SplitRangeError):
             split(table, 1.5)
+
+
+def _lines(data: bytes) -> list[bytes]:
+    return data.splitlines(keepends=True)
+
+
+def _blank_rows_around_cut(data: bytes) -> bytes:
+    # Header, rows 0..9: blank lines before row 6, between rows 6 and 7 (the
+    # cut) and after row 7, plus one right after the header.
+    lines = _lines(data)
+    for at, blank in ((9, b"  ,  \n"), (8, b"\n"), (7, b",,,\n"), (1, b"\t\n")):
+        lines.insert(at, blank)
+    return b"".join(lines)
+
+
+def _iso_stamps(data: bytes) -> bytes:
+    lines = _lines(data)
+    for i in range(1, len(lines)):
+        stamp, rest = lines[i].split(b",", 1)
+        lines[i] = b"1970-01-01T00:00:%02d," % int(stamp) + rest
+    return b"".join(lines)
+
+
+def _extra_column(data: bytes, note=lambda i: b"n%d" % i) -> bytes:
+    lines = [line.rstrip(b"\n") for line in _lines(data)]
+    out = [lines[0] + b",note\n"] + [line + b"," + note(i) + b"\n" for i, line in enumerate(lines[1:])]
+    return b"".join(out)
+
+
+CUT_INPUTS = {
+    "plain": lambda data: data,
+    "crlf_bom": lambda data: b"\xef\xbb\xbf" + data.replace(b"\n", b"\r\n"),
+    "quoted_header": lambda data: data.replace(b"timestamp,", b'"timestamp",', 1),
+    "iso_stamps": _iso_stamps,
+    "extra_column": _extra_column,
+    "blank_rows": _blank_rows_around_cut,
+    "no_trailing_newline": lambda data: data.rstrip(b"\n"),
+    # Row 6, the last before the cut, and row 7 hold a line break in a quoted cell.
+    "quoted_line_break": lambda data: _extra_column(data, lambda i: b'"two\nlines"' if i in (6, 7) else b"x"),
+}
+
+
+class TestCutCsv:
+    @pytest.fixture
+    def table(self) -> TimeSeriesTable:
+        rng = np.random.default_rng(3)
+        labels = np.array([0, 0, 1, 1, 0, 0, 1, 1, 0, 0], dtype=np.uint8)
+        return make_table({"x": rng.normal(20, 3, 10), "y": rng.normal(size=10)}, labels=labels)
+
+    @pytest.mark.parametrize("name", sorted(CUT_INPUTS))
+    def test_parts_load_as_the_split_halves(self, table, name):
+        data = CUT_INPUTS[name](save_csv(table))
+        assert load_csv(data, table.features) == table
+        halves = split(table, 0.7)
+        train, test = timeseries.cut_csv(data, table.num_rows, halves[0].num_rows)
+        assert load_csv(train, table.features) == halves[0]
+        assert load_csv(test, table.features) == halves[1]
+        header = data[: data.index(b"\n") + 1]
+        assert test.startswith(header)
+        assert train + test[len(header) :] == data
+        if name == "plain":
+            assert (train, test) == (save_csv(halves[0]), save_csv(halves[1]))
+
+    def test_cut_must_leave_both_parts_rows(self, table):
+        for cut in (0, table.num_rows):
+            with pytest.raises(SplitRangeError):
+                timeseries.cut_csv(save_csv(table), table.num_rows, cut)
