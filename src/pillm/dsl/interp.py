@@ -243,8 +243,10 @@ def _windowed(x: _Series, window: int, name: str) -> _Series:
     elif name == "rmax":
         values = _rolling_extreme(x.values, window, np.maximum, -np.inf)
     else:
-        values = _rolling_moment(x.values, window, name)
-    return _Series(np.where(mask, 0.0, values), mask)
+        # Sums of squares can overflow on finite inputs; such windows are MISSING.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _rolling_moment(x.values, window, name)
+    return _clean_arith(values, mask)
 
 
 def _nbytes(series: _Series) -> int:

@@ -26,7 +26,7 @@ from .dsl.nodes import BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRe
 from .dsl.parser import MAX_BINDINGS, MAX_NODES, parse
 
 if TYPE_CHECKING:
-    import requests
+    from .transport import KeepAliveSession
 
 # The reporting layer adds "narrate" on top of the four evolutionary tags.
 REQUEST_TAGS = ("init", "reflection", "crossover", "mutation", "narrate")
@@ -107,6 +107,10 @@ class HttpProvider:
     on the wire at once. A request's `seed`, when set, is sent as the
     payload's `seed` field. The API key is read from the environment only;
     config files never carry it.
+
+    Requests go through `session`, by default a `transport.KeepAliveSession`,
+    which keeps its connections alive between calls, so a run opens at most
+    `max_in_flight` of them, and routes through the environment's proxy.
     """
 
     max_in_flight = 4
@@ -116,11 +120,17 @@ class HttpProvider:
         endpoint: str,
         model: str,
         timeout_secs: float = 60.0,
-        session: requests.Session | None = None,
+        session: KeepAliveSession | None = None,
         sleeper=time.sleep,
     ) -> None:
         url = urlsplit(endpoint) if isinstance(endpoint, str) else None
-        if url is None or url.scheme not in ("http", "https") or not url.netloc:
+        try:
+            usable = (
+                url is not None and url.scheme in ("http", "https") and bool(url.hostname) and url.port != 0
+            )
+        except ValueError:  # a port that is not a number up to 65535
+            usable = False
+        if not usable:
             raise ProviderConfigError(
                 f"http provider requires an http:// or https:// endpoint URL, got {endpoint!r}"
             )
@@ -144,11 +154,17 @@ class HttpProvider:
         self._model = model
         self._timeout = float(timeout_secs)
         self._api_key = api_key
-        # Imported on first use: only this backend needs it, and it takes ~0.1 s to import.
-        import requests
+        # Imported on first use: only this backend needs the HTTP stack, ~30 ms to import.
+        from . import transport
 
-        self._session = session or requests.Session()
-        self._network_errors = (requests.Timeout, requests.ConnectionError)
+        if session is None:
+            try:
+                transport.proxy_for(endpoint)
+            except ValueError as exc:
+                raise ProviderConfigError(str(exc)) from None
+            session = transport.KeepAliveSession()
+        self._session = session
+        self._network_errors = transport.NETWORK_ERRORS
         self._sleep = sleeper
         self._gate = threading.Semaphore(self.max_in_flight)
         self._rng = random.Random()

@@ -844,13 +844,15 @@ class TestVersion:
         assert "pillm" in result.output
 
 
-def test_cli_import_does_not_load_requests():
-    # Only the http provider needs `requests`; every other command skips its import cost.
+def test_cli_import_does_not_load_the_http_stack():
+    # Only the http provider needs it; every other command skips its import cost.
     src = str(Path(pillm.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    modules = ("requests", "http.client", "ssl", "urllib.request")
+    code = f"import pillm.cli, sys; print([m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run(
-        [sys.executable, "-c", "import pillm.cli, sys; print('requests' in sys.modules)"],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,6 +237,14 @@ class TestMissing:
     def test_overflow_becomes_missing(self):
         out = run("return $x * $x > 0", x=[1e308, 2.0])
         assert list(out) == [0.0, 1.0]
+
+    def test_windowed_overflow_becomes_missing(self):
+        # The squares of 4e301 and 5e301 overflow: that window's std is MISSING, not inf.
+        columns = {"a": [50.0, 50.0, 40.0], "b": [1e-300] * 3}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert list(run("return std($a / $b, 2)", **columns)) == [0.0, 0.0, 0.0]
+            assert list(run("return std($a / $b, 2) >= 0", **columns)) == [1.0, 1.0, 0.0]
 
 
 class TestToFlags:
