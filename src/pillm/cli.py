@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 import click
 
+# pillm never calls BLAS, so OpenBLAS's worker threads would only spin idle;
+# this must run before numpy is first imported. A value already set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from . import __version__, prompts
 from .dsl import DslError, FeatureRef, compile_rule, evaluate, parse, to_flags, typecheck, walk
-from .evolution import ConfigError, EvolutionConfig, default_seed_rule, run_evolution
+from .evolution import ConfigError, EvolutionConfig, run_evolution
 from .metrics import event_f1_pa, point_adjusted_report, pointwise_report
 from .providers import (
     HttpProvider,
@@ -286,12 +291,11 @@ def evolve(
 def report(run_dir: str, data_path: str, meta_path: str, narrate: bool) -> None:
     """Render the diagnostic report for a finished run."""
     run_path = Path(run_dir)
-    log = RunLog(run_path.parent, run_path.name)
-    records = log.records()
-    best = best_record(records)
-    if best is None:
-        _fail("run log contains no valid candidate to report on")
     try:
+        log = RunLog(run_path.parent, run_path.name)
+        best = best_record(log.records())
+        if best is None:
+            _fail("run log contains no valid candidate to report on")
         snapshot = log.config_snapshot()
         table, metas = _load_table(data_path, meta_path)
         train_table = load_csv(log.train_csv(), metas)

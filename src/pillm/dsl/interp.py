@@ -199,7 +199,11 @@ def _rolling_moment(x: np.ndarray, window: int, name: str) -> np.ndarray:
         elif name == "std":
             out[redo] = exact_std
         else:
+            std[redo] = exact_std
             out[redo] = (x[redo] - exact_mean) / (exact_std + ZSCORE_EPS)
+    if name == "zscore":
+        # (x - mean) / inf is a finite 0: a window whose variance overflows has no z-score.
+        out[~np.isfinite(std)] = np.nan
     return np.where(constant, x if name == "mean" else 0.0, out)
 
 

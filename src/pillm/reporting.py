@@ -62,6 +62,27 @@ class DuplicateRecordError(RunLogError):
     """A candidate_id was appended twice."""
 
 
+def _json_object(data: bytes, path: Path, line: int = 1) -> dict:
+    """The JSON object in `data`, read from `path` at 1-based `line`.
+
+    Anything else, such as the torn last line a crash mid-append leaves,
+    raises `RunLogError` naming the file and the line.
+    """
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line += data.count(b"\n", 0, exc.start)
+        problem = "is not valid UTF-8"
+    except json.JSONDecodeError as exc:
+        line += exc.lineno - 1
+        problem = f"is not valid JSON ({exc.msg})"
+    else:
+        if isinstance(doc, dict):
+            return doc
+        problem = "is not a JSON object"
+    raise RunLogError(f"{path} line {line} {problem}")
+
+
 class RunLog:
     """Single writer of the run directory `runs/<run_id>/` and all its files."""
 
@@ -105,17 +126,17 @@ class RunLog:
         if not self.path.exists():
             return []
         out = []
-        with open(self.path, encoding="utf-8") as handle:
-            for line in handle:
+        with open(self.path, "rb") as handle:
+            for number, line in enumerate(handle, 1):
                 if line.strip():
-                    out.append(json.loads(line))
+                    out.append(_json_object(line, self.path, number))
         return out
 
     def config_snapshot(self) -> dict:
         path = self.dir / CONFIG_SNAPSHOT_NAME
         if not path.exists():
             raise RunLogError(f"missing {CONFIG_SNAPSHOT_NAME} in {self.dir}")
-        return json.loads(path.read_text(encoding="utf-8"))
+        return _json_object(path.read_bytes(), path)
 
     def write_split(self, train_csv: bytes, test_csv: bytes, meta_json: str) -> None:
         """Archive the train/test split the run was evolved and reported on."""

@@ -704,6 +704,25 @@ class TestReport:
         assert "error: " in result.output and f"missing {name}" in result.output
         assert not (run_dir / "report.txt").exists()
 
+    @pytest.mark.parametrize("name", ["run.jsonl", "config.snapshot"])
+    def test_undecodable_run_file_fails_cleanly(self, tmp_path, runner, sim_corpus, name):
+        run_dir = self.finished_run(tmp_path, runner, sim_corpus)
+        path = run_dir / name
+        if name == "run.jsonl":
+            # The torn last line a crash mid-append leaves.
+            line = len(path.read_bytes().splitlines()) + 1
+            path.write_bytes(path.read_bytes() + b'{"generation": 3, "candidate_id": "c00')
+        else:
+            line = 2
+            path.write_bytes(b'{"seed": 11,\n')
+        result = runner.invoke(
+            main,
+            ["report", "--run", str(run_dir), "--data", str(run_dir / "test.csv"), "--meta", str(run_dir / "meta.json")],
+        )
+        assert result.exit_code == 1
+        assert result.output.startswith(f"error: {path} line {line} is not valid JSON"), result.output
+        assert not (run_dir / "report.txt").exists()
+
     def test_narrate_is_identity_offline(self, tmp_path, runner, sim_corpus):
         run_dir = self.finished_run(tmp_path, runner, sim_corpus)
         args = [
@@ -844,15 +863,60 @@ class TestVersion:
         assert "pillm" in result.output
 
 
-def test_cli_import_does_not_load_the_http_stack():
-    # Only the http provider needs it; every other command skips its import cost.
+def python_output(code: str, **env: str) -> str:
+    """Stdout of `python -c code` on this checkout, with no OPENBLAS_NUM_THREADS unless in `env`."""
     src = str(Path(pillm.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    modules = ("requests", "http.client", "ssl", "urllib.request")
-    code = f"import pillm.cli, sys; print([m for m in {modules!r} if m in sys.modules])"
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        capture_output=True, text=True, env={**base, "PYTHONPATH": path, **env}, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_does_not_load_the_http_stack():
+    # Only the http provider needs it; every other command skips its import cost.
+    modules = ("requests", "http.client", "ssl", "urllib.request")
+    code = f"import pillm.cli, sys; print([m for m in {modules!r} if m in sys.modules])"
+    assert python_output(code) == "[]"
+
+
+def test_package_import_loads_nothing():
+    code = "import pillm, sys; print([m for m in sys.modules if m == 'numpy' or m.startswith('pillm.')])"
+    assert python_output(code) == "[]"
+
+
+def test_package_exports_are_their_submodules_objects():
+    code = (
+        "import pillm, sys\n"
+        "for name in pillm.__all__:\n"
+        "    if name != '__version__':\n"
+        "        obj = getattr(pillm, name)\n"
+        "        print(name, obj.__module__, getattr(sys.modules[obj.__module__], name) is obj)\n"
+    )
+    lines = python_output(code).splitlines()
+    assert len(lines) == len(pillm.__all__) - 1
+    for line in lines:
+        name, module, same = line.split()
+        assert module.startswith("pillm.") and same == "True", line
+
+
+def test_cli_import_sets_one_blas_thread():
+    # pillm never calls BLAS; one thread spares OpenBLAS's idle worker.
+    code = (
+        "import os, pillm.cli\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        "tasks = '/proc/self/task'\n"
+        "print(len(os.listdir(tasks)) if os.path.isdir(tasks) else 'no-proc')\n"
+    )
+    blas, threads = python_output(code).split()
+    assert blas == "1"
+    if threads != "no-proc":
+        assert threads == "1"
+
+
+def test_cli_import_keeps_a_preset_blas_thread_count():
+    code = "import os, pillm.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert python_output(code, OPENBLAS_NUM_THREADS="2") == "2"

@@ -245,6 +245,8 @@ class TestMissing:
             warnings.simplefilter("error")
             assert list(run("return std($a / $b, 2)", **columns)) == [0.0, 0.0, 0.0]
             assert list(run("return std($a / $b, 2) >= 0", **columns)) == [1.0, 1.0, 0.0]
+            # So is its z-score, which (x - mean) / inf would make a finite 0.
+            assert list(run("return not (zscore($a / $b, 2) < -0.5)", **columns)) == [1.0, 1.0, 0.0]
 
 
 class TestToFlags:

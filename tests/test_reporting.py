@@ -109,6 +109,24 @@ class TestRunLog:
         with pytest.raises(RunLogError, match="config.snapshot"):
             log.config_snapshot()
 
+    @pytest.mark.parametrize(
+        "tail, problem",
+        [
+            (b'{"generation": 3, "candidate_id": "c00', "is not valid JSON"),
+            (b'{"code": "caf\xe9"}\n', "is not valid UTF-8"),
+            (b"[1, 2]\n", "is not a JSON object"),
+        ],
+    )
+    def test_undecodable_files_name_the_line(self, tmp_path, tail, problem):
+        log = RunLog(tmp_path, "run-a")
+        log.append(record("c0000"))
+        log.path.write_bytes(log.path.read_bytes() + b"\n" + tail)
+        with pytest.raises(RunLogError, match=f"{RUN_LOG_NAME} line 3 {problem}"):
+            log.records()
+        (log.dir / CONFIG_SNAPSHOT_NAME).write_bytes(tail)
+        with pytest.raises(RunLogError, match=f"{CONFIG_SNAPSHOT_NAME} line 1 {problem}"):
+            log.config_snapshot()
+
     def test_write_best_keeps_code_and_context(self, tmp_path):
         log = RunLog(tmp_path, "run-a")
         log.write_best("return $x > 1", "Two lines\nof context.")
