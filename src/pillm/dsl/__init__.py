@@ -16,7 +16,7 @@ from .errors import BudgetError, DslError, DslSyntaxError, DslTypeError
 from .formatter import format_rule
 from .interp import EVAL_BUDGET, EvalMemo, evaluate, to_flags
 from .nodes import BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef, children, walk
-from .parser import BUILTINS, MAX_BINDINGS, MAX_NODES, MAX_WINDOW, parse
+from .parser import BUILTINS, MAX_BINDINGS, MAX_DEPTH, MAX_NODES, MAX_WINDOW, parse
 
 __all__ = [
     "BUILTINS",
@@ -31,6 +31,7 @@ __all__ = [
     "Expr",
     "FeatureRef",
     "MAX_BINDINGS",
+    "MAX_DEPTH",
     "MAX_NODES",
     "MAX_WINDOW",
     "Num",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DslTypeError
-from .nodes import BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef, walk
+from .nodes import COMPARISONS, BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef, walk
 from .parser import BUILTINS
 
 _NUM = "numeric-series"
@@ -60,7 +60,7 @@ def typecheck(ast: RuleAst, features: Iterable[str]) -> TypedRule:
                 _require(left, _BOOL, f"{expr.op!r}", expr)
                 _require(right, _BOOL, f"{expr.op!r}", expr)
                 return _BOOL
-            if expr.op in (">", "<", ">=", "<=", "==", "!="):
+            if expr.op in COMPARISONS:
                 _require(left, _NUM, f"comparison {expr.op!r}", expr)
                 _require(right, _NUM, f"comparison {expr.op!r}", expr)
                 return _BOOL

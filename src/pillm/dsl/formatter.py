@@ -8,23 +8,17 @@ around binary operators.
 
 from __future__ import annotations
 
-from .nodes import BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef
+from .nodes import BINARY_PREC, COMPARISONS, NEG_PREC, NOT_PREC, BinOp, Call, Expr, FeatureRef
+from .nodes import Num, RuleAst, Unary, VarRef
 
-_OP_PREC = {
-    "or": 1,
-    "and": 2,
-    ">": 4, "<": 4, ">=": 4, "<=": 4, "==": 4, "!=": 4,
-    "+": 5, "-": 5,
-    "*": 6, "/": 6,
-}
-_PRIMARY = 8
+_PRIMARY = NEG_PREC + 1
 
 
 def _prec(expr: Expr) -> int:
     if isinstance(expr, BinOp):
-        return _OP_PREC[expr.op]
+        return BINARY_PREC[expr.op]
     if isinstance(expr, Unary):
-        return 3 if expr.op == "not" else 7
+        return NOT_PREC if expr.op == "not" else NEG_PREC
     return _PRIMARY
 
 
@@ -34,7 +28,7 @@ def _format_number(value: float) -> str:
     return repr(value)
 
 
-def _format_expr(expr: Expr, min_prec: int) -> str:
+def _format_expr(expr: Expr, min_prec: int = 0) -> str:
     if isinstance(expr, Num):
         text = _format_number(expr.value)
     elif isinstance(expr, FeatureRef):
@@ -42,22 +36,18 @@ def _format_expr(expr: Expr, min_prec: int) -> str:
     elif isinstance(expr, VarRef):
         text = expr.name
     elif isinstance(expr, Call):
-        args = ", ".join(_format_expr(a, 1) for a in expr.args)
+        args = ", ".join(_format_expr(a) for a in expr.args)
         text = f"{expr.name}({args})"
     elif isinstance(expr, Unary):
         if expr.op == "not":
-            text = f"not {_format_expr(expr.operand, 4)}"
+            text = f"not {_format_expr(expr.operand, NOT_PREC + 1)}"
         else:
             text = f"-{_format_expr(expr.operand, _PRIMARY)}"
     elif isinstance(expr, BinOp):
-        own = _OP_PREC[expr.op]
-        if expr.op in (">", "<", ">=", "<=", "==", "!="):
-            # Comparisons do not chain: both operands sit at the add level.
-            left = _format_expr(expr.left, own + 1)
-            right = _format_expr(expr.right, own + 1)
-        else:
-            left = _format_expr(expr.left, own)
-            right = _format_expr(expr.right, own + 1)
+        own = BINARY_PREC[expr.op]
+        # Comparisons do not chain, so their left operand binds tighter too.
+        left = _format_expr(expr.left, own + 1 if expr.op in COMPARISONS else own)
+        right = _format_expr(expr.right, own + 1)
         text = f"{left} {expr.op} {right}"
     else:
         raise TypeError(f"not an expression node: {expr!r}")
@@ -68,6 +58,6 @@ def _format_expr(expr: Expr, min_prec: int) -> str:
 
 def format_rule(ast: RuleAst) -> str:
     """Render an AST as canonical rule source."""
-    lines = [f"{name} = {_format_expr(expr, 1)}" for name, expr in ast.bindings]
-    lines.append(f"return {_format_expr(ast.result, 1)}")
+    lines = [f"{name} = {_format_expr(expr)}" for name, expr in ast.bindings]
+    lines.append(f"return {_format_expr(ast.result)}")
     return "\n".join(lines)

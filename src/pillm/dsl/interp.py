@@ -36,7 +36,7 @@ import numpy as np
 from ..timeseries import TimeSeriesTable
 from .checker import TypedRule
 from .errors import BudgetError
-from .nodes import BinOp, Call, Expr, FeatureRef, Num, Unary, VarRef
+from .nodes import COMPARISONS, BinOp, Call, Expr, FeatureRef, Num, Unary, VarRef
 
 EVAL_BUDGET = 2**28
 ZSCORE_EPS = 1e-9
@@ -48,6 +48,12 @@ _TOL = 1e-10
 _CHUNK = 1 << 16
 # The builtins whose results an `EvalMemo` keeps.
 _MEMOIZED = frozenset({"mean", "std", "rmin", "rmax", "zscore", "ewma"})
+# The binary operators that are one numpy ufunc; `/` also masks zero denominators.
+_UFUNCS = {
+    ">": np.greater, "<": np.less, ">=": np.greater_equal,
+    "<=": np.less_equal, "==": np.equal, "!=": np.not_equal,
+    "+": np.add, "-": np.subtract, "*": np.multiply,
+}
 # An `EvalMemo` holds at most this many bytes of series; inserting into a full
 # memo evicts its oldest entries first.
 MEMO_BYTES = 64 << 20
@@ -349,21 +355,11 @@ class _Evaluator:
             values[known_true] = 1.0
             return _Series(np.where(mask, 0.0, values), mask)
         mask = left.missing | right.missing
-        if op in (">", "<", ">=", "<=", "==", "!="):
-            compare = {
-                ">": np.greater, "<": np.less, ">=": np.greater_equal,
-                "<=": np.less_equal, "==": np.equal, "!=": np.not_equal,
-            }[op]
-            values = compare(left.values, right.values).astype(np.float64)
+        if op in COMPARISONS:
+            values = _UFUNCS[op](left.values, right.values).astype(np.float64)
             return _Series(np.where(mask, 0.0, values), mask)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if op == "+":
-                values = left.values + right.values
-            elif op == "-":
-                values = left.values - right.values
-            elif op == "*":
-                values = left.values * right.values
-            else:  # division: a runtime zero denominator is MISSING at that row
+            if op == "/":  # a runtime zero denominator is MISSING at that row
                 zero_den = ~right.missing & (right.values == 0.0)
                 mask = mask | zero_den
                 values = np.divide(
@@ -372,6 +368,8 @@ class _Evaluator:
                     out=np.zeros(self._length, dtype=np.float64),
                     where=~mask,
                 )
+            else:
+                values = _UFUNCS[op](left.values, right.values)
         return _clean_arith(values, mask)
 
     def _key(self, expr: Expr) -> tuple:

@@ -14,6 +14,20 @@ Pos = tuple[int, int]
 
 _NOWHERE: Pos = (0, 0)
 
+# How tightly each binary operator binds; a higher level binds tighter. The
+# parser, the printer, the checker and the interpreter all read this table.
+BINARY_PREC: dict[str, int] = {
+    "or": 1,
+    "and": 2,
+    ">": 4, "<": 4, ">=": 4, "<=": 4, "==": 4, "!=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6,
+}
+NOT_PREC = 3  # `not` binds looser than a comparison, tighter than `and`
+NEG_PREC = 7  # unary `-` applies to a primary only
+# Comparisons do not chain: `a < b < c` is a syntax error.
+COMPARISONS = frozenset(op for op, prec in BINARY_PREC.items() if prec == BINARY_PREC["=="])
+
 
 @dataclass(frozen=True)
 class Num:

@@ -4,13 +4,17 @@ Grammar (whitespace-insensitive; `#` starts a comment running to end of line):
 
     program := { binding } "return" expr
     binding := IDENT "=" expr terminator
-    expr    := or ;  or := and { "or" and } ;  and := not { "and" not }
-    not     := [ "not" ] cmp
-    cmp     := add [ ( ">" | "<" | ">=" | "<=" | "==" | "!=" ) add ]
-    add     := mul { ( "+" | "-" ) mul } ;  mul := unary { ( "*" | "/" ) unary }
-    unary   := [ "-" ] primary
+    expr    := [ "not" ] term { BINOP [ "not" ] term }
+    term    := [ "-" ] primary
     primary := NUMBER | "$" IDENT | IDENT | call | "(" expr ")"
     call    := IDENT "(" [ expr { "," expr } ] ")"
+
+How tightly each BINOP binds, and where `not` and unary `-` sit between
+them, is `nodes.BINARY_PREC`, `NOT_PREC` and `NEG_PREC`; loosest first:
+`or`, `and`, `not`, comparisons, `+ -`, `* /`, unary `-`. So a `not`
+starts only an expression or an operand of `and`/`or`, and negates all up to
+the next `and`/`or`. Binary operators are left-associative, except that
+comparisons do not chain.
 
 A binding's terminator is a newline or `;`. Newlines inside parentheses are
 joined implicitly, so expressions may wrap across lines when parenthesized.
@@ -22,10 +26,12 @@ import re
 from dataclasses import dataclass
 
 from .errors import DslSyntaxError
-from .nodes import BinOp, Call, Expr, FeatureRef, Num, Pos, RuleAst, Unary, VarRef
+from .nodes import BINARY_PREC, COMPARISONS, NOT_PREC, BinOp, Call, Expr
+from .nodes import FeatureRef, Num, Pos, RuleAst, Unary, VarRef
 
 MAX_SOURCE_BYTES = 16 * 1024
 MAX_NODES = 512
+MAX_DEPTH = 64  # parentheses and call argument lists open at once
 MAX_BINDINGS = 32
 MIN_WINDOW = 1
 MAX_WINDOW = 1024
@@ -45,6 +51,7 @@ BUILTINS: dict[str, tuple[int, int | None]] = {
 }
 
 KEYWORDS = ("return", "and", "or", "not")
+_TIGHTEST = max(BINARY_PREC.values())
 
 _TOKEN_RE = re.compile(
     r"""
@@ -92,6 +99,8 @@ def _tokenize(source: str) -> list[_Token]:
         if kind == "OP":
             if text == "(":
                 depth += 1
+                if depth > MAX_DEPTH:
+                    raise DslSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", *pos)
             elif text == ")":
                 depth = max(0, depth - 1)
         tokens.append(_Token(kind, text, pos))
@@ -170,64 +179,33 @@ class _Parser:
             *tok.pos,
         )
 
-    def _parse_expr(self, bound: set[str]) -> Expr:
-        return self._parse_or(bound)
+    def _parse_expr(self, bound: set[str], prec: int = 0) -> Expr:
+        """An expression whose binary operators bind at level `prec` or tighter.
 
-    def _parse_or(self, bound: set[str]) -> Expr:
-        node = self._parse_and(bound)
-        while self._peek().kind == "KEYWORD" and self._peek().text == "or":
-            op = self._advance()
-            node = BinOp("or", node, self._parse_and(bound), pos=op.pos)
-        return node
-
-    def _parse_and(self, bound: set[str]) -> Expr:
-        node = self._parse_not(bound)
-        while self._peek().kind == "KEYWORD" and self._peek().text == "and":
-            op = self._advance()
-            node = BinOp("and", node, self._parse_not(bound), pos=op.pos)
-        return node
-
-    def _parse_not(self, bound: set[str]) -> Expr:
+        Precedence climbing over `BINARY_PREC`: each operator's right operand
+        is parsed one level tighter, which makes every level left-associative.
+        """
         tok = self._peek()
-        if tok.kind == "KEYWORD" and tok.text == "not":
+        top = _TIGHTEST  # the tightest operator that may take `node` as its left operand
+        if prec <= NOT_PREC and tok.kind == "KEYWORD" and tok.text == "not":
             self._advance()
-            return Unary("not", self._parse_cmp(bound), pos=tok.pos)
-        return self._parse_cmp(bound)
-
-    def _parse_cmp(self, bound: set[str]) -> Expr:
-        node = self._parse_add(bound)
-        tok = self._peek()
-        if tok.kind == "OP" and tok.text in (">", "<", ">=", "<=", "==", "!="):
+            node: Expr = Unary("not", self._parse_expr(bound, NOT_PREC + 1), pos=tok.pos)
+            top = NOT_PREC  # only `and` and `or` may follow
+        elif tok.kind == "OP" and tok.text == "-":
             self._advance()
-            node = BinOp(tok.text, node, self._parse_add(bound), pos=tok.pos)
-        return node
-
-    def _parse_add(self, bound: set[str]) -> Expr:
-        node = self._parse_mul(bound)
+            node = Unary("-", self._parse_primary(bound), pos=tok.pos)
+        else:
+            node = self._parse_primary(bound)
         while True:
             tok = self._peek()
-            if tok.kind == "OP" and tok.text in ("+", "-"):
-                self._advance()
-                node = BinOp(tok.text, node, self._parse_mul(bound), pos=tok.pos)
-            else:
+            # Only OP and KEYWORD tokens spell an operator in the table.
+            op_prec = BINARY_PREC.get(tok.text, -1)
+            if not prec <= op_prec <= top:
                 return node
-
-    def _parse_mul(self, bound: set[str]) -> Expr:
-        node = self._parse_unary(bound)
-        while True:
-            tok = self._peek()
-            if tok.kind == "OP" and tok.text in ("*", "/"):
-                self._advance()
-                node = BinOp(tok.text, node, self._parse_unary(bound), pos=tok.pos)
-            else:
-                return node
-
-    def _parse_unary(self, bound: set[str]) -> Expr:
-        tok = self._peek()
-        if tok.kind == "OP" and tok.text == "-":
             self._advance()
-            return Unary("-", self._parse_primary(bound), pos=tok.pos)
-        return self._parse_primary(bound)
+            node = BinOp(tok.text, node, self._parse_expr(bound, op_prec + 1), pos=tok.pos)
+            # Comparisons do not chain; the right operand stopped before any tighter operator.
+            top = op_prec - 1 if tok.text in COMPARISONS else op_prec
 
     def _parse_primary(self, bound: set[str]) -> Expr:
         tok = self._peek()

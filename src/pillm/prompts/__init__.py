@@ -3,11 +3,10 @@
 The five templates (initial generation, the generator system prompt, the
 reflection system prompt, crossover, and elitist mutation) live as plain
 text files so they can be inspected and swapped out without code changes:
-`prompts_dir` (the `load_template`, `load_templates` and `render` argument,
-and `pillm evolve --prompts-dir`) points at an alternative directory that
-holds all five, for prompt experimentation. The packaged bodies are read
-once per process; an override directory is read on every call, and the
-evolution engine reads its templates once, when it starts.
+`prompts_dir` (the `load_template` and `load_templates` argument, and
+`pillm evolve --prompts-dir`) points at an alternative directory that holds
+all five, for prompt experimentation. The packaged bodies are read once per
+process, and the evolution engine reads its templates once, when it starts.
 Placeholders use `{name}` slots filled by literal substitution only.
 """
 
@@ -151,20 +150,16 @@ def load_templates(prompts_dir: str | Path | None = None) -> dict[str, str]:
 def render(
     template_id: str,
     bindings: Mapping[str, str],
-    prompts_dir: str | Path | None = None,
     templates: Mapping[str, str] | None = None,
 ) -> str:
     """Substitute `{placeholder}` slots literally; no recursive expansion.
 
     The body comes from `templates` when given (as `load_templates` returns
-    them), else from `load_template(template_id, prompts_dir)`. Missing
-    bindings raise; bindings without a matching slot only warn, so callers
-    can reuse one binding dict across several templates.
+    them), else from the packaged template. Missing bindings raise; bindings
+    without a matching slot only warn, so callers can reuse one binding dict
+    across several templates.
     """
-    if templates is not None:
-        body = templates[template_id]
-    else:
-        body = load_template(template_id, prompts_dir)
+    body = templates[template_id] if templates is not None else load_template(template_id)
     slots = set(_PLACEHOLDER_RE.findall(body))
     expected = PLACEHOLDERS[template_id]
     for slot in slots:

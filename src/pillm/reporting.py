@@ -48,6 +48,9 @@ RECORD_FIELDS = (
     "request_tags_used",
 )
 
+# The record fields `report` reads; every run log has carried them from the first.
+_REPORTED_FIELDS = ("candidate_id", "fitness", "code", "context")
+
 SEVERITY_LOW_SCORE = 0.5
 SEVERITY_MODERATE_FRACTION = 0.01
 
@@ -123,13 +126,20 @@ class RunLog:
             os.fsync(handle.fileno())
 
     def records(self) -> list[dict]:
+        """Every record in the log; `RunLogError` names the first line that is not one."""
         if not self.path.exists():
             return []
         out = []
         with open(self.path, "rb") as handle:
             for number, line in enumerate(handle, 1):
                 if line.strip():
-                    out.append(_json_object(line, self.path, number))
+                    record = _json_object(line, self.path, number)
+                    missing = [key for key in _REPORTED_FIELDS if key not in record]
+                    if missing:
+                        raise RunLogError(
+                            f"{self.path} line {number} is missing fields: {', '.join(missing)}"
+                        )
+                    out.append(record)
         return out
 
     def config_snapshot(self) -> dict:

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 import pillm
 from pillm.cli import main
+from pillm.dsl import MAX_DEPTH
 from pillm.prompts import TEMPLATE_IDS, load_template
 from pillm.providers import SamplerProvider
 from pillm.reporting import RunLog, best_record
@@ -161,6 +162,15 @@ class TestCheck:
         assert result.exit_code == 1
         assert "error:" in result.output
         assert "1:" in result.output  # LINE:COL diagnostic
+
+    def test_nesting_past_the_cap_is_a_diagnostic(self, tmp_path, runner):
+        rule = tmp_path / "rule.txt"
+        rule.write_text("return " + "(" * 110 + "1" + ")" * 110 + " > 0\n")
+        result = runner.invoke(main, ["check", "--rule", str(rule)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        column = len("return ") + MAX_DEPTH + 1  # the first parenthesis past the cap
+        assert result.output == f"error: 1:{column}: nesting deeper than {MAX_DEPTH} levels\n"
 
     def test_unknown_feature_with_meta(self, tmp_path, runner):
         _, meta = write_spike_corpus(tmp_path)
@@ -490,6 +500,45 @@ class TestEvolve:
         )
         assert report.exit_code == 0, report.output
 
+    def test_answer_nested_too_deep_is_retried(self, tmp_path, runner, sim_corpus):
+        data, meta = sim_corpus
+        config = evolve_config(tmp_path, population_size=3, generations=0, retry_budget=1)
+        deep = "return " + "(" * 110 + "$zone_temp" + ")" * 110 + " > 30"
+        answers = [deep, "return $zone_temp > 30", "return $zone_temp > 31"]
+        script = tmp_path / "script.jsonl"
+        script.write_text(
+            "".join(
+                json.dumps({"tag": "init", "text": f"```rule\n{code}\n```\n\n```context\nWarm.\n```"}) + "\n"
+                for code in answers
+            ),
+            encoding="utf-8",
+        )
+        result = runner.invoke(
+            main,
+            [
+                "evolve",
+                "--data",
+                str(data),
+                "--meta",
+                str(meta),
+                "--config",
+                str(config),
+                "--provider",
+                "scripted",
+                "--script",
+                str(script),
+                "--out",
+                str(tmp_path / "runs"),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        run_dir = run_dir_from(result.output)
+        records = [json.loads(line) for line in (run_dir / "run.jsonl").read_text().splitlines()]
+        assert [r["request_tags_used"] for r in records[1:]] == [["init", "init"], ["init"]]
+        assert [r["code"] for r in records[1:]] == answers[1:]
+        assert all(r["fitness"] is not None for r in records)
+        assert (run_dir / "best.rule").exists()
+
     def test_crashed_run_keeps_streams(self, tmp_path, runner, sim_corpus, monkeypatch):
         data, meta = sim_corpus
         config = evolve_config(tmp_path)
@@ -721,6 +770,22 @@ class TestReport:
         )
         assert result.exit_code == 1
         assert result.output.startswith(f"error: {path} line {line} is not valid JSON"), result.output
+        assert not (run_dir / "report.txt").exists()
+
+    def test_record_missing_fields_fails_cleanly(self, tmp_path, runner, sim_corpus):
+        run_dir = self.finished_run(tmp_path, runner, sim_corpus)
+        path = run_dir / "run.jsonl"
+        line = len(path.read_bytes().splitlines()) + 1
+        path.write_bytes(path.read_bytes() + b'{"generation": 3}\n')
+        result = runner.invoke(
+            main,
+            ["report", "--run", str(run_dir), "--data", str(run_dir / "test.csv"), "--meta", str(run_dir / "meta.json")],
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == (
+            f"error: {path} line {line} is missing fields: candidate_id, fitness, code, context\n"
+        )
         assert not (run_dir / "report.txt").exists()
 
     def test_narrate_is_identity_offline(self, tmp_path, runner, sim_corpus):

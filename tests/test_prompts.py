@@ -41,8 +41,10 @@ class TestTemplates:
             assert slots == set(PLACEHOLDERS[template_id]), template_id
 
     def test_override_directory(self, tmp_path):
+        for template_id in TEMPLATE_IDS:
+            (tmp_path / f"{template_id}.txt").write_text(f"other {template_id}")
         (tmp_path / "init.txt").write_text("custom {task_description}")
-        body = render("init", {"task_description": "T"}, prompts_dir=tmp_path)
+        body = render("init", {"task_description": "T"}, templates=load_templates(tmp_path))
         assert body == "custom T"
 
     def test_override_missing_file(self, tmp_path):
