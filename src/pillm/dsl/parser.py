@@ -16,12 +16,14 @@ starts only an expression or an operand of `and`/`or`, and negates all up to
 the next `and`/`or`. Binary operators are left-associative, except that
 comparisons do not chain.
 
-A binding's terminator is a newline or `;`. Newlines inside parentheses are
+A NUMBER that overflows a float, like `1e999`, is a syntax error. A
+binding's terminator is a newline or `;`. Newlines inside parentheses are
 joined implicitly, so expressions may wrap across lines when parenthesized.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -211,7 +213,10 @@ class _Parser:
         tok = self._peek()
         if tok.kind == "NUMBER":
             self._advance()
-            return Num(float(tok.text), pos=tok.pos)
+            value = float(tok.text)
+            if not math.isfinite(value):  # the literal overflows a float, like 1e999
+                raise DslSyntaxError(f"number {tok.text!r} is too large", *tok.pos)
+            return Num(value, pos=tok.pos)
         if tok.kind == "FEATURE":
             self._advance()
             return FeatureRef(tok.text[1:], pos=tok.pos)

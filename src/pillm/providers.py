@@ -38,6 +38,11 @@ RETRY_BASE_SECONDS = 1.0
 RETRY_FACTOR = 2.0
 # A server's Retry-After is honoured up to the largest backoff ceiling.
 RETRY_AFTER_MAX_SECONDS = RETRY_BASE_SECONDS * RETRY_FACTOR ** (RETRY_MAX_ATTEMPTS - 1)
+# The longest `timeout_secs` an `HttpProvider` takes: one day. A socket
+# cannot take a much longer one (1e10 s overflows its deadline).
+MAX_TIMEOUT_SECONDS = 86_400.0
+# Replies that make an `AdaptiveGate` halve its limit.
+OVERLOAD_STATUSES = (429, 503)
 
 
 class ProviderError(Exception):
@@ -97,23 +102,60 @@ class Provider(Protocol):
     def complete(self, request: CompletionRequest) -> CompletionResult: ...
 
 
+class AdaptiveGate:
+    """Admits at most `limit` holders at once; the limit follows the server's replies.
+
+    `release(status)` halves the limit on a 429 or 503 reply, down to 1, and
+    raises it by one on any other reply, up to `cap`; a post that got no
+    reply (status None) leaves it as it is. A lowered limit admits no one
+    until enough holders have left. The limit starts at `cap`.
+    """
+
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        self.limit = cap
+        self._held = 0
+        self._changed = threading.Condition()
+
+    def acquire(self) -> None:
+        with self._changed:
+            self._changed.wait_for(lambda: self._held < self.limit)
+            self._held += 1
+
+    def release(self, status: int | None) -> None:
+        with self._changed:
+            self._held -= 1
+            if status in OVERLOAD_STATUSES:
+                self.limit = max(1, self.limit // 2)
+            elif status is not None:
+                self.limit = min(self.cap, self.limit + 1)
+            self._changed.notify_all()
+
+
 class HttpProvider:
-    """Chat-completions-style HTTP backend with retry and an in-flight cap.
+    """Chat-completions-style HTTP backend with retry and an adaptive in-flight limit.
 
     Retries 429, 5xx, timeouts, and connection failures with exponential
     backoff (base 1 s, factor 2, full jitter, at most 5 attempts). A 429 or
     503 reply with a numeric `Retry-After` waits that many seconds instead,
-    at most `RETRY_AFTER_MAX_SECONDS`. At most `max_in_flight` requests are
-    on the wire at once. A request's `seed`, when set, is sent as the
-    payload's `seed` field. The API key is read from the environment only;
-    config files never carry it.
+    at most `RETRY_AFTER_MAX_SECONDS`. A request's `seed`, when set, is sent
+    as the payload's `seed` field. The API key is read from the environment
+    only; config files never carry it.
+
+    Requests pass an `AdaptiveGate` before they go on the wire. It admits up
+    to `max_in_flight` at once, enough for a run's widest wave (its N-1 init
+    requests) up to a population of 17, so a run of G generations waits
+    through 1 + 2G round trips. The gate halves its limit on each 429 or
+    503 reply, down to 1, and raises it by one on any other reply, so a
+    server that admits fewer requests sets the width. A wait at the gate is
+    not a retry attempt.
 
     Requests go through `session`, by default a `transport.KeepAliveSession`,
     which keeps its connections alive between calls, so a run opens at most
     `max_in_flight` of them, and routes through the environment's proxy.
     """
 
-    max_in_flight = 4
+    max_in_flight = 16
 
     def __init__(
         self,
@@ -139,10 +181,11 @@ class HttpProvider:
         if (
             not isinstance(timeout_secs, (int, float))
             or isinstance(timeout_secs, bool)
-            or not 0 < timeout_secs < math.inf
+            or not 0 < timeout_secs <= MAX_TIMEOUT_SECONDS
         ):
             raise ProviderConfigError(
-                f"timeout_secs must be a finite number > 0, got {timeout_secs!r}"
+                f"timeout_secs must be a number of seconds in (0, {MAX_TIMEOUT_SECONDS:g}], "
+                f"got {timeout_secs!r}"
             )
         api_key = os.environ.get(API_KEY_ENV)
         if not api_key:
@@ -166,7 +209,7 @@ class HttpProvider:
         self._session = session
         self._network_errors = transport.NETWORK_ERRORS
         self._sleep = sleeper
-        self._gate = threading.Semaphore(self.max_in_flight)
+        self._gate = AdaptiveGate(self.max_in_flight)
         self._rng = random.Random()
         self.provider_id = f"http:{model}"
 
@@ -188,16 +231,13 @@ class HttpProvider:
         for attempt in range(1, RETRY_MAX_ATTEMPTS + 1):
             retry_after = None
             try:
-                with self._gate:
-                    response = self._session.post(
-                        self._endpoint, json=payload, headers=headers, timeout=self._timeout
-                    )
+                response = self._post(payload, headers)
             except self._network_errors as exc:
                 last_reason = f"network error: {exc}"
             else:
                 if response.status_code == 429 or response.status_code >= 500:
                     last_reason = f"HTTP {response.status_code}"
-                    if response.status_code in (429, 503):
+                    if response.status_code in OVERLOAD_STATUSES:
                         retry_after = _retry_after_seconds(response.headers.get("Retry-After"))
                 elif response.status_code != 200:
                     raise CompletionError(
@@ -219,6 +259,19 @@ class HttpProvider:
         raise CompletionError(
             f"[{request.tag}] gave up after {RETRY_MAX_ATTEMPTS} attempts ({last_reason})"
         )
+
+    def _post(self, payload: dict, headers: dict[str, str]):
+        """One post, sent once the gate admits it; its reply's status adjusts the gate."""
+        self._gate.acquire()
+        status = None
+        try:
+            response = self._session.post(
+                self._endpoint, json=payload, headers=headers, timeout=self._timeout
+            )
+            status = response.status_code
+            return response
+        finally:
+            self._gate.release(status)
 
     @staticmethod
     def _extract_text(response, tag: str) -> str:

@@ -172,6 +172,14 @@ class TestCheck:
         column = len("return ") + MAX_DEPTH + 1  # the first parenthesis past the cap
         assert result.output == f"error: 1:{column}: nesting deeper than {MAX_DEPTH} levels\n"
 
+    def test_number_past_float_range_is_a_diagnostic(self, tmp_path, runner):
+        rule = tmp_path / "rule.txt"
+        rule.write_text("return mean($x, 1e999) > 0\n")
+        result = runner.invoke(main, ["check", "--rule", str(rule)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == "error: 1:17: number '1e999' is too large\n"
+
     def test_unknown_feature_with_meta(self, tmp_path, runner):
         _, meta = write_spike_corpus(tmp_path)
         rule = tmp_path / "rule.txt"
@@ -358,6 +366,8 @@ class TestEvolve:
             {"timeout_secs": "abc"},
             {"timeout_secs": -1},
             {"timeout_secs": 0},
+            {"timeout_secs": 1e10},
+            {"timeout_secs": 86_401},
             {"endpoint": 5},
             {"endpoint": "localhost:8000/v1"},
             {"model": ""},
@@ -381,6 +391,8 @@ class TestEvolve:
             )
             assert result.exit_code == 3, (bad, result.output)
             assert "error: " in result.output, bad
+            if "timeout_secs" in bad:
+                assert "error: timeout_secs must be" in result.output, bad
             assert list(out.iterdir()) == []
 
     def test_unknown_provider_key_exits_3_before_run_dir(self, tmp_path, runner, sim_corpus):
@@ -500,11 +512,10 @@ class TestEvolve:
         )
         assert report.exit_code == 0, report.output
 
-    def test_answer_nested_too_deep_is_retried(self, tmp_path, runner, sim_corpus):
+    def assert_bad_answer_is_retried(self, tmp_path, runner, sim_corpus, bad_code):
         data, meta = sim_corpus
         config = evolve_config(tmp_path, population_size=3, generations=0, retry_budget=1)
-        deep = "return " + "(" * 110 + "$zone_temp" + ")" * 110 + " > 30"
-        answers = [deep, "return $zone_temp > 30", "return $zone_temp > 31"]
+        answers = [bad_code, "return $zone_temp > 30", "return $zone_temp > 31"]
         script = tmp_path / "script.jsonl"
         script.write_text(
             "".join(
@@ -538,6 +549,14 @@ class TestEvolve:
         assert [r["code"] for r in records[1:]] == answers[1:]
         assert all(r["fitness"] is not None for r in records)
         assert (run_dir / "best.rule").exists()
+
+    def test_answer_nested_too_deep_is_retried(self, tmp_path, runner, sim_corpus):
+        deep = "return " + "(" * 110 + "$zone_temp" + ")" * 110 + " > 30"
+        self.assert_bad_answer_is_retried(tmp_path, runner, sim_corpus, deep)
+
+    def test_answer_with_a_number_past_float_range_is_retried(self, tmp_path, runner, sim_corpus):
+        bad = "return mean($zone_temp, 1e999) > 0"
+        self.assert_bad_answer_is_retried(tmp_path, runner, sim_corpus, bad)
 
     def test_crashed_run_keeps_streams(self, tmp_path, runner, sim_corpus, monkeypatch):
         data, meta = sim_corpus

@@ -110,6 +110,17 @@ class TestParseErrors:
         with pytest.raises(DslSyntaxError):
             parse("return mean($x, 3.5)")
 
+    def test_number_past_float_range(self):
+        for src, col in (
+            ("return $x > 1e999", 13),
+            ("return mean($x, 1e999) > 0", 17),
+            ("return ewma($x, 2e308) > 0", 17),
+        ):
+            with pytest.raises(DslSyntaxError, match=r"too large") as exc:
+                parse(src)
+            assert (exc.value.line, exc.value.col) == (1, col), src
+        assert parse("return $x > 1.7e308").result.right == Num(1.7e308)
+
     def test_ewma_alpha_bounds(self):
         parse("return ewma($x, 1)")
         parse("return ewma($x, 0.3)")
@@ -254,6 +265,13 @@ class TestFormat:
     def test_numbers_render_minimally(self):
         assert format_rule(parse("return $x > 30.0")) == "return $x > 30"
         assert format_rule(parse("return $x > 0.5")) == "return $x > 0.5"
+
+    def test_largest_numbers_round_trip(self):
+        # Past the float range a literal is a syntax error, so no `inf` reaches the formatter.
+        for src in ("return $x > 1e308", "return $x > 1.7976931348623157e308"):
+            assert parse(format_rule(parse(src))) == parse(src)
+        with pytest.raises(DslSyntaxError, match="too large"):
+            format_rule(parse("return $x > 1e999"))
 
 
 class TestCompileRule:

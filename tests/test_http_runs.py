@@ -1,0 +1,167 @@
+"""Whole evolve runs through `HttpProvider`, its adaptive gate and a fake session.
+
+The fake session answers each post as a pure function of its JSON body, the
+request's seed included, so a run's artifacts must not depend on how many
+requests were in flight, on the order the replies came back in, or on how
+often the server asked the client to slow down.
+"""
+
+import hashlib
+import json
+import random
+import threading
+import time
+from collections import Counter
+from email.message import Message
+
+import pytest
+
+from pillm.evolution import EvolutionConfig, run_evolution
+from pillm.providers import API_KEY_ENV, HttpProvider, sample_rule
+from pillm.reporting import RunLog
+from pillm.timeseries import split
+from pillm.transport import Response
+
+REFLECTION_PROMPT = "Respond now with your hints"
+
+
+def reply(status: int, body: dict | None = None, retry_after: str | None = None) -> Response:
+    headers = Message()
+    if retry_after is not None:
+        headers["Retry-After"] = retry_after
+    return Response(status, headers, json.dumps(body or {}).encode())
+
+
+class SeedSession:
+    """A chat-completions server in-process, answering by request.
+
+    A reflection gets a hint; any other request gets a sampled rule over
+    `features`, or, for about one request in `miss_every`, an answer with no
+    rule block, so its slot retries. Each answer takes `delay` seconds.
+
+    With `admit`, at most that many posts are served at once; one more gets
+    a 429 with `Retry-After: 1` at once. With `waves`, the i-th group of
+    `waves[i]` posts must all be in flight together: each post waits for the
+    others of its wave on a barrier, which breaks after `wave_timeout`
+    seconds and fails the post.
+    """
+
+    def __init__(self, features, miss_every=5, delay=0.0, admit=None, waves=(), wave_timeout=5.0):
+        self.features = tuple(features)
+        self.miss_every = miss_every
+        self.delay = delay
+        self.admit = admit
+        self._barriers = [threading.Barrier(size, timeout=wave_timeout) for size in waves]
+        self._lock = threading.Lock()
+        self.posts = 0
+        self.in_flight = 0
+        self.most_in_flight = 0
+        self.overloaded = 0
+
+    def answer(self, payload: dict) -> str:
+        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).digest()
+        rng = random.Random(digest)
+        if payload["messages"][-1]["content"].startswith(REFLECTION_PROMPT):
+            return f"Hint {rng.randrange(1000)}.\n\nContext {rng.randrange(1000)}."
+        if self.miss_every and rng.randrange(self.miss_every) == 0:
+            return "no rule block in this answer"
+        code = sample_rule(rng.randrange(2**31), self.features, depth_budget=3)
+        return f"```rule\n{code}\n```\n\n```context\nContext {rng.randrange(1000)}.\n```"
+
+    def post(self, url, json, headers, timeout) -> Response:
+        with self._lock:
+            index = self.posts
+            self.posts += 1
+            if self.admit is not None and self.in_flight >= self.admit:
+                self.overloaded += 1
+                return reply(429, retry_after="1")
+            self.in_flight += 1
+            self.most_in_flight = max(self.most_in_flight, self.in_flight)
+        try:
+            for barrier in self._barriers:
+                if index < barrier.parties:
+                    barrier.wait()
+                    break
+                index -= barrier.parties
+            time.sleep(self.delay)
+            return reply(200, {"choices": [{"message": {"content": self.answer(json)}}]})
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+@pytest.fixture
+def train_table(bias_corpus):
+    return split(bias_corpus, 0.7)[0]
+
+
+@pytest.fixture
+def http(monkeypatch):
+    """An `HttpProvider` on a given session whose `max_in_flight` is `cap`."""
+    monkeypatch.setenv(API_KEY_ENV, "test-key")
+
+    def make(session, cap=HttpProvider.max_in_flight, sleeper=lambda s: None) -> HttpProvider:
+        monkeypatch.setattr(HttpProvider, "max_in_flight", cap)
+        return HttpProvider(
+            endpoint="http://llm.test/v1/chat/completions", model="m",
+            session=session, sleeper=sleeper,
+        )
+
+    return make
+
+
+def config(**overrides) -> EvolutionConfig:
+    return EvolutionConfig(**{"population_size": 10, "generations": 2, "seed": 3, **overrides})
+
+
+def evolve_to(tmp_path, name, provider, table, run_config):
+    """Run `run_config` on `provider` into the run directory `name`; its files' bytes by name."""
+    log = RunLog(tmp_path, name)
+    result = run_evolution(run_config, table, provider, log=log)
+    assert not result.aborted
+    log.write_best(result.best.code, result.best.context)
+    files = {path.name: path.read_bytes() for path in log.dir.iterdir()}
+    return result, files
+
+
+class TestHttpRuns:
+    def test_requests_go_out_as_wide_as_the_dependency_graph(self, http, train_table, tmp_path):
+        # Pop 10 x gen 2: the 9 init requests, then per generation its 5
+        # reflections, then its 5 crossovers and 2 mutations together. An
+        # engine narrower than a wave leaves that wave's barrier short.
+        session = SeedSession(train_table.feature_names, miss_every=0, waves=(9, 5, 7, 5, 7))
+        result, _ = evolve_to(tmp_path, "waves", http(session), train_table, config())
+        assert result.generations_completed == 2
+        assert result.llm_calls == session.posts == 33
+        assert session.most_in_flight == 9
+        assert all(record["error"] is None for record in result.records)
+
+    def test_a_run_does_not_depend_on_its_width(self, http, train_table, tmp_path):
+        runs = {}
+        for cap in (1, 4, 16):
+            session = SeedSession(train_table.feature_names, delay=0.02)
+            result, runs[cap] = evolve_to(tmp_path, f"cap{cap}", http(session, cap), train_table, config())
+            assert session.most_in_flight <= cap
+        assert session.most_in_flight > 4
+        assert any(len(r["request_tags_used"]) > 1 for r in result.records)  # some slots retried
+        for cap in (4, 16):
+            for name in ("run.jsonl", "best.rule"):
+                assert runs[cap][name] == runs[1][name], (cap, name)
+            tags = runs[cap]["requests.log"].splitlines()
+            assert Counter(tags) == Counter(runs[1]["requests.log"].splitlines())
+
+    def test_the_gate_narrows_to_a_server_that_admits_four(self, http, train_table, tmp_path):
+        # Each admitted post takes ten times the wait its 429s ask for.
+        sleeper = lambda seconds: time.sleep(seconds * 0.005)  # noqa: E731
+        features = train_table.feature_names
+        _, serial = evolve_to(
+            tmp_path, "serial", http(SeedSession(features, miss_every=0), 1), train_table, config()
+        )
+        session = SeedSession(features, miss_every=0, delay=0.05, admit=4)
+        provider = http(session, 16, sleeper)
+        result, files = evolve_to(tmp_path, "admit4", provider, train_table, config())
+        assert session.overloaded > 0  # the gate's limit changed mid-run
+        assert session.most_in_flight == 4
+        assert all(record["error"] is None for record in result.records)
+        assert files["run.jsonl"] == serial["run.jsonl"]
+        assert files["best.rule"] == serial["best.rule"]

@@ -1,6 +1,7 @@
 import http.server
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,6 +18,8 @@ from pillm.prompts import parse_response
 from pillm.reporting import narrate_report
 from pillm.providers import (
     API_KEY_ENV,
+    MAX_TIMEOUT_SECONDS,
+    AdaptiveGate,
     CompletionError,
     CompletionRequest,
     HttpProvider,
@@ -136,10 +139,14 @@ class TestHttpProvider:
             {"timeout_secs": True},
             {"timeout_secs": float("nan")},
             {"timeout_secs": float("inf")},
+            {"timeout_secs": 1e10},  # past what a socket's deadline can hold
+            {"timeout_secs": MAX_TIMEOUT_SECONDS + 1},
+            {"timeout_secs": 10**400},
         ):
             with pytest.raises(ProviderConfigError):
                 HttpProvider(**{"endpoint": "https://x", "model": "m", **bad})
-        assert HttpProvider(endpoint="https://x", model="m").max_in_flight == 4
+        assert HttpProvider(endpoint="https://x", model="m").max_in_flight == 16
+        assert HttpProvider(endpoint="https://x", model="m", timeout_secs=MAX_TIMEOUT_SECONDS)
         session = FakeSession([FakeResponse(200, ok_body("ok"))])
         provider = HttpProvider(endpoint="HTTP://x:8000/v1", model="m", timeout_secs=5, session=session)
         assert provider.complete(req()).text == "ok"
@@ -250,6 +257,122 @@ class TestHttpProvider:
             provider = make_http(session)
             with pytest.raises(CompletionError, match="malformed response body"):
                 provider.complete(req())
+
+
+class TestAdaptiveGate:
+    def test_limit_halves_on_overload_and_climbs_by_one(self):
+        gate = AdaptiveGate(16)
+        assert gate.limit == 16
+        for status, limit in (
+            (429, 8), (503, 4), (500, 5), (200, 6), (None, 6), (404, 7),
+            (429, 3), (429, 1), (503, 1), (200, 2),
+        ):
+            gate.acquire()
+            gate.release(status)
+            assert gate.limit == limit, status
+
+    def test_limit_stays_within_one_and_the_cap(self):
+        rng = random.Random(0)
+        for cap in (1, 2, 16):
+            gate = AdaptiveGate(cap)
+            seen = set()
+            for _ in range(2000):
+                gate.acquire()
+                gate.release(rng.choice((200, 200, 429, 503, 500, None)))
+                assert 1 <= gate.limit <= cap
+                seen.add(gate.limit)
+            assert seen == set(range(1, cap + 1))
+
+    def test_holders_stay_within_the_cap_under_thread_switching(self):
+        gate = AdaptiveGate(4)
+        lock = threading.Lock()
+        holders = {"now": 0, "most": 0}
+
+        def worker(seed):
+            rng = random.Random(seed)
+            for _ in range(300):
+                gate.acquire()
+                with lock:
+                    holders["now"] += 1
+                    holders["most"] = max(holders["most"], holders["now"])
+                with lock:
+                    holders["now"] -= 1
+                gate.release(rng.choice((200, 200, 429, 503, None)))
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 <= holders["most"] <= 4
+        # A lost update of the holder count would keep a slot taken for good.
+        for _ in range(4):
+            gate.acquire()
+            gate.release(200)
+        assert gate.limit == 4
+        full = threading.Event()
+        thread = threading.Thread(target=lambda: ([gate.acquire() for _ in range(4)], full.set()))
+        thread.start()
+        assert full.wait(10)
+        thread.join(timeout=10)
+
+    def test_a_lowered_limit_holds_new_holders_back(self):
+        gate = AdaptiveGate(4)
+        for _ in range(3):
+            gate.acquire()
+        gate.release(429)  # two held, limit 2
+        entered = threading.Event()
+        thread = threading.Thread(target=lambda: (gate.acquire(), entered.set()))
+        thread.start()
+        assert not entered.wait(0.1)
+        gate.release(200)  # one held, limit 3
+        assert entered.wait(10)
+        thread.join(timeout=10)
+
+    def test_wait_at_the_gate_is_not_an_attempt(self, api_key, monkeypatch):
+        # Width 2: the first post is held open while the second gets a 429,
+        # which lowers the limit to 1. The retry waits at the gate until
+        # the first post is answered, then succeeds on its second attempt.
+        monkeypatch.setattr(HttpProvider, "max_in_flight", 2)
+        release = threading.Event()
+        posted = threading.Semaphore(0)
+        posts = []
+
+        class Session:
+            def post(self, url, json=None, headers=None, timeout=None):
+                posts.append(json["seed"])
+                posted.release()
+                if json["seed"] == 0:
+                    assert release.wait(10)
+                    return FakeResponse(200, ok_body("first"))
+                if len(posts) == 2:
+                    return FakeResponse(429)
+                return FakeResponse(200, ok_body("second"))
+
+        provider = make_http(Session())
+        results = {}
+        threads = [
+            threading.Thread(target=lambda s=seed: results.update({s: provider.complete(req(seed=s))}))
+            for seed in (0, 1)
+        ]
+        for thread in threads:
+            thread.start()
+            assert posted.acquire(timeout=10)
+        time.sleep(0.1)
+        assert posts == [0, 1]  # the retry is still waiting at the gate
+        release.set()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert posts == [0, 1, 1]
+        assert (results[0].text, results[0].attempt) == ("first", 1)
+        assert (results[1].text, results[1].attempt) == ("second", 2)
 
 
 @dataclass(frozen=True)
@@ -451,6 +574,10 @@ class TestKeepAliveSession:
         assert result.attempt == 2 and result.text == "ok"
         assert len(sleeps) == 1
         assert server.connections == 2
+
+    def test_longest_timeout_fits_a_socket(self, loopback, http_to):
+        server = loopback()
+        assert http_to(server.url, timeout_secs=MAX_TIMEOUT_SECONDS).complete(req()).text == "ok"
 
     def test_error_body_is_in_the_message(self, loopback, http_to):
         server = loopback([(404, {}, b"no such model", 0.0)])
