@@ -2,17 +2,12 @@
 
 Each generation reflects on worse/better rule pairs (physical-context-aware
 hints), crosses pairs over into offspring guided by those hints, and mutates
-the elites under a rolling digest of recent reflections. The operators' LLM
-requests run concurrently, up to the provider's `max_in_flight` at a time,
-the initial population's among them. Each request waits only for the
-replies its prompt reads: crossover i waits for reflection i, and the
-mutations wait for all of the generation's reflections. Every request
-carries its own seed, so no two requests of a run are equal, and results
-are committed in slot order, so a run does not depend on which reply came
-back first. Survivor selection is mu+lambda truncation with explicit
-elitism, so best-ever fitness never decreases. Fitness is the event-level
-point-adjusted F1 on the training split. Both reflection and crossover can
-be disabled independently for ablation runs.
+the elites under a rolling digest of recent reflections. Which LLM requests
+a generation makes, and which replies each waits for, is its plan; see
+`EvolutionEngine._generation_plan`. Survivor selection is mu+lambda
+truncation with explicit elitism, so best-ever fitness never decreases.
+Fitness is the event-level point-adjusted F1 on the training split. Both
+reflection and crossover can be disabled independently for ablation runs.
 """
 
 from __future__ import annotations
@@ -25,7 +20,7 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import prompts
 from .dsl import BudgetError, DslError, EvalMemo, RuleAst, TypedRule, compile_rule, evaluate, to_flags
@@ -81,7 +76,6 @@ class RuleCandidate:
 class Reflection:
     comments: str
     context: str
-    pair: tuple[str, str]  # (worse_id, better_id)
 
 
 @dataclass
@@ -238,35 +232,34 @@ class _CallBudgetExhausted(Exception):
     """`llm_call_budget` allows no further request."""
 
 
-@dataclass(frozen=True)
-class _Job:
-    """One operator slot: its requests, one per attempt, and the code that issues them."""
+class _SlotSpec(NamedTuple):
+    """One operator slot of a plan: the earlier slots it `reads`, by index, and its builder.
 
-    requests: tuple[CompletionRequest, ...]
-    run: Callable[[tuple[CompletionRequest, ...]], object]
+    `build` gets the committed results of `reads`, in that order, and
+    returns the call the pool runs for the slot, which yields a `Reflection`
+    or a `RuleCandidate`, or None.
+    """
 
-    def __call__(self):
-        return self.run(self.requests)
+    reads: tuple[int, ...]
+    build: Callable[..., Callable[[], object]]
 
 
 class EvolutionEngine:
     """Coordinates providers, prompts, the DSL, and metrics for one run.
 
     Every LLM request belongs to one operator slot: an init, a reflection, a
-    crossover or a mutation. Slots are submitted in slot order to a thread
-    pool `provider.max_in_flight` wide, which `run` owns: first the N-1 init
-    slots, all at once; then, in each generation (`_generation`), all
-    reflections; then crossover i as soon as reflections 1..i are back,
-    since its prompt reads reflection i only; then, once every reflection is
-    back, the mutations, whose prompts read the digest of all of them. Each
-    request carries a seed, `request_seed(config, ordinal, attempt)`, from
-    the slot's ordinal in submission order and its attempt, so no two
-    requests of a run are equal, and a provider that answers by request
-    answers the same way whatever order they arrive in; a retry gets a new
-    seed, so a provider that honours seeds does not repeat a bad reply. At
-    width 1 every slot runs in slot order, as a provider that answers by
-    call order needs. Reflections, candidate ids and records are committed
-    in slot order, never in completion order.
+    crossover or a mutation. The initial population (`_init_plan`) and each
+    generation (`_generation_plan`, which gives the schedule) are plans:
+    lists of slots, each naming the earlier slots it reads. `_run_plan` runs
+    each plan on a thread pool `provider.max_in_flight` wide, which `run`
+    owns. Each request carries a seed, `request_seed(config, ordinal,
+    attempt)`, from the slot's ordinal in submission order and its attempt,
+    so no two requests of a run are equal, and a provider that answers by
+    request answers the same way whatever order they arrive in; a retry gets
+    a new seed, so a provider that honours seeds does not repeat a bad
+    reply. At width 1 every slot runs in slot order, as a provider that
+    answers by call order needs. Reflections, candidate ids and records are
+    committed in slot order, never in completion order.
 
     The `llm_call_budget` check, the request's tag and `log.request(tag)`
     happen together under one lock, so every request issued belongs to
@@ -416,12 +409,12 @@ class EvolutionEngine:
             rule=rule,
         )
 
-    def _start(self, job: _Job):
-        """Run `job`; None if the run has halted before it starts."""
+    def _start(self, call: Callable[[], object]):
+        """Run `call`; None if the run has halted before it starts."""
         if self._halt.is_set():
             return None
         try:
-            return job()
+            return call()
         except BaseException:
             # No further slot starts.
             self._halt.set()
@@ -436,53 +429,42 @@ class EvolutionEngine:
         self._next_index += 1
         return candidate_id
 
-    # ---- operators ---------------------------------------------------------
+    # ---- the scheduler -----------------------------------------------------
 
-    def init_population(
-        self, seed_rule: tuple[str, str] | None = None, pool: ThreadPoolExecutor | None = None
+    def _run_plan(
+        self,
+        pool: ThreadPoolExecutor,
+        plan: Sequence[_SlotSpec],
+        head: Sequence[RuleCandidate] = (),
     ) -> list[RuleCandidate]:
-        """Seed candidate plus N-1 init-prompt completions, in slot order.
+        """Run `plan`'s slots on `pool`; `head` and the slots' candidates, evaluated and logged.
 
-        The init slots run on `pool` (a pool of their own when None). When
-        the call budget runs out or the provider fails, no further slot
-        starts; the slot that stopped it and every slot already started are
-        kept. A provider failure aborts the run. A slot that raises halts it
-        too; the population is then logged before the exception propagates.
+        Slots are submitted in slot order, each once every slot up to the
+        last one it reads is committed. Builders run here, on the engine's
+        thread, so a slot's requests get their seeds in slot order. Results
+        are committed in slot order, and a committed reflection joins the
+        digest. A slot that raised has halted the run; its exception is
+        re-raised once `head` and the other slots' candidates are logged.
         """
-        if pool is None:
-            with self._pool() as pool:
-                return self.init_population(seed_rule, pool)
-        code, context = seed_rule or default_seed_rule(self.train_table.features)
-        seed = RuleCandidate(
-            id="",
-            code=code,
-            context=context,
-            operator="seed",
-            generation=0,
-            rule=compile_rule(code, self._feature_names),
-        )
-        user_prompt = prompts.render(
-            "init",
-            {
-                "task_description": self._task_description,
-                "input_feature_list": self._feature_list,
-                "seed_function": f"```rule\n{seed.code}\n```",
-                "context_template": f"```context\n{seed.context}\n```",
-            },
-            templates=self._templates,
-        )
-        run_slot = partial(self._slot, generation=0)
-        tasks = [
-            pool.submit(self._start, _Job(self._requests("init", user_prompt), run_slot))
-            for _ in range(self.config.population_size - 1)
-        ]
-        finished = [task.result() for task in tasks if task.exception() is None]
-        population = [seed] + [candidate for candidate in finished if candidate is not None]
-        if len(finished) < len(tasks):
-            # A slot raised and halted the run: log the others' work, then re-raise.
-            self.evaluate_population(population)
-            for task in tasks:
-                task.result()
+        tasks: list[Future] = []
+        results: list = []
+
+        def commit(count: int) -> None:
+            for task in tasks[len(results) : count]:
+                result = task.result() if task.exception() is None else None
+                if isinstance(result, Reflection):
+                    self._reflections.append(result)
+                results.append(result)
+
+        for spec in plan:
+            commit(max(spec.reads, default=-1) + 1)
+            call = spec.build(*(results[i] for i in spec.reads))
+            tasks.append(pool.submit(self._start, call))
+        commit(len(tasks))
+        population = [*head, *(r for r in results if isinstance(r, RuleCandidate))]
+        self.evaluate_population(population)
+        for task in tasks:
+            task.result()
         return population
 
     def evaluate_population(self, population: Sequence[RuleCandidate]) -> None:
@@ -536,6 +518,68 @@ class EvolutionEngine:
         if self.log is not None:
             self.log.append(record)
 
+    # ---- plans -------------------------------------------------------------
+
+    def _init_plan(self, seed: RuleCandidate) -> list[_SlotSpec]:
+        """The initial population's N-1 init slots; each reads no other slot."""
+        user_prompt = prompts.render(
+            "init",
+            {
+                "task_description": self._task_description,
+                "input_feature_list": self._feature_list,
+                "seed_function": f"```rule\n{seed.code}\n```",
+                "context_template": f"```context\n{seed.context}\n```",
+            },
+            templates=self._templates,
+        )
+        build = partial(self._rule_call, "init", user_prompt, 0)
+        return [_SlotSpec((), build)] * (self.config.population_size - 1)
+
+    def _generation_plan(
+        self, population: Sequence[RuleCandidate], generation: int
+    ) -> list[_SlotSpec]:
+        """One generation's slots, in slot order: the schedule of its LLM requests.
+
+        `select_pairs` draws the (worse, better) pairs. First comes one
+        reflection per pair; they read no slot, so all go out at once. Then
+        crossover i reads reflection i, so it goes out as soon as reflections
+        1..i are back. Then one mutation per elite, the `elite_count` best
+        valid candidates; its prompt reads the digest, which every reflection
+        joins, so the mutations go out once all are back. Without reflections
+        (`enable_pir` off) a crossover reads the placeholder and a mutation
+        the digest of earlier generations, so every slot goes out at once.
+        Without crossovers (`enable_pic` off) the same number of calls goes
+        to extra mutations of the best valid candidate, one per pair, before
+        the elites' mutations.
+        """
+        config = self.config
+        pairs = select_pairs(population, self._rng, config.pairs_per_gen)
+        ranked = sorted((c for c in population if c.fitness is not None), key=_rank_key)
+        plan = []
+        if config.enable_pir:
+            plan += [_SlotSpec((), partial(self._reflection_call, *pair)) for pair in pairs]
+        reflections = tuple(range(len(plan)))
+        elites = ranked[: config.elite_count]
+        if config.enable_pic:
+            # Crossover i reads reflection i, when there are reflections.
+            plan += [
+                _SlotSpec(reflections[i : i + 1], partial(self._crossover_call, *pair, generation))
+                for i, pair in enumerate(pairs)
+            ]
+        else:
+            elites = ranked[:1] * len(pairs) + elites
+        plan += [
+            _SlotSpec(reflections, partial(self._mutation_call, elite, generation))
+            for elite in elites
+        ]
+        return plan
+
+    def _rule_call(
+        self, tag: str, user_prompt: str, generation: int, parents: tuple[str, ...] = ()
+    ) -> Callable[[], RuleCandidate | None]:
+        """The call of the next slot that asks for a rule."""
+        return partial(self._slot, self._requests(tag, user_prompt), generation, parents)
+
     def _pair_bindings(self, worse: RuleCandidate, better: RuleCandidate) -> dict[str, str]:
         return {
             "task_description": self._task_description,
@@ -546,16 +590,17 @@ class EvolutionEngine:
             "better_rules_physical_context": better.context,
         }
 
-    def _reflection_job(self, pair: tuple[RuleCandidate, RuleCandidate]) -> _Job:
+    def _reflection_call(
+        self, worse: RuleCandidate, better: RuleCandidate
+    ) -> Callable[[], Reflection | None]:
         system = prompts.render(
-            "reflection_system", self._pair_bindings(*pair), templates=self._templates
+            "reflection_system", self._pair_bindings(worse, better), templates=self._templates
         )
         user = "Respond now with your hints and the improved physical context."
-        return _Job(self._requests("reflection", user, system), partial(self._reflect, pair=pair))
+        return partial(self._reflect, self._requests("reflection", user, system))
 
-    def _reflect(
-        self, requests: tuple[CompletionRequest, ...], pair: tuple[RuleCandidate, RuleCandidate]
-    ) -> Reflection | None:
+    def _reflect(self, requests: tuple[CompletionRequest, ...]) -> Reflection | None:
+        """Ask for hints about why the better rule wins; None drops the pair."""
         try:
             text = self._complete(requests[0], [])
         except (ProviderError, _CallBudgetExhausted):
@@ -567,36 +612,25 @@ class EvolutionEngine:
             comments, context = parts[0], "(none provided)"
         else:
             comments, context = "\n\n".join(parts[:-1]), parts[-1]
-        worse, better = pair
-        return Reflection(comments=comments, context=context, pair=(worse.id, better.id))
+        return Reflection(comments=comments, context=context)
 
-    def reflect(self, pair: tuple[RuleCandidate, RuleCandidate]) -> Reflection | None:
-        """Ask for hints about why the better rule wins; None drops the pair."""
-        return self._reflection_job(pair)()
-
-    def _crossover_job(
+    def _crossover_call(
         self,
-        pair: tuple[RuleCandidate, RuleCandidate],
-        reflection: Reflection | None,
+        worse: RuleCandidate,
+        better: RuleCandidate,
         generation: int,
-    ) -> _Job:
-        worse, better = pair
+        reflection: Reflection | None = None,
+    ) -> Callable[[], RuleCandidate | None]:
         bindings = self._pair_bindings(worse, better)
         bindings["reflection_comments"] = reflection.comments if reflection else NO_REFLECTION_TEXT
         bindings["reflection_context"] = reflection.context if reflection else ""
         user_prompt = prompts.render("crossover", bindings, templates=self._templates)
-        slot = partial(self._slot, generation=generation, parents=(worse.id, better.id))
-        return _Job(self._requests("crossover", user_prompt), slot)
+        return self._rule_call("crossover", user_prompt, generation, (worse.id, better.id))
 
-    def crossover(
-        self,
-        pair: tuple[RuleCandidate, RuleCandidate],
-        reflection: Reflection | None,
-        generation: int,
-    ) -> RuleCandidate | None:
-        return self._crossover_job(pair, reflection, generation)()
-
-    def _mutation_job(self, elite: RuleCandidate, generation: int) -> _Job:
+    def _mutation_call(
+        self, elite: RuleCandidate, generation: int, *reflections: Reflection | None
+    ) -> Callable[[], RuleCandidate | None]:
+        """The prompt reads the digest, which the committed `reflections` have joined."""
         digest = long_term_reflection(self._reflections, self.config.long_term_window)
         latest_context = self._reflections[-1].context if self._reflections else NO_REFLECTIONS_YET
         bindings = {
@@ -607,60 +641,9 @@ class EvolutionEngine:
             "elitist_code": f"```rule\n{elite.code}\n```",
         }
         user_prompt = prompts.render("elitist_mutation", bindings, templates=self._templates)
-        slot = partial(self._slot, generation=generation, parents=(elite.id,))
-        return _Job(self._requests("mutation", user_prompt), slot)
-
-    def elitist_mutate(self, elite: RuleCandidate, generation: int) -> RuleCandidate | None:
-        return self._mutation_job(elite, generation)()
+        return self._rule_call("mutation", user_prompt, generation, (elite.id,))
 
     # ---- the loop ----------------------------------------------------------
-
-    def _valid_sorted(self, population: Sequence[RuleCandidate]) -> list[RuleCandidate]:
-        return sorted(
-            (c for c in population if c.fitness is not None), key=_rank_key
-        )
-
-    def _generation(
-        self, pool: ThreadPoolExecutor, population: Sequence[RuleCandidate], generation: int
-    ) -> list[RuleCandidate]:
-        """Run one generation's operator slots on `pool`; its offspring, logged in slot order.
-
-        Slots are submitted in slot order: the reflections, then each pair's
-        crossover as soon as its reflection and every earlier one are back,
-        then the mutations, which read the digest of all of them. A slot
-        that raised has halted the run; its exception is re-raised once the
-        offspring of the other slots are logged.
-        """
-        config = self.config
-        submit = partial(pool.submit, self._start)
-        pairs = select_pairs(population, self._rng, config.pairs_per_gen)
-        ranked = self._valid_sorted(population)
-        reflecting = [
-            submit(self._reflection_job(pair)) if config.enable_pir else None for pair in pairs
-        ]
-        offspring: list[Future] = []
-        for pair, task in zip(pairs, reflecting):
-            reflection = None
-            if task is not None and task.exception() is None:
-                reflection = task.result()
-            if reflection is not None:
-                self._reflections.append(reflection)
-            if config.enable_pic:
-                offspring.append(submit(self._crossover_job(pair, reflection, generation)))
-        if not config.enable_pic:
-            # Ablation: spend the same call budget on extra mutations of the
-            # best valid candidate, one per pair.
-            offspring += [submit(self._mutation_job(ranked[0], generation)) for _ in pairs]
-        offspring += [
-            submit(self._mutation_job(elite, generation)) for elite in ranked[: config.elite_count]
-        ]
-        children = [task.result() for task in offspring if task.exception() is None]
-        fresh = [candidate for candidate in children if candidate is not None]
-        self.evaluate_population(fresh)
-        for task in (*reflecting, *offspring):
-            if task is not None:
-                task.result()
-        return fresh
 
     def run(self, seed_rule: tuple[str, str] | None = None) -> RunResult:
         # Leaving the block waits for the pool's threads; once the run halts,
@@ -676,15 +659,23 @@ class EvolutionEngine:
         config = self.config
         history: list[float] = []
         generations_completed = 0
-        population = self.init_population(seed_rule, pool)
-        self.evaluate_population(population)
+        code, context = seed_rule or default_seed_rule(self.train_table.features)
+        seed = RuleCandidate(
+            id="",
+            code=code,
+            context=context,
+            operator="seed",
+            generation=0,
+            rule=compile_rule(code, self._feature_names),
+        )
+        population = self._run_plan(pool, self._init_plan(seed), head=(seed,))
         if self._best_ever is not None:
             history.append(self._best_ever.fitness)
 
         for generation in range(1, config.generations + 1):
             if self._halt.is_set():
                 break
-            fresh = self._generation(pool, population, generation)
+            fresh = self._run_plan(pool, self._generation_plan(population, generation))
             if self._halt.is_set():
                 break
             elites = sorted(population, key=_rank_key)[: config.elite_count]

@@ -187,16 +187,13 @@ class TestLongTermReflection:
         assert long_term_reflection([], 5) == NO_REFLECTIONS_YET
 
     def test_bullets_keep_only_last_window(self):
-        history = [
-            Reflection(comments=f"hint {i}", context=f"ctx {i}", pair=("a", "b"))
-            for i in range(4)
-        ]
+        history = [Reflection(comments=f"hint {i}", context=f"ctx {i}") for i in range(4)]
         digest = long_term_reflection(history, 2)
         lines = digest.splitlines()
         assert lines == ["- hint 2 ctx 2", "- hint 3 ctx 3"]
 
     def test_whitespace_collapsed(self):
-        history = [Reflection(comments="a\n\nb", context="c   d", pair=("x", "y"))]
+        history = [Reflection(comments="a\n\nb", context="c   d")]
         assert long_term_reflection(history, 5) == "- a b c d"
 
 
@@ -260,52 +257,59 @@ class TestEngine:
 
     def test_init_population_shape(self, small_table):
         provider = scripted(("init", RULE_HALF), ("init", RULE_GOOD))
-        engine = EvolutionEngine(base_config(), small_table, provider)
-        population = engine.init_population(SEED_DUD)
+        result = run_evolution(
+            base_config(generations=0), small_table, provider, seed_rule=SEED_DUD
+        )
+        population = result.population
         assert [c.operator for c in population] == ["seed", "init", "init"]
         assert population[0].code == SEED_DUD[0]
         assert population[1].code == "return $x > 0.5"
 
     def test_extraction_failure_consumes_retry(self, small_table):
         provider = scripted(("init", "my apologies, no code today"), ("init", RULE_HALF))
-        engine = EvolutionEngine(
-            base_config(population_size=2, retry_budget=1), small_table, provider
+        result = run_evolution(
+            base_config(population_size=2, retry_budget=1, generations=0),
+            small_table,
+            provider,
+            seed_rule=SEED_DUD,
         )
-        population = engine.init_population(SEED_DUD)
-        child = population[1]
+        child = result.population[1]
         assert child.error is None
         assert child.request_tags_used == ("init", "init")
-        assert engine.llm_calls == 2
+        assert result.llm_calls == 2
 
     def test_typecheck_failure_consumes_retry(self, small_table):
         bad = "```rule\nreturn $ghost > 1\n```\n```context\nc\n```"
         provider = scripted(("init", bad), ("init", RULE_GOOD))
-        engine = EvolutionEngine(
-            base_config(population_size=2, retry_budget=1), small_table, provider
+        result = run_evolution(
+            base_config(population_size=2, retry_budget=1, generations=0),
+            small_table,
+            provider,
+            seed_rule=SEED_DUD,
         )
-        population = engine.init_population(SEED_DUD)
-        assert population[1].code == "return $x > 1.5"
-        assert population[1].request_tags_used == ("init", "init")
+        assert result.population[1].code == "return $x > 1.5"
+        assert result.population[1].request_tags_used == ("init", "init")
 
     def test_exhausted_retries_mark_invalid(self, small_table):
         provider = scripted(("init", "nope"), ("init", "still nope"))
-        engine = EvolutionEngine(
-            base_config(population_size=2, retry_budget=1), small_table, provider
+        result = run_evolution(
+            base_config(population_size=2, retry_budget=1, generations=0),
+            small_table,
+            provider,
+            seed_rule=SEED_DUD,
         )
-        population = engine.init_population(SEED_DUD)
-        child = population[1]
+        child = result.population[1]
         assert child.error is not None
         assert child.rule is None
-        engine.evaluate_population(population)
         assert child.fitness is None
         assert not child.is_valid
 
     def test_evaluate_logs_each_candidate_once(self, small_table):
         sink = ListSink()
         provider = scripted(("init", RULE_HALF), ("init", RULE_GOOD))
-        engine = EvolutionEngine(base_config(), small_table, provider, log=sink)
-        population = engine.init_population(SEED_DUD)
-        engine.evaluate_population(population)
+        run_evolution(
+            base_config(generations=0), small_table, provider, log=sink, seed_rule=SEED_DUD
+        )
         assert sink.tags == ["init", "init"]
         assert [r["candidate_id"] for r in sink] == ["c0000", "c0001", "c0002"]
         assert sink[0]["fitness"] == 0.0
@@ -328,84 +332,86 @@ class TestEngine:
 
         monkeypatch.setattr(evolution, "evaluate", counting)
         sink = ListSink()
-        engine = EvolutionEngine(base_config(population_size=5), small_table, provider, log=sink)
-        engine.evaluate_population(engine.init_population(SEED_DUD))
+        config = base_config(population_size=5, generations=0)
+        run_evolution(config, small_table, provider, log=sink, seed_rule=SEED_DUD)
         # Rules over the budget are never cached: each is rejected again.
         assert scored == [SEED_DUD[0], "return $x > 0.5", "return mean($x, 60) > 1", "return mean($x, 60) > 1"]
         assert [r["fitness"] for r in sink] == [0.0, pytest.approx(0.5), None, pytest.approx(0.5), None]
         assert sink[1]["precision"] == sink[3]["precision"]
         assert "evaluation budget exceeded" in sink[2]["error"] and sink[4]["error"] == sink[2]["error"]
 
+    @staticmethod
+    def one_generation(small_table, reflection="Hint.\n\nContext.", fail_tags=None):
+        """One generation of `base_config()`: a reflection, a crossover and a mutation.
+
+        Returns the result and the user prompt of each tag. With `fail_tags`,
+        requests with those tags fail and get no prompt.
+        """
+        canned = CannedProvider(
+            {
+                "init": [RULE_HALF, RULE_GOOD],
+                "reflection": [reflection],
+                "crossover": [RULE_PERFECT],
+                "mutation": [RULE_PERFECT],
+            }
+        )
+        provider = canned if fail_tags is None else FailingProvider(fail_tags, fallback=canned)
+        result = run_evolution(
+            base_config(generations=1), small_table, provider, seed_rule=SEED_DUD
+        )
+        return result, {request.tag: request.user_prompt for request in canned.requests}
+
     def test_reflection_paragraph_split(self, small_table):
         text = "First hint.\n\nSecond hint.\n\nThe coil leaks heat when idle."
-        provider = CannedProvider({"reflection": [text]})
-        engine = EvolutionEngine(base_config(), small_table, provider)
-        pair = TestSelectPairs.candidates([0.2, 0.8])
-        reflection = engine.reflect((pair[0], pair[1]))
-        assert reflection.comments == "First hint.\n\nSecond hint."
-        assert reflection.context == "The coil leaks heat when idle."
-        assert reflection.pair == ("c0000", "c0001")
+        _, prompt = self.one_generation(small_table, reflection=text)
+        # The crossover prompt shows the comments, then the context; the
+        # mutation prompt ends its digest with the latest context.
+        assert (
+            "[Reflection]\nFirst hint.\n\nSecond hint.\nThe coil leaks heat when idle.\n\n"
+            in prompt["crossover"]
+        )
+        assert "\nThe coil leaks heat when idle.\n\n[Code]" in prompt["mutation"]
 
     def test_reflection_single_paragraph(self, small_table):
-        provider = CannedProvider({"reflection": ["Only one thought."]})
-        engine = EvolutionEngine(base_config(), small_table, provider)
-        pair = TestSelectPairs.candidates([0.2, 0.8])
-        reflection = engine.reflect((pair[0], pair[1]))
-        assert reflection.comments == "Only one thought."
-        assert reflection.context == "(none provided)"
+        _, prompt = self.one_generation(small_table, reflection="Only one thought.")
+        assert "[Reflection]\nOnly one thought.\n(none provided)\n\n" in prompt["crossover"]
 
     def test_reflection_provider_failure_drops_pair(self, small_table):
-        engine = EvolutionEngine(
-            base_config(), small_table, FailingProvider(only_tags={"reflection"})
-        )
-        pair = TestSelectPairs.candidates([0.2, 0.8])
-        assert engine.reflect((pair[0], pair[1])) is None
+        result, prompt = self.one_generation(small_table, fail_tags={"reflection"})
+        assert result.request_tags.count("reflection") == 1
+        assert NO_REFLECTION_TEXT in prompt["crossover"]
+        empty_digest = f"[Prior Reflection]\n{NO_REFLECTIONS_YET}\n{NO_REFLECTIONS_YET}\n"
+        assert empty_digest in prompt["mutation"]
 
     def test_crossover_lineage_and_prompt(self, small_table):
-        provider = CannedProvider({"crossover": [RULE_PERFECT]})
-        engine = EvolutionEngine(base_config(), small_table, provider)
-        worse, better = TestSelectPairs.candidates([0.2, 0.8])
-        reflection = Reflection(
-            comments="Use a tighter threshold.", context="Setpoint drift.", pair=("a", "b")
-        )
-        child = engine.crossover((worse, better), reflection, generation=1)
-        assert child.operator == "crossover"
-        assert child.parent_ids == (worse.id, better.id)
-        prompt = provider.requests[0].user_prompt
-        assert "Use a tighter threshold." in prompt
-
-    def test_crossover_without_reflection_uses_placeholder(self, small_table):
-        provider = CannedProvider({"crossover": [RULE_PERFECT]})
-        engine = EvolutionEngine(base_config(), small_table, provider)
-        worse, better = TestSelectPairs.candidates([0.2, 0.8])
-        engine.crossover((worse, better), None, generation=1)
-        assert NO_REFLECTION_TEXT in provider.requests[0].user_prompt
+        reflection = "Use a tighter threshold.\n\nSetpoint drift."
+        result, prompt = self.one_generation(small_table, reflection=reflection)
+        (child,) = [r for r in result.records if r["operator"] == "crossover"]
+        assert child["generation"] == 1
+        by_id = {r["candidate_id"]: r for r in result.records}
+        worse, better = (by_id[parent] for parent in child["parent_ids"])
+        assert worse["fitness"] < better["fitness"]
+        assert f"[Worse Rules]\n```rule\n{worse['code']}\n```" in prompt["crossover"]
+        assert f"[Better Rules]\n```rule\n{better['code']}\n```" in prompt["crossover"]
+        assert "Use a tighter threshold." in prompt["crossover"]
 
     def test_mutation_lineage(self, small_table):
-        provider = CannedProvider({"mutation": [RULE_PERFECT]})
-        engine = EvolutionEngine(base_config(), small_table, provider)
-        elite = TestSelectPairs.candidates([0.9])[0]
-        child = engine.elitist_mutate(elite, generation=2)
-        assert child.operator == "mutation"
-        assert child.parent_ids == (elite.id,)
+        result, prompt = self.one_generation(small_table)
+        (child,) = [r for r in result.records if r["operator"] == "mutation"]
+        elite = max((r for r in result.records if r["generation"] == 0), key=lambda r: r["fitness"])
+        assert child["generation"] == 1
+        assert child["parent_ids"] == [elite["candidate_id"]]
+        assert f"[Code]\n```rule\n{elite['code']}\n```" in prompt["mutation"]
 
     def test_mutation_prompt_carries_reflection_digest(self, small_table):
-        provider = CannedProvider({"mutation": [RULE_PERFECT]})
-        engine = EvolutionEngine(base_config(), small_table, provider)
-        engine._reflections.append(
-            Reflection(comments="Watch the damper.", context="Stuck actuator.", pair=("a", "b"))
-        )
-        elite = TestSelectPairs.candidates([0.9])[0]
-        engine.elitist_mutate(elite, generation=1)
-        prompt = provider.requests[0].user_prompt
-        assert "- Watch the damper. Stuck actuator." in prompt
+        reflection = "Watch the damper.\n\nStuck actuator."
+        _, prompt = self.one_generation(small_table, reflection=reflection)
+        assert "- Watch the damper. Stuck actuator." in prompt["mutation"]
 
     def test_offspring_provider_failure_marks_invalid(self, small_table):
-        engine = EvolutionEngine(
-            base_config(), small_table, FailingProvider(only_tags={"crossover"})
-        )
-        worse, better = TestSelectPairs.candidates([0.2, 0.8])
-        child = engine.crossover((worse, better), None, generation=1)
+        result, _ = self.one_generation(small_table, fail_tags={"crossover"})
+        # Three survivors of three: the elite and both offspring.
+        (child,) = [c for c in result.population if c.operator == "crossover"]
         assert child.error is not None
         assert child.rule is None
 
@@ -444,20 +450,22 @@ class TestRun:
         ids = [r["candidate_id"] for r in result.records]
         assert len(ids) == len(set(ids))
 
-    def test_request_tag_trace(self, small_table):
-        result = run_evolution(
-            base_config(), small_table, self.scripted_run_provider(), seed_rule=SEED_DUD
+    @pytest.mark.parametrize(
+        "enable_pir, enable_pic, generation_tags",
+        [(True, True, "RRRCCCMM"), (True, False, "RRRMMMMM"), (False, True, "CCCMM")],
+        ids=["default", "no-pic", "no-pir"],
+    )
+    def test_request_tag_trace(self, small_table, enable_pir, enable_pic, generation_tags):
+        # Three pairs and two elites, one request per slot, one slot at a time.
+        config = TestConcurrentWaves.config(
+            enable_pir=enable_pir, enable_pic=enable_pic, retry_budget=0
         )
-        assert result.request_tags == (
-            "init",
-            "init",
-            "reflection",
-            "crossover",
-            "mutation",
-            "reflection",
-            "crossover",
-            "mutation",
-        )
+        provider = KeyedProvider(max_in_flight=1, delay=0)
+        result = run_evolution(config, small_table, provider)
+        tag = {"R": "reflection", "C": "crossover", "M": "mutation"}
+        per_generation = tuple(tag[letter] for letter in generation_tags)
+        assert result.generations_completed == 3
+        assert result.request_tags == ("init",) * 5 + per_generation * 3
 
     def test_abort_when_provider_dies_during_init(self, small_table):
         result = run_evolution(base_config(), small_table, FailingProvider(), seed_rule=SEED_DUD)
@@ -761,6 +769,33 @@ class TestConcurrentWaves:
         assert sink.tags == list(concurrent.request_tags)
         assert concurrent.best_fitness_history == serial.best_fitness_history
         TestRun.assert_every_request_logged(concurrent)
+
+    @pytest.mark.parametrize("enable_pic", [True, False], ids=["default", "no-pic"])
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_one_select_pairs_then_one_evaluation_per_generation(
+        self, small_table, monkeypatch, enable_pic, width
+    ):
+        # The benchmark times generation g from its `select_pairs` call to the
+        # end of the next `evaluate_population` call; generation 0 is the
+        # first `evaluate_population` call, before any `select_pairs` call.
+        calls = []
+        select_pairs = evolution.select_pairs
+        evaluate_population = EvolutionEngine.evaluate_population
+
+        def counting_select_pairs(*args):
+            calls.append("select_pairs")
+            return select_pairs(*args)
+
+        def counting_evaluate_population(engine, population):
+            calls.append("evaluate_population")
+            return evaluate_population(engine, population)
+
+        monkeypatch.setattr(evolution, "select_pairs", counting_select_pairs)
+        monkeypatch.setattr(EvolutionEngine, "evaluate_population", counting_evaluate_population)
+        config = self.config(enable_pic=enable_pic)
+        result = run_evolution(config, small_table, KeyedProvider(max_in_flight=width, delay=0))
+        assert result.generations_completed == 3
+        assert calls == ["evaluate_population"] + ["select_pairs", "evaluate_population"] * 3
 
     def test_width_one_issues_requests_in_slot_order(self, small_table):
         # The sampler answers by call order, so its rules show the order in
