@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-import re
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -317,9 +316,7 @@ class EvolutionEngine:
         self._task_description = prompts.default_task_description()
         self._feature_list = prompts.feature_list_text(train_table.features)
         self._system_prompt = prompts.render(
-            "generator_system",
-            {"task_description": self._task_description},
-            templates=self._templates,
+            "generator_system", {"task_description": self._task_description}, self._templates
         )
 
     # ---- provider plumbing -------------------------------------------------
@@ -527,10 +524,10 @@ class EvolutionEngine:
             {
                 "task_description": self._task_description,
                 "input_feature_list": self._feature_list,
-                "seed_function": f"```rule\n{seed.code}\n```",
-                "context_template": f"```context\n{seed.context}\n```",
+                "seed_function": prompts.fence("rule", seed.code),
+                "context_template": prompts.fence("context", seed.context),
             },
-            templates=self._templates,
+            self._templates,
         )
         build = partial(self._rule_call, "init", user_prompt, 0)
         return [_SlotSpec((), build)] * (self.config.population_size - 1)
@@ -584,18 +581,17 @@ class EvolutionEngine:
         return {
             "task_description": self._task_description,
             "input_feature_list": self._feature_list,
-            "worse_rules": f"```rule\n{worse.code}\n```",
+            "worse_rules": prompts.fence("rule", worse.code),
             "worse_rules_physical_context": worse.context,
-            "better_rules": f"```rule\n{better.code}\n```",
+            "better_rules": prompts.fence("rule", better.code),
             "better_rules_physical_context": better.context,
         }
 
     def _reflection_call(
         self, worse: RuleCandidate, better: RuleCandidate
     ) -> Callable[[], Reflection | None]:
-        system = prompts.render(
-            "reflection_system", self._pair_bindings(worse, better), templates=self._templates
-        )
+        bindings = self._pair_bindings(worse, better)
+        system = prompts.render("reflection_system", bindings, self._templates)
         user = "Respond now with your hints and the improved physical context."
         return partial(self._reflect, self._requests("reflection", user, system))
 
@@ -605,14 +601,7 @@ class EvolutionEngine:
             text = self._complete(requests[0], [])
         except (ProviderError, _CallBudgetExhausted):
             return None
-        parts = [p.strip() for p in re.split(r"\n\s*\n", text.strip()) if p.strip()]
-        if not parts:
-            comments, context = "(none provided)", "(none provided)"
-        elif len(parts) == 1:
-            comments, context = parts[0], "(none provided)"
-        else:
-            comments, context = "\n\n".join(parts[:-1]), parts[-1]
-        return Reflection(comments=comments, context=context)
+        return Reflection(*prompts.parse_reflection(text))
 
     def _crossover_call(
         self,
@@ -624,7 +613,7 @@ class EvolutionEngine:
         bindings = self._pair_bindings(worse, better)
         bindings["reflection_comments"] = reflection.comments if reflection else NO_REFLECTION_TEXT
         bindings["reflection_context"] = reflection.context if reflection else ""
-        user_prompt = prompts.render("crossover", bindings, templates=self._templates)
+        user_prompt = prompts.render("crossover", bindings, self._templates)
         return self._rule_call("crossover", user_prompt, generation, (worse.id, better.id))
 
     def _mutation_call(
@@ -638,9 +627,9 @@ class EvolutionEngine:
             "input_feature_list": self._feature_list,
             "reflection_comments": digest,
             "reflection_context": latest_context,
-            "elitist_code": f"```rule\n{elite.code}\n```",
+            "elitist_code": prompts.fence("rule", elite.code),
         }
-        user_prompt = prompts.render("elitist_mutation", bindings, templates=self._templates)
+        user_prompt = prompts.render("elitist_mutation", bindings, self._templates)
         return self._rule_call("mutation", user_prompt, generation, (elite.id,))
 
     # ---- the loop ----------------------------------------------------------

@@ -1,13 +1,18 @@
-"""Prompt templates for the five LLM interactions, plus response parsing.
+"""The LLM text protocol: the five prompt templates, the fence format, and reply parsing.
 
 The five templates (initial generation, the generator system prompt, the
 reflection system prompt, crossover, and elitist mutation) live as plain
 text files so they can be inspected and swapped out without code changes:
-`prompts_dir` (the `load_template` and `load_templates` argument, and
-`pillm evolve --prompts-dir`) points at an alternative directory that holds
-all five, for prompt experimentation. The packaged bodies are read once per
+`load_templates(prompts_dir)`, and `pillm evolve --prompts-dir`, read all
+five from an alternative directory instead, for prompt experimentation. The
+packaged files are the slot schema: an override may leave out a packaged
+`{placeholder}` but not add one. The packaged bodies are read once per
 process, and the evolution engine reads its templates once, when it starts.
-Placeholders use `{name}` slots filled by literal substitution only.
+Placeholders are filled by literal substitution only.
+
+Rules travel in fenced blocks both ways: `fence` writes every block a
+prompt or a reply carries, `parse_response` reads a rule reply and
+`parse_reflection` a reflection reply.
 """
 
 from __future__ import annotations
@@ -32,45 +37,6 @@ TEMPLATE_IDS = (
     "elitist_mutation",
 )
 
-# Binding schema per template; render() enforces exactly these slots.
-PLACEHOLDERS: dict[str, frozenset[str]] = {
-    "init": frozenset(
-        {"task_description", "input_feature_list", "seed_function", "context_template"}
-    ),
-    "generator_system": frozenset({"task_description"}),
-    "reflection_system": frozenset(
-        {
-            "task_description",
-            "input_feature_list",
-            "worse_rules",
-            "worse_rules_physical_context",
-            "better_rules",
-            "better_rules_physical_context",
-        }
-    ),
-    "crossover": frozenset(
-        {
-            "task_description",
-            "input_feature_list",
-            "worse_rules",
-            "worse_rules_physical_context",
-            "better_rules",
-            "better_rules_physical_context",
-            "reflection_comments",
-            "reflection_context",
-        }
-    ),
-    "elitist_mutation": frozenset(
-        {
-            "task_description",
-            "input_feature_list",
-            "reflection_comments",
-            "reflection_context",
-            "elitist_code",
-        }
-    ),
-}
-
 # Fixed phrases the shipped template set must carry verbatim, so edits to
 # the text files cannot silently change the structure the engine relies on
 # (section markers, the persona line, the creativity nudge). Every phrase
@@ -87,6 +53,10 @@ TEMPLATE_ANCHORS = (
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 _FENCE_RE = re.compile(r"```([^\n`]*)\n(.*?)```", re.DOTALL)
+_PARAGRAPH_BREAK_RE = re.compile(r"\n\s*\n")
+
+# What a parser returns for a paragraph the reply does not carry.
+NONE_PROVIDED = "(none provided)"
 
 DSL_CHEATSHEET = """\
 Rules are written in a small expression language, not a general-purpose
@@ -124,55 +94,69 @@ class ParsedResponse:
     context: str
 
 
-def load_template(template_id: str, prompts_dir: str | Path | None = None) -> str:
-    """Read a template body, preferring `prompts_dir` when given."""
-    if template_id not in TEMPLATE_IDS:
-        raise PromptError(f"unknown template id {template_id!r}")
-    filename = f"{template_id}.txt"
-    if prompts_dir is not None:
-        path = Path(prompts_dir) / filename
+def load_templates(prompts_dir: str | Path | None = None) -> dict[str, str]:
+    """Every template body by id: the packaged set, or all five read from `prompts_dir`.
+
+    An override that is missing, is not UTF-8, or names a placeholder its
+    packaged template lacks raises `PromptError`.
+    """
+    packaged = _packaged_templates()
+    if prompts_dir is None:
+        return dict(packaged)
+    templates = {}
+    for template_id in TEMPLATE_IDS:
+        path = Path(prompts_dir) / f"{template_id}.txt"
         if not path.is_file():
             raise PromptError(f"template override not found: {path}")
-        return path.read_text(encoding="utf-8")
-    return _packaged_template(filename)
+        try:
+            body = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise PromptError(f"template override is not valid UTF-8: {path}") from None
+        unknown = _slots(body) - _slots(packaged[template_id])
+        if unknown:
+            names = ", ".join(f"{{{slot}}}" for slot in sorted(unknown))
+            raise PromptError(
+                f"template override {path} names a placeholder its packaged template lacks: {names}"
+            )
+        templates[template_id] = body
+    return templates
 
 
 @functools.cache
-def _packaged_template(filename: str) -> str:
-    return (resources.files(__package__) / "templates" / filename).read_text(encoding="utf-8")
+def _packaged_templates() -> dict[str, str]:
+    directory = resources.files(__package__) / "templates"
+    return {t: (directory / f"{t}.txt").read_text(encoding="utf-8") for t in TEMPLATE_IDS}
 
 
-def load_templates(prompts_dir: str | Path | None = None) -> dict[str, str]:
-    """Every template body by id, each read once; see `load_template`."""
-    return {template_id: load_template(template_id, prompts_dir) for template_id in TEMPLATE_IDS}
+def _slots(body: str) -> set[str]:
+    return set(_PLACEHOLDER_RE.findall(body))
 
 
-def render(
-    template_id: str,
-    bindings: Mapping[str, str],
-    templates: Mapping[str, str] | None = None,
-) -> str:
-    """Substitute `{placeholder}` slots literally; no recursive expansion.
+def render(template_id: str, bindings: Mapping[str, str], templates: Mapping[str, str]) -> str:
+    """Substitute the `{placeholder}` slots of `templates[template_id]` literally.
 
-    The body comes from `templates` when given (as `load_templates` returns
-    them), else from the packaged template. Missing bindings raise; bindings
+    There is no recursive expansion. Missing bindings raise; bindings
     without a matching slot only warn, so callers can reuse one binding dict
     across several templates.
     """
-    body = templates[template_id] if templates is not None else load_template(template_id)
-    slots = set(_PLACEHOLDER_RE.findall(body))
-    expected = PLACEHOLDERS[template_id]
+    body = templates[template_id]
+    slots = _slots(body)
     for slot in slots:
         if slot not in bindings:
             raise MissingBindingError(slot)
     for extra in sorted(set(bindings) - slots):
         logger.warning("template %s: binding %r has no placeholder", template_id, extra)
-    if slots != expected:
-        logger.warning(
-            "template %s: placeholder set %s differs from the documented schema %s",
-            template_id, sorted(slots), sorted(expected),
-        )
     return _PLACEHOLDER_RE.sub(lambda m: str(bindings[m.group(1)]), body)
+
+
+def fence(info: str, body: str) -> str:
+    """`body` in a fenced block with info string `info`, as prompts and replies carry rules."""
+    return f"```{info}\n{body}\n```"
+
+
+def _paragraphs(text: str) -> list[str]:
+    """The non-blank paragraphs of `text`, stripped, in order."""
+    return [p.strip() for p in _PARAGRAPH_BREAK_RE.split(text) if p.strip()]
 
 
 def parse_response(text: str) -> ParsedResponse:
@@ -197,24 +181,35 @@ def parse_response(text: str) -> ParsedResponse:
             code_end = match.end()
     if code_block is None:
         raise ExtractionError("response contains no fenced code block")
-    if context_block is not None and context_block:
+    if context_block:
         return ParsedResponse(code=code_block, context=context_block)
-    trailing = _FENCE_RE.sub("", text[code_end:])
-    for paragraph in re.split(r"\n\s*\n", trailing):
-        cleaned = paragraph.strip()
-        if cleaned:
-            return ParsedResponse(code=code_block, context=cleaned)
+    trailing = _paragraphs(_FENCE_RE.sub("", text[code_end:]))
+    if trailing:
+        return ParsedResponse(code=code_block, context=trailing[0])
     logger.warning("response has no physical-context paragraph; admitting without one")
-    return ParsedResponse(code=code_block, context="(none provided)")
+    return ParsedResponse(code=code_block, context=NONE_PROVIDED)
+
+
+def parse_reflection(text: str) -> tuple[str, str]:
+    """Split a reflection reply into (comments, physical context).
+
+    The context is the last paragraph, and the comments are the paragraphs
+    before it, joined by blank lines. A reply of one paragraph has no
+    context; an empty reply has neither.
+    """
+    parts = _paragraphs(text)
+    if len(parts) < 2:
+        return (parts[0] if parts else NONE_PROVIDED), NONE_PROVIDED
+    return "\n\n".join(parts[:-1]), parts[-1]
 
 
 def format_response(code: str, context: str) -> str:
     """Render (code, context) in the fenced convention the templates request.
 
     `parse_response(format_response(code, context))` is the identity for
-    well-formed pairs; tests and scripted fixtures lean on this.
+    well-formed pairs; the sampler and tests lean on this.
     """
-    return f"```rule\n{code}\n```\n\n```context\n{context}\n```"
+    return f"{fence('rule', code)}\n\n{fence('context', context)}"
 
 
 def feature_list_text(metas: Sequence[timeseries.FeatureMeta]) -> str:

@@ -23,7 +23,8 @@ from urllib.parse import urlsplit
 
 from .dsl.formatter import format_rule
 from .dsl.nodes import BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef, walk
-from .dsl.parser import MAX_BINDINGS, MAX_NODES, parse
+from .dsl.parser import MAX_BINDINGS, MAX_NODES
+from .prompts import format_response
 
 if TYPE_CHECKING:
     from .transport import KeepAliveSession
@@ -362,12 +363,11 @@ class SamplerProvider:
 
     max_in_flight = 1
 
-    def __init__(self, seed: int, feature_names: Sequence[str], depth_budget: int = 4) -> None:
+    def __init__(self, seed: int, feature_names: Sequence[str]) -> None:
         if not feature_names:
             raise ProviderConfigError("sampler provider requires at least one feature name")
         self._seed = seed
         self._features = tuple(feature_names)
-        self._depth = depth_budget
         self._counter = 0
         self._lock = threading.Lock()
         self.provider_id = f"sampler:{seed}"
@@ -381,14 +381,12 @@ class SamplerProvider:
                     latency_ms=0, attempt=1,
                 )
             call_seed = self._seed * 1_000_003 + self._counter
-            code = sample_rule(call_seed, self._features, self._depth)
-            names = sorted({n.name for n in walk(*parse(code).roots) if isinstance(n, FeatureRef)})
-            text = (
-                f"```rule\n{code}\n```\n\n"
-                "```context\n"
+            ast = _sample_ast(call_seed, self._features)
+            names = sorted({n.name for n in walk(*ast.roots) if isinstance(n, FeatureRef)})
+            text = format_response(
+                format_rule(ast),
                 f"Sampled hypothesis: deviations in {', '.join(names)} relative to recent "
-                "behavior indicate abnormal operation of the conditioning loop.\n"
-                "```"
+                "behavior indicate abnormal operation of the conditioning loop.",
             )
             return CompletionResult(
                 text=text, provider_id=self.provider_id, latency_ms=0, attempt=1
@@ -477,12 +475,17 @@ def sample_rule(seed: int, features: Sequence[str], depth_budget: int = 4) -> st
         raise ValueError("features must be non-empty")
     if depth_budget < 1:
         raise ValueError("depth_budget must be >= 1")
+    return format_rule(_sample_ast(seed, features, depth_budget))
+
+
+def _sample_ast(seed: int, features: Sequence[str], depth_budget: int = 4) -> RuleAst:
+    """`sample_rule`'s rule, before formatting."""
     rng = random.Random(seed)
     depth = depth_budget
     while True:
         ast = _RuleSampler(rng, features).build(depth)
         if ast.node_count <= MAX_NODES and len(ast.bindings) <= MAX_BINDINGS:
-            return format_rule(ast)
+            return ast
         # Oversized draws are possible only at large depth budgets; shrink
         # and redraw so the output always respects the structural caps.
         depth = max(1, depth - 1)

@@ -94,9 +94,8 @@ class RunLog:
         self.dir = Path(root) / run_id
         self.dir.mkdir(parents=True, exist_ok=True)
         self.path = self.dir / RUN_LOG_NAME
+        # The ids appended through this writer; `append` rejects a repeat.
         self._seen: set[str] = set()
-        for record in self.records():  # resuming an existing log keeps ids unique
-            self._seen.add(record["candidate_id"])
         if config_snapshot is not None:
             snapshot_path = self.dir / CONFIG_SNAPSHOT_NAME
             snapshot_path.write_text(

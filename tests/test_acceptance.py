@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from pillm.cli import main
 from pillm.dsl import compile_rule, evaluate, format_rule, parse, to_flags
 from pillm.metrics import ConfusionCounts, confusion, event_f1_pa, precision_recall_f1
-from pillm.prompts import TEMPLATE_ANCHORS, TEMPLATE_IDS, load_template
+from pillm.prompts import TEMPLATE_ANCHORS, load_templates
 from pillm.providers import sample_rule
 from pillm.simulate import FEATURES
 from pillm.timeseries import FeatureMeta, TimeSeriesTable
@@ -345,7 +345,7 @@ def test_c08_scripted_run_reaches_perfect_fitness_and_reports(tmp_path):
 
 
 def test_c09_templates_carry_every_anchor_phrase():
-    bodies = {template_id: load_template(template_id) for template_id in TEMPLATE_IDS}
+    bodies = load_templates()
     for anchor in TEMPLATE_ANCHORS:
         assert any(anchor in body for body in bodies.values()), anchor
 

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 import pillm
 from pillm.cli import main
 from pillm.dsl import MAX_DEPTH
-from pillm.prompts import TEMPLATE_IDS, load_template
+from pillm.prompts import TEMPLATE_IDS, load_templates
 from pillm.providers import SamplerProvider
 from pillm.reporting import RunLog, best_record
 from pillm.timeseries import load_csv, load_meta, save_csv, save_meta
@@ -622,7 +622,7 @@ class TestEvolve:
         prompts_dir.mkdir()
         for template_id in TEMPLATE_IDS:
             (prompts_dir / f"{template_id}.txt").write_text(
-                f"OVERRIDE {template_id}\n" + load_template(template_id), encoding="utf-8"
+                f"OVERRIDE {template_id}\n" + load_templates()[template_id], encoding="utf-8"
             )
         original = SamplerProvider.complete
         sent = []
@@ -652,13 +652,45 @@ class TestEvolve:
         prompts_dir = tmp_path / "prompts"
         prompts_dir.mkdir()
         for template_id in TEMPLATE_IDS[:-1]:
-            (prompts_dir / f"{template_id}.txt").write_text(load_template(template_id), encoding="utf-8")
+            body = load_templates()[template_id]
+            (prompts_dir / f"{template_id}.txt").write_text(body, encoding="utf-8")
         out = tmp_path / "runs"
         out.mkdir()
         config = evolve_config(tmp_path)
         result = self.invoke_evolve(runner, data, meta, config, out, "--prompts-dir", str(prompts_dir))
         assert result.exit_code == 3
         assert f"error: template override not found: {prompts_dir / TEMPLATE_IDS[-1]}.txt" in result.output
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        ("body", "problem"),
+        [
+            (b"Cross {worse_rules} over {input_features}.", "names a placeholder"),
+            (b"\xff\xfe Cross {worse_rules}.", "is not valid UTF-8"),
+        ],
+        ids=["unknown-slot", "not-utf8"],
+    )
+    def test_bad_prompt_override_exits_3_before_run_dir(
+        self, tmp_path, runner, sim_corpus, body, problem
+    ):
+        data, meta = sim_corpus
+        prompts_dir = tmp_path / "prompts"
+        prompts_dir.mkdir()
+        for template_id, text in load_templates().items():
+            (prompts_dir / f"{template_id}.txt").write_text(text, encoding="utf-8")
+        (prompts_dir / "crossover.txt").write_bytes(body)
+        out = tmp_path / "runs"
+        out.mkdir()
+        config = evolve_config(tmp_path)
+        result = self.invoke_evolve(
+            runner, data, meta, config, out, "--prompts-dir", str(prompts_dir)
+        )
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert problem in errors[0] and "crossover.txt" in errors[0]
         assert list(out.iterdir()) == []
 
     def test_split_archive_keeps_the_input_bytes(self, tmp_path, runner, sim_corpus):

@@ -4,41 +4,81 @@ import re
 import pytest
 
 from pillm import prompts
+from pillm.dsl import BUILTINS
+from pillm.dsl.parser import MAX_WINDOW, MIN_WINDOW
+from pillm.evolution import EvolutionConfig, run_evolution
 from pillm.prompts import (
-    PLACEHOLDERS,
+    DSL_CHEATSHEET,
+    NONE_PROVIDED,
     TEMPLATE_IDS,
     ExtractionError,
     MissingBindingError,
     PromptError,
     feature_list_text,
+    fence,
     format_response,
-    load_template,
     load_templates,
+    parse_reflection,
     parse_response,
     render,
 )
+from pillm.providers import SamplerProvider
 from pillm.timeseries import FeatureMeta
 
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
+TEMPLATES = load_templates()
 
 
 def full_bindings(template_id: str) -> dict[str, str]:
-    return {slot: f"<{slot}>" for slot in PLACEHOLDERS[template_id]}
+    return {slot: f"<{slot}>" for slot in _PLACEHOLDER_RE.findall(TEMPLATES[template_id])}
+
+
+def write_packaged(directory, **changed: str) -> None:
+    """The packaged templates in `directory`, with the bodies in `changed` instead."""
+    for template_id in TEMPLATE_IDS:
+        body = changed.get(template_id, TEMPLATES[template_id])
+        (directory / f"{template_id}.txt").write_text(body, encoding="utf-8")
 
 
 class TestTemplates:
     def test_all_templates_load(self):
-        for template_id in TEMPLATE_IDS:
-            assert load_template(template_id).strip()
+        assert tuple(TEMPLATES) == TEMPLATE_IDS
+        for body in TEMPLATES.values():
+            assert body.strip()
 
-    def test_unknown_template(self):
-        with pytest.raises(PromptError):
-            load_template("haiku")
+    def test_a_sampler_generation_renders_every_template_without_a_warning(
+        self, bias_corpus, monkeypatch, caplog
+    ):
+        rendered = []
+        original = prompts.render
 
-    def test_placeholder_sets_match_schema(self):
-        for template_id in TEMPLATE_IDS:
-            slots = set(_PLACEHOLDER_RE.findall(load_template(template_id)))
-            assert slots == set(PLACEHOLDERS[template_id]), template_id
+        def recording(template_id, bindings, templates):
+            rendered.append(template_id)
+            return original(template_id, bindings, templates)
+
+        monkeypatch.setattr(prompts, "render", recording)
+        config = EvolutionConfig(population_size=6, generations=1, seed=11)
+        provider = SamplerProvider(seed=11, feature_names=bias_corpus.feature_names)
+        with caplog.at_level(logging.WARNING, logger="pillm.prompts"):
+            result = run_evolution(config, bias_corpus, provider)
+        assert result.generations_completed == 1
+        assert set(rendered) == set(TEMPLATE_IDS)
+        assert [r for r in caplog.records if r.name == "pillm.prompts"] == []
+
+    def test_override_may_leave_out_a_packaged_slot(self, tmp_path):
+        write_packaged(tmp_path, crossover="Cross {worse_rules} with {better_rules}.")
+        assert load_templates(tmp_path)["crossover"] == "Cross {worse_rules} with {better_rules}."
+
+    def test_override_naming_an_unknown_slot_is_rejected(self, tmp_path):
+        write_packaged(tmp_path, crossover=TEMPLATES["crossover"] + "{input_features}\n")
+        with pytest.raises(PromptError, match=r"crossover\.txt names .*\{input_features\}"):
+            load_templates(tmp_path)
+
+    def test_override_that_is_not_utf8_is_rejected(self, tmp_path):
+        write_packaged(tmp_path)
+        (tmp_path / "init.txt").write_bytes(b"\xff\xfe{task_description}")
+        with pytest.raises(PromptError, match=r"not valid UTF-8: .*init\.txt"):
+            load_templates(tmp_path)
 
     def test_override_directory(self, tmp_path):
         for template_id in TEMPLATE_IDS:
@@ -49,10 +89,10 @@ class TestTemplates:
 
     def test_override_missing_file(self, tmp_path):
         with pytest.raises(PromptError, match="override"):
-            load_template("init", prompts_dir=tmp_path)
+            load_templates(tmp_path)
 
     def test_packaged_bodies_are_read_once(self, monkeypatch):
-        prompts._packaged_template.cache_clear()
+        prompts._packaged_templates.cache_clear()
         reads = []
         files = prompts.resources.files
 
@@ -62,8 +102,10 @@ class TestTemplates:
 
         monkeypatch.setattr(prompts.resources, "files", counting)
         for _ in range(3):
-            assert load_templates() == {t: load_template(t) for t in TEMPLATE_IDS}
-        assert len(reads) == len(TEMPLATE_IDS)
+            templates = load_templates()
+            assert templates == TEMPLATES
+            templates["init"] = "changed by a caller"
+        assert len(reads) == 1
 
     def test_override_directory_is_read_on_every_call(self, tmp_path):
         for template_id in TEMPLATE_IDS:
@@ -77,14 +119,14 @@ class TestRender:
     def test_init_contains_seed_rule_verbatim(self):
         bindings = full_bindings("init")
         bindings["seed_function"] = "return zscore($zone_temp, 60) > 3"
-        text = render("init", bindings)
+        text = render("init", bindings, TEMPLATES)
         assert "return zscore($zone_temp, 60) > 3" in text
 
     def test_reflection_places_pairs_under_headings(self):
         bindings = full_bindings("reflection_system")
         bindings["worse_rules"] = "WORSE-RULE-TEXT"
         bindings["better_rules"] = "BETTER-RULE-TEXT"
-        text = render("reflection_system", bindings)
+        text = render("reflection_system", bindings, TEMPLATES)
         assert text.index("[Worse Rules]") < text.index("WORSE-RULE-TEXT")
         assert text.index("[Better Rules]") < text.index("BETTER-RULE-TEXT")
         assert text.index("WORSE-RULE-TEXT") < text.index("[Better Rules]")
@@ -93,20 +135,20 @@ class TestRender:
         bindings = full_bindings("crossover")
         del bindings["reflection_comments"]
         with pytest.raises(MissingBindingError, match="reflection_comments"):
-            render("crossover", bindings)
+            render("crossover", bindings, TEMPLATES)
 
     def test_extra_binding_warns_but_renders(self, caplog):
         bindings = full_bindings("generator_system")
         bindings["unused_slot"] = "x"
         with caplog.at_level(logging.WARNING):
-            text = render("generator_system", bindings)
+            text = render("generator_system", bindings, TEMPLATES)
         assert "<task_description>" in text
         assert any("unused_slot" in message for message in caplog.messages)
 
     def test_no_recursive_expansion(self):
         bindings = full_bindings("generator_system")
         bindings["task_description"] = "{task_description}"
-        assert "{task_description}" in render("generator_system", bindings)
+        assert "{task_description}" in render("generator_system", bindings, TEMPLATES)
 
 
 class TestParseResponse:
@@ -149,7 +191,9 @@ class TestParseResponse:
     def test_round_trip_with_format_response(self):
         code = "d = delta($x, 5)\nreturn abs(d) > 2"
         context = "Rapid swings indicate sensor trouble."
-        parsed = parse_response(format_response(code, context))
+        text = format_response(code, context)
+        assert text == fence("rule", code) + "\n\n" + fence("context", context)
+        parsed = parse_response(text)
         assert (parsed.code, parsed.context) == (code, context)
 
     def test_prose_between_fences_ignored(self):
@@ -160,6 +204,34 @@ class TestParseResponse:
         parsed = parse_response(text)
         assert parsed.code == "return $x > 3"
         assert parsed.context == "Short hypothesis."
+
+
+class TestParseReflection:
+    def test_empty_reply(self):
+        assert parse_reflection("") == (NONE_PROVIDED, NONE_PROVIDED)
+
+    def test_one_paragraph_is_comments_only(self):
+        assert parse_reflection("  Prefer windows.\n") == ("Prefer windows.", NONE_PROVIDED)
+
+    def test_two_paragraphs(self):
+        text = "Prefer windows.\n\nThe coil leaks."
+        assert parse_reflection(text) == ("Prefer windows.", "The coil leaks.")
+
+    def test_three_paragraphs_keep_the_last_as_context(self):
+        text = "Hint one.\n\nHint two\nwraps.\n\nThe coil leaks."
+        assert parse_reflection(text) == ("Hint one.\n\nHint two\nwraps.", "The coil leaks.")
+
+    def test_whitespace_only_paragraphs_are_skipped(self):
+        assert parse_reflection(" \n\t\n \n") == (NONE_PROVIDED, NONE_PROVIDED)
+        text = "\n  \nHint.\n \t \n\n   \nContext.\n\n  "
+        assert parse_reflection(text) == ("Hint.", "Context.")
+
+
+class TestCheatsheet:
+    def test_names_every_builtin_and_the_window_range(self):
+        for name in BUILTINS:
+            assert f"{name}(" in DSL_CHEATSHEET, name
+        assert f"between {MIN_WINDOW} and {MAX_WINDOW}" in DSL_CHEATSHEET
 
 
 class TestFeatureList:

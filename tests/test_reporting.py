@@ -89,15 +89,6 @@ class TestRunLog:
         with pytest.raises(DuplicateRecordError):
             log.append(record("c0000"))
 
-    def test_resume_sees_old_ids(self, tmp_path):
-        RunLog(tmp_path, "run-a").append(record("c0000"))
-        resumed = RunLog(tmp_path, "run-a")
-        assert len(resumed.records()) == 1
-        with pytest.raises(DuplicateRecordError):
-            resumed.append(record("c0000"))
-        resumed.append(record("c0001"))
-        assert len(resumed.records()) == 2
-
     def test_config_snapshot_round_trip(self, tmp_path):
         snapshot = {"population_size": 4, "provider": {"kind": "sampler", "seed": 3}}
         log = RunLog(tmp_path, "run-a", config_snapshot=snapshot)
