@@ -1,10 +1,16 @@
 """Deterministic interpreter for typechecked rules.
 
-Evaluation is columnar: every sub-expression produces a series of T values
-plus a mask of MISSING positions. MISSING arises from `lag` before enough
-history exists, from division by a runtime zero, and from non-finite
-arithmetic results (overflow); it propagates through arithmetic and
-comparisons, while `and`/`or` may still decide when one operand settles the
+Evaluation is columnar: every sub-expression produces one float64 array of
+T values in which NaN marks MISSING. Nothing else can be NaN:
+`TimeSeriesTable` rejects non-finite cells, and every result that turns
+non-finite (an overflow, `x/0`, `0/0`) is made MISSING on the spot. Bindings
+and memoized results are read-only, so they are shared without copies.
+
+MISSING arises from `lag` before enough history exists, from division by a
+runtime zero, and from non-finite results. IEEE arithmetic carries it
+through `+ - * /`, unary `-`, `abs`, `clip`, `lag` and `delta`, and
+comparisons re-mark the rows where an operand is MISSING. Only `and`/`or`/
+`not` are Kleene: `and`/`or` may still decide when one operand settles the
 answer (false and anything is false, true or anything is true). Windowed
 builtins are MISSING wherever their trailing window touches a MISSING input.
 `ewma` pauses its state over MISSING inputs and resumes on the next datum.
@@ -29,8 +35,6 @@ does not alarm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..timeseries import TimeSeriesTable
@@ -48,43 +52,20 @@ _TOL = 1e-10
 _CHUNK = 1 << 16
 # The builtins whose results an `EvalMemo` keeps.
 _MEMOIZED = frozenset({"mean", "std", "rmin", "rmax", "zscore", "ewma"})
-# The binary operators that are one numpy ufunc; `/` also masks zero denominators.
+# The binary operators that are one numpy ufunc.
 _UFUNCS = {
     ">": np.greater, "<": np.less, ">=": np.greater_equal,
     "<=": np.less_equal, "==": np.equal, "!=": np.not_equal,
-    "+": np.add, "-": np.subtract, "*": np.multiply,
+    "+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
 }
 # An `EvalMemo` holds at most this many bytes of series; inserting into a full
 # memo evicts its oldest entries first.
 MEMO_BYTES = 64 << 20
 
 
-@dataclass(frozen=True)
-class _Series:
-    """A sub-expression's values and MISSING mask, both read-only.
-
-    Read-only arrays let a series be shared without copies: a binding read
-    by several `VarRef`s, or a mask passed through unchanged.
-    """
-
-    values: np.ndarray  # float64, finite at every position, 0.0 where missing
-    missing: np.ndarray  # bool
-
-    def __post_init__(self) -> None:
-        self.values.setflags(write=False)
-        self.missing.setflags(write=False)
-
-
-def _const(value: float, length: int) -> _Series:
-    return _Series(np.full(length, value, dtype=np.float64), np.zeros(length, dtype=bool))
-
-
-def _clean_arith(values: np.ndarray, mask: np.ndarray) -> _Series:
-    """Re-mask non-finite results so series values stay finite everywhere."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        mask = mask | bad
-    return _Series(np.where(mask, 0.0, values), mask)
+def _missing(values: np.ndarray, mask: np.ndarray | bool = False) -> np.ndarray:
+    """`values` with MISSING (NaN) where `mask` is set or a value is not finite."""
+    return np.where(mask | ~np.isfinite(values), np.nan, values)
 
 
 def _blocks(x: np.ndarray, window: int, pad: float) -> np.ndarray:
@@ -223,44 +204,39 @@ def _rolling_any(flags: np.ndarray, window: int) -> np.ndarray:
     return hits > 0
 
 
-def _lag(x: _Series, k: int) -> _Series:
-    length = x.values.shape[0]
-    values = np.zeros(length, dtype=np.float64)
-    mask = np.ones(length, dtype=bool)
-    if k < length:
-        values[k:] = x.values[: length - k]
-        mask[k:] = x.missing[: length - k]
-    return _Series(np.where(mask, 0.0, values), mask)
+def _lag(x: np.ndarray, k: int) -> np.ndarray:
+    length = x.shape[0]
+    out = np.full(length, np.nan)
+    out[k:] = x[: max(length - k, 0)]
+    return out
 
 
-def _ewma(x: _Series, alpha: float) -> _Series:
-    length = x.values.shape[0]
-    values = np.zeros(length, dtype=np.float64)
+def _ewma(x: np.ndarray, alpha: float) -> np.ndarray:
+    out = []
     state: float | None = None
-    for t in range(length):
-        if x.missing[t]:
-            continue
-        xt = float(x.values[t])
-        state = xt if state is None else alpha * xt + (1.0 - alpha) * state
-        values[t] = state
-    return _Series(values, x.missing)
+    for xt in x.tolist():
+        if xt == xt:  # MISSING (NaN) rows pass through and leave the state as it was
+            state = xt if state is None else alpha * xt + (1.0 - alpha) * state
+            out.append(state)
+        else:
+            out.append(xt)
+    return np.array(out, dtype=np.float64)
 
 
-def _windowed(x: _Series, window: int, name: str) -> _Series:
-    mask = _rolling_any(x.missing, window)
+def _windowed(x: np.ndarray, window: int, name: str) -> np.ndarray:
+    # The kernels take finite input: MISSING rows enter as 0.0, and every
+    # window that touches one is MISSING.
+    gaps = np.isnan(x)
+    x = np.where(gaps, 0.0, x)
     if name == "rmin":
-        values = _rolling_extreme(x.values, window, np.minimum, np.inf)
+        values = _rolling_extreme(x, window, np.minimum, np.inf)
     elif name == "rmax":
-        values = _rolling_extreme(x.values, window, np.maximum, -np.inf)
+        values = _rolling_extreme(x, window, np.maximum, -np.inf)
     else:
         # Sums of squares can overflow on finite inputs; such windows are MISSING.
         with np.errstate(over="ignore", invalid="ignore"):
-            values = _rolling_moment(x.values, window, name)
-    return _clean_arith(values, mask)
-
-
-def _nbytes(series: _Series) -> int:
-    return series.values.nbytes + series.missing.nbytes
+            values = _rolling_moment(x, window, name)
+    return _missing(values, _rolling_any(gaps, window))
 
 
 class EvalMemo:
@@ -275,24 +251,22 @@ class EvalMemo:
 
     def __init__(self, table: TimeSeriesTable) -> None:
         self.table = table
-        self._series: dict[tuple, _Series] = {}
+        self._series: dict[tuple, np.ndarray] = {}
         self.nbytes = 0
 
     def __len__(self) -> int:
         return len(self._series)
 
-    def get(self, key: tuple) -> _Series | None:
+    def get(self, key: tuple) -> np.ndarray | None:
         return self._series.get(key)
 
-    def put(self, key: tuple, series: _Series) -> None:
-        size = _nbytes(series)
-        if size > MEMO_BYTES:
+    def put(self, key: tuple, series: np.ndarray) -> None:
+        if series.nbytes > MEMO_BYTES:
             return
-        while self.nbytes + size > MEMO_BYTES:
-            oldest = next(iter(self._series))
-            self.nbytes -= _nbytes(self._series.pop(oldest))
+        while self.nbytes + series.nbytes > MEMO_BYTES:
+            self.nbytes -= self._series.pop(next(iter(self._series))).nbytes
         self._series[key] = series
-        self.nbytes += size
+        self.nbytes += series.nbytes
 
 
 class _Evaluator:
@@ -300,77 +274,51 @@ class _Evaluator:
         self._memo = EvalMemo(table) if memo is None else memo
         self._table = table
         self._length = table.num_rows
-        self._env: dict[str, _Series] = {}
+        self._env: dict[str, np.ndarray] = {}
         self._keys: dict[str, tuple] = {}  # each binding's memo key
 
     def run(self, rule: TypedRule) -> np.ndarray:
         for name, expr in rule.ast.bindings:
             self._keys[name] = self._key(expr)
+            # Read-only, so that every `VarRef` to it shares the one array.
             self._env[name] = self._eval(expr)
+            self._env[name].setflags(write=False)
         result = self._eval(rule.ast.result)
         # Final coercion: MISSING scores do not alarm.
-        return np.where(result.missing, 0.0, result.values)
+        return np.where(np.isnan(result), 0.0, result)
 
-    def _eval(self, expr: Expr) -> _Series:
+    def _eval(self, expr: Expr) -> np.ndarray:
         if isinstance(expr, Num):
-            return _const(expr.value, self._length)
+            return np.full(self._length, expr.value)
         if isinstance(expr, FeatureRef):
-            column = np.ascontiguousarray(self._table.column(expr.name))
-            return _Series(column, np.zeros(self._length, dtype=bool))
+            return np.ascontiguousarray(self._table.column(expr.name))
         if isinstance(expr, VarRef):
             return self._env[expr.name]
         if isinstance(expr, Unary):
             operand = self._eval(expr.operand)
-            if expr.op == "-":
-                return _Series(
-                    np.where(operand.missing, 0.0, -operand.values), operand.missing
-                )
-            # not: Kleene negation
-            values = np.where(operand.values == 0.0, 1.0, 0.0)
-            return _Series(np.where(operand.missing, 0.0, values), operand.missing)
+            # `not` over 0/1 booleans; 1 - NaN keeps MISSING.
+            return -operand if expr.op == "-" else 1.0 - operand
         if isinstance(expr, BinOp):
             return self._eval_binop(expr)
         if isinstance(expr, Call):
             return self._eval_call(expr)
         raise TypeError(f"not an expression node: {expr!r}")
 
-    def _eval_binop(self, expr: BinOp) -> _Series:
+    def _eval_binop(self, expr: BinOp) -> np.ndarray:
         left = self._eval(expr.left)
         right = self._eval(expr.right)
         op = expr.op
-        if op == "and":
-            known_false = (~left.missing & (left.values == 0.0)) | (
-                ~right.missing & (right.values == 0.0)
-            )
-            mask = (left.missing | right.missing) & ~known_false
-            values = ((left.values != 0.0) & (right.values != 0.0)).astype(np.float64)
-            values[known_false] = 0.0
-            return _Series(np.where(mask, 0.0, values), mask)
-        if op == "or":
-            known_true = (~left.missing & (left.values != 0.0)) | (
-                ~right.missing & (right.values != 0.0)
-            )
-            mask = (left.missing | right.missing) & ~known_true
-            values = ((left.values != 0.0) | (right.values != 0.0)).astype(np.float64)
-            values[known_true] = 1.0
-            return _Series(np.where(mask, 0.0, values), mask)
-        mask = left.missing | right.missing
+        # Kleene logic over the checker's 0/1/NaN booleans.
+        if op == "and":  # a false operand decides; else 1*1 = 1 and NaN stays MISSING
+            return np.where((left == 0.0) | (right == 0.0), 0.0, left * right)
+        if op == "or":  # a true operand decides; else 0+0 = 0 and NaN stays MISSING
+            return np.where((left == 1.0) | (right == 1.0), 1.0, left + right)
         if op in COMPARISONS:
-            values = _UFUNCS[op](left.values, right.values).astype(np.float64)
-            return _Series(np.where(mask, 0.0, values), mask)
+            values = _UFUNCS[op](left, right).astype(np.float64)
+            return np.where(np.isnan(left) | np.isnan(right), np.nan, values)
+        # An overflow, x/0 or 0/0 is non-finite, so MISSING.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if op == "/":  # a runtime zero denominator is MISSING at that row
-                zero_den = ~right.missing & (right.values == 0.0)
-                mask = mask | zero_den
-                values = np.divide(
-                    left.values,
-                    right.values,
-                    out=np.zeros(self._length, dtype=np.float64),
-                    where=~mask,
-                )
-            else:
-                values = _UFUNCS[op](left.values, right.values)
-        return _clean_arith(values, mask)
+            return _missing(_UFUNCS[op](left, right))
 
     def _key(self, expr: Expr) -> tuple:
         """`expr`'s memo key: its structure, with bound names replaced by their keys."""
@@ -387,36 +335,31 @@ class _Evaluator:
             return (Unary, expr.op, self._key(expr.operand))
         return (BinOp, expr.op, self._key(expr.left), self._key(expr.right))
 
-    def _eval_call(self, expr: Call) -> _Series:
+    def _eval_call(self, expr: Call) -> np.ndarray:
         if expr.name not in _MEMOIZED:
             return self._eval_builtin(expr)
         key = self._key(expr)
         series = self._memo.get(key)
         if series is None:
             series = self._eval_builtin(expr)
+            series.setflags(write=False)
             self._memo.put(key, series)
         return series
 
-    def _eval_builtin(self, expr: Call) -> _Series:
+    def _eval_builtin(self, expr: Call) -> np.ndarray:
         name = expr.name
         if name == "abs":
-            x = self._eval(expr.args[0])
-            return _Series(np.where(x.missing, 0.0, np.abs(x.values)), x.missing)
+            return np.abs(self._eval(expr.args[0]))
         if name == "clip":
-            x, lo, hi = (self._eval(a) for a in expr.args)
-            mask = x.missing | lo.missing | hi.missing
-            values = np.clip(x.values, lo.values, hi.values)
-            return _Series(np.where(mask, 0.0, values), mask)
+            return np.clip(*(self._eval(a) for a in expr.args))
         if name in ("mean", "std", "rmin", "rmax", "zscore"):
             return _windowed(self._eval(expr.args[0]), self._literal_int(expr.args[1]), name)
         if name == "lag":
             return _lag(self._eval(expr.args[0]), self._literal_int(expr.args[1]))
         if name == "delta":
             x = self._eval(expr.args[0])
-            lagged = _lag(x, self._literal_int(expr.args[1]))
-            mask = x.missing | lagged.missing
-            values = np.where(mask, 0.0, x.values - lagged.values)
-            return _clean_arith(values, mask)
+            with np.errstate(over="ignore"):
+                return _missing(x - _lag(x, self._literal_int(expr.args[1])))
         if name == "ewma":
             arg = expr.args[1]
             assert isinstance(arg, Num)

@@ -98,7 +98,9 @@ def load_templates(prompts_dir: str | Path | None = None) -> dict[str, str]:
     """Every template body by id: the packaged set, or all five read from `prompts_dir`.
 
     An override that is missing, is not UTF-8, or names a placeholder its
-    packaged template lacks raises `PromptError`.
+    packaged template lacks raises `PromptError`. Each packaged placeholder
+    an override leaves out is logged once, here, as a warning: `render`
+    drops its binding silently.
     """
     packaged = _packaged_templates()
     if prompts_dir is None:
@@ -118,6 +120,8 @@ def load_templates(prompts_dir: str | Path | None = None) -> dict[str, str]:
             raise PromptError(
                 f"template override {path} names a placeholder its packaged template lacks: {names}"
             )
+        for slot in sorted(_slots(packaged[template_id]) - _slots(body)):
+            logger.warning("template override %s leaves out {%s}", path, slot)
         templates[template_id] = body
     return templates
 
@@ -136,16 +140,13 @@ def render(template_id: str, bindings: Mapping[str, str], templates: Mapping[str
     """Substitute the `{placeholder}` slots of `templates[template_id]` literally.
 
     There is no recursive expansion. Missing bindings raise; bindings
-    without a matching slot only warn, so callers can reuse one binding dict
-    across several templates.
+    without a matching slot are dropped, so callers can reuse one binding
+    dict across several templates, and an override may leave out a slot.
     """
     body = templates[template_id]
-    slots = _slots(body)
-    for slot in slots:
+    for slot in _slots(body):
         if slot not in bindings:
             raise MissingBindingError(slot)
-    for extra in sorted(set(bindings) - slots):
-        logger.warning("template %s: binding %r has no placeholder", template_id, extra)
     return _PLACEHOLDER_RE.sub(lambda m: str(bindings[m.group(1)]), body)
 
 

@@ -137,6 +137,109 @@ def window_brute(name: str, values, t: int, w: int, eps: float = 1e-9) -> float:
     }[name]
 
 
+def _finite(value: float) -> float | None:
+    return value if math.isfinite(value) else None
+
+
+def rule_brute(ast, columns: dict[str, list[float]], nudge: float = 0.0, eps: float = 1e-9) -> list:
+    """A parsed rule's scores, row by row, with None for MISSING.
+
+    `ast` is the rule as parsed; nodes are told apart by class name, so
+    nothing here comes from the package. MISSING is `lag` before its
+    history, a runtime zero denominator, any non-finite result, and every
+    window that touches a MISSING row; it carries through arithmetic, `abs`,
+    `clip` and comparisons. `ewma` skips MISSING rows and keeps its state.
+    `and`/`or`/`not` are Kleene: a false (true) operand decides `and` (`or`)
+    even when the other is MISSING. The interpreter scores a MISSING row 0.0.
+
+    Every other operation rounds as IEEE arithmetic does, except `mean`,
+    `std` and `zscore` over a window that is not constant, whose rounding
+    depends on the summation. `nudge` moves each such result v of the k-th
+    distinct call evaluated by nudge * (k + 1) * (1 + |v|), with the sign
+    flipped on odd rows: a row whose score moves under a tiny nudge is
+    decided by that rounding (a tie, a near-zero denominator, a
+    near-constant window). Equal calls round alike, so they move alike.
+    """
+    bindings = dict(ast.bindings)
+    length = len(next(iter(columns.values())))
+    seen: dict[tuple[int, int], float | None] = {}
+    order: dict = {}  # each distinct windowed call's k
+
+    def at(expr, t: int) -> float | None:
+        key = (id(expr), t)
+        if key not in seen:
+            seen[key] = row(expr, t)
+        return seen[key]
+
+    def row(expr, t: int) -> float | None:
+        kind = type(expr).__name__
+        if kind == "Num":
+            return expr.value
+        if kind == "FeatureRef":
+            return columns[expr.name][t]
+        if kind == "VarRef":
+            return at(bindings[expr.name], t)
+        if kind == "Unary":
+            x = at(expr.operand, t)
+            if x is None:
+                return None
+            return -x if expr.op == "-" else float(x == 0.0)
+        if kind == "BinOp":
+            return binop(expr.op, at(expr.left, t), at(expr.right, t))
+        return call(expr, t)
+
+    def binop(op: str, x: float | None, y: float | None) -> float | None:
+        if op == "and":
+            return 0.0 if 0.0 in (x, y) else None if None in (x, y) else 1.0
+        if op == "or":
+            return 1.0 if 1.0 in (x, y) else None if None in (x, y) else 0.0
+        if x is None or y is None:
+            return None
+        if op in (">", "<", ">=", "<=", "==", "!="):
+            return float({">": x > y, "<": x < y, ">=": x >= y, "<=": x <= y, "==": x == y, "!=": x != y}[op])
+        if op == "/":
+            return None if y == 0.0 else _finite(x / y)
+        return _finite({"+": x + y, "-": x - y, "*": x * y}[op])
+
+    def call(expr, t: int) -> float | None:
+        name, args = expr.name, expr.args
+        if name == "ewma":
+            state = None
+            for s in range(t + 1):
+                x = at(args[0], s)
+                if x is not None:
+                    state = x if state is None else args[1].value * x + (1 - args[1].value) * state
+            return None if at(args[0], t) is None else state
+        if name == "clip":
+            x, lo, hi = (at(arg, t) for arg in args)
+            return None if None in (x, lo, hi) else min(max(x, lo), hi)
+        x = at(args[0], t)
+        if name == "abs":
+            return None if x is None else abs(x)
+        k = int(args[1].value)
+        if name in ("lag", "delta"):
+            before = at(args[0], t - k) if t >= k else None
+            if name == "lag" or x is None or before is None:
+                return before
+            return _finite(x - before)
+        window = [at(args[0], s) for s in range(max(0, t - k + 1), t + 1)]
+        if any(v is None for v in window):
+            return None
+        if name in ("rmin", "rmax"):
+            return min(window) if name == "rmin" else max(window)
+        if min(window) == max(window):  # a constant window: the mean is exact, the spread 0
+            return {"mean": x, "std": 0.0, "zscore": 0.0}[name]
+        mu = sum(window) / len(window)
+        sd = math.sqrt(sum((v - mu) * (v - mu) for v in window) / len(window))
+        # A window whose spread overflows has no z-score.
+        zscore = (x - mu) / (sd + eps) if math.isfinite(sd) else math.nan
+        value = {"mean": mu, "std": sd, "zscore": zscore}[name]
+        step = nudge * (order.setdefault(expr, len(order)) + 1) * (-1) ** t
+        return _finite(value + step * (1.0 + abs(value)))
+
+    return [at(ast.result, t) for t in range(length)]
+
+
 def save_csv_brute(table) -> bytes:
     """A table as CSV, one cell at a time through `csv.writer`."""
     out = io.StringIO()

@@ -81,7 +81,7 @@ class TestSharedMemo:
         """
         rules = [compile_rule(source, ("a", "b")) for source in sources]
         fresh = [bits(evaluate(rule, table)) for rule in rules]
-        bound = interp.MEMO_BYTES if room is None else room * 9 * table.num_rows
+        bound = interp.MEMO_BYTES if room is None else room * 8 * table.num_rows
         with mock.patch.object(interp, "MEMO_BYTES", bound):
             memo = EvalMemo(table)
             order = list(range(len(rules))) * 2
@@ -117,7 +117,7 @@ class TestSharedMemo:
     def test_full_memo_evicts_its_oldest_entry(self):
         table = make_table({"x": np.arange(50.0)})
         rules = {w: compile_rule(f"return mean($x, {w}) > 1", ("x",)) for w in (2, 3, 4)}
-        with mock.patch.object(interp, "MEMO_BYTES", 2 * 9 * 50), counting_windowed() as calls:
+        with mock.patch.object(interp, "MEMO_BYTES", 2 * 8 * 50), counting_windowed() as calls:
             memo = EvalMemo(table)
             for w in (2, 3, 4, 4, 3, 2):
                 evaluate(rules[w], table, memo)

@@ -65,6 +65,18 @@ class TestTemplates:
         assert set(rendered) == set(TEMPLATE_IDS)
         assert [r for r in caplog.records if r.name == "pillm.prompts"] == []
 
+    def test_left_out_slot_warns_once_per_run(self, tmp_path, bias_corpus, caplog):
+        crossover = TEMPLATES["crossover"].replace("{reflection_context}", "")
+        write_packaged(tmp_path, crossover=crossover)
+        config = EvolutionConfig(population_size=6, generations=3, seed=11)
+        provider = SamplerProvider(seed=11, feature_names=bias_corpus.feature_names)
+        with caplog.at_level(logging.WARNING, logger="pillm.prompts"):
+            result = run_evolution(config, bias_corpus, provider, templates=load_templates(tmp_path))
+        assert result.generations_completed == 3
+        warnings = [r.getMessage() for r in caplog.records if r.name == "pillm.prompts"]
+        assert len(warnings) == 1
+        assert "crossover.txt leaves out {reflection_context}" in warnings[0]
+
     def test_override_may_leave_out_a_packaged_slot(self, tmp_path):
         write_packaged(tmp_path, crossover="Cross {worse_rules} with {better_rules}.")
         assert load_templates(tmp_path)["crossover"] == "Cross {worse_rules} with {better_rules}."
@@ -137,13 +149,13 @@ class TestRender:
         with pytest.raises(MissingBindingError, match="reflection_comments"):
             render("crossover", bindings, TEMPLATES)
 
-    def test_extra_binding_warns_but_renders(self, caplog):
+    def test_extra_binding_renders_silently(self, caplog):
         bindings = full_bindings("generator_system")
         bindings["unused_slot"] = "x"
         with caplog.at_level(logging.WARNING):
             text = render("generator_system", bindings, TEMPLATES)
-        assert "<task_description>" in text
-        assert any("unused_slot" in message for message in caplog.messages)
+        assert "<task_description>" in text and "unused_slot" not in text
+        assert caplog.records == []
 
     def test_no_recursive_expansion(self):
         bindings = full_bindings("generator_system")
