@@ -133,7 +133,7 @@ def check(rule_path: str, meta_path: str | None) -> None:
         _fail(str(exc), EXIT_BAD_CONFIG)
     feature_list = ", ".join(sorted(rule.features)) or "(none)"
     click.echo(
-        f"OK: {rule.node_count} nodes, max window {rule.max_window}, features: {feature_list}"
+        f"OK: {rule.ast.node_count} nodes, max window {rule.max_window}, features: {feature_list}"
     )
 
 
@@ -304,21 +304,26 @@ def report(run_dir: str, data_path: str, meta_path: str, narrate: bool) -> None:
     except TableError as exc:
         _fail(str(exc), EXIT_BAD_CONFIG)
 
+    provider_block = snapshot.get("provider", {})
     try:
-        doc = generate_report(
-            best["code"], best["context"], table, float(snapshot.get("threshold", 0.5)), train_table
+        if not isinstance(provider_block, dict):
+            raise ConfigError("config key 'provider' must be an object")
+        config = EvolutionConfig.from_dict(
+            {k: v for k, v in snapshot.items() if k not in ("provider", "prompts_dir")}
         )
+    except ConfigError as exc:
+        _fail(str(exc), EXIT_BAD_CONFIG)
+
+    try:
+        doc = generate_report(best["code"], best["context"], table, config.threshold, train_table)
     except DslError as exc:
         _fail(str(exc))
     text = doc.render()
     if narrate:
-        provider_block = dict(snapshot.get("provider", {}))
         kind = provider_block.get("type", "sampler")
         try:
-            keys = {k: v for k, v in snapshot.items() if k not in ("provider", "prompts_dir")}
-            config = EvolutionConfig.from_dict(keys)
             provider = _build_provider(kind, provider_block, provider_block.get("script"), config, table.feature_names)
-        except (ProviderConfigError, ConfigError) as exc:
+        except ProviderConfigError as exc:
             _fail(str(exc), EXIT_BAD_CONFIG)
         text = narrate_report(text, provider)
     log.write_report(text)

@@ -15,8 +15,9 @@ from .checker import TypedRule, typecheck
 from .errors import BudgetError, DslError, DslSyntaxError, DslTypeError
 from .formatter import format_rule
 from .interp import EVAL_BUDGET, EvalMemo, evaluate, to_flags
-from .nodes import BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef, children, walk
-from .parser import BUILTINS, MAX_BINDINGS, MAX_DEPTH, MAX_NODES, MAX_WINDOW, parse
+from .nodes import BUILTINS, MAX_WINDOW, BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef
+from .nodes import children, walk
+from .parser import MAX_BINDINGS, MAX_DEPTH, MAX_NODES, parse
 
 __all__ = [
     "BUILTINS",

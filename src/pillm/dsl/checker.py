@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DslTypeError
-from .nodes import COMPARISONS, BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef, walk
-from .parser import BUILTINS
+from .nodes import BUILTINS, COMPARISONS, BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef, walk
 
 _NUM = "numeric-series"
 _BOOL = "boolean-series"
@@ -25,10 +24,8 @@ class TypedRule:
     """A rule that passed parsing and static checks against a feature set."""
 
     ast: RuleAst
-    result_is_bool: bool
     features: frozenset[str]
     max_window: int
-    node_count: int
 
 
 def typecheck(ast: RuleAst, features: Iterable[str]) -> TypedRule:
@@ -77,24 +74,19 @@ def typecheck(ast: RuleAst, features: Iterable[str]) -> TypedRule:
 
     for name, expr in ast.bindings:
         env[name] = visit(expr)
-    result_type = visit(ast.result)
+    visit(ast.result)
     nodes = list(walk(*ast.roots))
     return TypedRule(
         ast=ast,
-        result_is_bool=result_type == _BOOL,
         features=frozenset(n.name for n in nodes if isinstance(n, FeatureRef)),
         max_window=max((_window(n) for n in nodes if isinstance(n, Call)), default=1),
-        node_count=ast.node_count,
     )
 
 
 def _window(call: Call) -> int:
-    window_arg = BUILTINS[call.name][1]
-    if window_arg is None:
-        return 1
-    literal = call.args[window_arg]
-    assert isinstance(literal, Num)  # enforced by the parser
-    return int(literal.value)
+    """The window a call counts toward `max_window`: its window literal, else 1."""
+    _, literal_at, kind = BUILTINS[call.name]
+    return int(call.args[literal_at].value) if kind == "window" else 1  # a `Num`, by the parser
 
 
 def _require(actual: str, expected: str, where: str, expr: Expr) -> None:

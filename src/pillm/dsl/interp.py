@@ -15,6 +15,11 @@ answer (false and anything is false, true or anything is true). Windowed
 builtins are MISSING wherever their trailing window touches a MISSING input.
 `ewma` pauses its state over MISSING inputs and resumes on the next datum.
 
+Each builtin is one kernel in `_KERNELS`, keyed by the names of
+`nodes.BUILTINS`. A call evaluates its series arguments and passes them to the
+kernel, then its literal, if it has one, converted by the literal's kind: a
+window or lag as an int, `ewma`'s smoothing factor as a float.
+
 Windowed builtins cost O(T) for any window: `rmin`/`rmax` use the van Herk /
 Gil-Werman block scans, and `mean`/`std`/`zscore` use per-block prefix sums
 with an error bound that sends the rare ill-conditioned window to an exact
@@ -40,7 +45,7 @@ import numpy as np
 from ..timeseries import TimeSeriesTable
 from .checker import TypedRule
 from .errors import BudgetError
-from .nodes import COMPARISONS, BinOp, Call, Expr, FeatureRef, Num, Unary, VarRef
+from .nodes import BUILTINS, COMPARISONS, BinOp, Call, Expr, FeatureRef, Num, Unary, VarRef
 
 EVAL_BUDGET = 2**28
 ZSCORE_EPS = 1e-9
@@ -211,6 +216,11 @@ def _lag(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _delta(x: np.ndarray, k: int) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        return _missing(x - _lag(x, k))
+
+
 def _ewma(x: np.ndarray, alpha: float) -> np.ndarray:
     out = []
     state: float | None = None
@@ -237,6 +247,23 @@ def _windowed(x: np.ndarray, window: int, name: str) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             values = _rolling_moment(x, window, name)
     return _missing(values, _rolling_any(gaps, window))
+
+
+# builtin -> its kernel, called with the evaluated series arguments and then the
+# literal converted by its kind in `BUILTINS`. The windowed kernels look
+# `_windowed` up when called, so that a patched `_windowed` sees every call.
+_KERNELS = {
+    "abs": np.abs,
+    "clip": np.clip,
+    **{
+        name: lambda x, window, name=name: _windowed(x, window, name)
+        for name in ("mean", "std", "rmin", "rmax", "zscore")
+    },
+    "lag": _lag,
+    "delta": _delta,
+    "ewma": _ewma,
+}
+_LITERAL_TYPES = {"window": int, "alpha": float}
 
 
 class EvalMemo:
@@ -347,29 +374,11 @@ class _Evaluator:
         return series
 
     def _eval_builtin(self, expr: Call) -> np.ndarray:
-        name = expr.name
-        if name == "abs":
-            return np.abs(self._eval(expr.args[0]))
-        if name == "clip":
-            return np.clip(*(self._eval(a) for a in expr.args))
-        if name in ("mean", "std", "rmin", "rmax", "zscore"):
-            return _windowed(self._eval(expr.args[0]), self._literal_int(expr.args[1]), name)
-        if name == "lag":
-            return _lag(self._eval(expr.args[0]), self._literal_int(expr.args[1]))
-        if name == "delta":
-            x = self._eval(expr.args[0])
-            with np.errstate(over="ignore"):
-                return _missing(x - _lag(x, self._literal_int(expr.args[1])))
-        if name == "ewma":
-            arg = expr.args[1]
-            assert isinstance(arg, Num)
-            return _ewma(self._eval(expr.args[0]), arg.value)
-        raise TypeError(f"unknown builtin {name!r}")
-
-    @staticmethod
-    def _literal_int(expr: Expr) -> int:
-        assert isinstance(expr, Num)  # enforced by the parser
-        return int(expr.value)
+        _, literal_at, kind = BUILTINS[expr.name]
+        args = [self._eval(arg) for at, arg in enumerate(expr.args) if at != literal_at]
+        if literal_at is not None:
+            args.append(_LITERAL_TYPES[kind](expr.args[literal_at].value))  # a `Num`, by the parser
+        return _KERNELS[expr.name](*args)
 
 
 def evaluate(rule: TypedRule, table: TimeSeriesTable, memo: EvalMemo | None = None) -> np.ndarray:
@@ -389,10 +398,11 @@ def evaluate(rule: TypedRule, table: TimeSeriesTable, memo: EvalMemo | None = No
     """
     if memo is not None and memo.table is not table:
         raise ValueError("the memo belongs to another table")
-    cost = rule.node_count * table.num_rows * rule.max_window
+    nodes = rule.ast.node_count
+    cost = nodes * table.num_rows * rule.max_window
     if cost > EVAL_BUDGET:
         raise BudgetError(
-            f"evaluation budget exceeded: {rule.node_count} nodes x {table.num_rows} rows "
+            f"evaluation budget exceeded: {nodes} nodes x {table.num_rows} rows "
             f"x window {rule.max_window} = {cost} > {EVAL_BUDGET}"
         )
     return _Evaluator(table, memo).run(rule)

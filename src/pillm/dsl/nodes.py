@@ -28,6 +28,26 @@ NEG_PREC = 7  # unary `-` applies to a primary only
 # Comparisons do not chain: `a < b < c` is a syntax error.
 COMPARISONS = frozenset(op for op, prec in BINARY_PREC.items() if prec == BINARY_PREC["=="])
 
+MIN_WINDOW = 1
+MAX_WINDOW = 1024
+# builtin -> (arity, index of its literal argument or None, the literal's kind).
+# A "window" literal is an integer in [MIN_WINDOW, MAX_WINDOW] that counts
+# toward a rule's max window (for `lag` and `delta`, the lag). An "alpha"
+# literal is `ewma`'s smoothing factor, a real in (0, 1]. The parser, the
+# checker and the interpreter all read this table.
+BUILTINS: dict[str, tuple[int, int | None, str | None]] = {
+    "abs": (1, None, None),
+    "clip": (3, None, None),
+    "mean": (2, 1, "window"),
+    "std": (2, 1, "window"),
+    "rmin": (2, 1, "window"),
+    "rmax": (2, 1, "window"),
+    "lag": (2, 1, "window"),
+    "delta": (2, 1, "window"),
+    "ewma": (2, 1, "alpha"),
+    "zscore": (2, 1, "window"),
+}
+
 
 @dataclass(frozen=True)
 class Num:

@@ -28,29 +28,13 @@ import re
 from dataclasses import dataclass
 
 from .errors import DslSyntaxError
-from .nodes import BINARY_PREC, COMPARISONS, NOT_PREC, BinOp, Call, Expr
-from .nodes import FeatureRef, Num, Pos, RuleAst, Unary, VarRef
+from .nodes import BINARY_PREC, BUILTINS, COMPARISONS, MAX_WINDOW, MIN_WINDOW, NOT_PREC
+from .nodes import BinOp, Call, Expr, FeatureRef, Num, Pos, RuleAst, Unary, VarRef
 
 MAX_SOURCE_BYTES = 16 * 1024
 MAX_NODES = 512
 MAX_DEPTH = 64  # parentheses and call argument lists open at once
 MAX_BINDINGS = 32
-MIN_WINDOW = 1
-MAX_WINDOW = 1024
-
-# builtin -> (arity, index of the window/lag literal argument, or None)
-BUILTINS: dict[str, tuple[int, int | None]] = {
-    "abs": (1, None),
-    "clip": (3, None),
-    "mean": (2, 1),
-    "std": (2, 1),
-    "rmin": (2, 1),
-    "rmax": (2, 1),
-    "lag": (2, 1),
-    "delta": (2, 1),
-    "ewma": (2, None),  # second argument is a real literal in (0, 1]
-    "zscore": (2, 1),
-}
 
 KEYWORDS = ("return", "and", "or", "not")
 _TIGHTEST = max(BINARY_PREC.values())
@@ -247,35 +231,31 @@ class _Parser:
         name = name_tok.text
         if name not in BUILTINS:
             raise DslSyntaxError(f"unknown builtin {name!r}", *name_tok.pos)
-        arity, window_arg = BUILTINS[name]
+        arity, literal_at, kind = BUILTINS[name]
         if len(args) != arity:
             raise DslSyntaxError(
                 f"{name}() takes {arity} argument{'s' if arity != 1 else ''}, got {len(args)}",
                 *name_tok.pos,
             )
-        if window_arg is not None:
-            self._check_window_literal(name, args[window_arg])
-        if name == "ewma":
-            self._check_ewma_literal(args[1])
+        if literal_at is not None:
+            self._check_literal(name, kind, args[literal_at])
         return Call(name, tuple(args), pos=name_tok.pos)
 
     @staticmethod
-    def _check_window_literal(name: str, arg: Expr) -> None:
-        if not isinstance(arg, Num) or arg.value != int(arg.value):
-            pos = getattr(arg, "pos", (0, 0))
-            raise DslSyntaxError(f"window for {name}() must be an integer literal", *pos)
-        if not MIN_WINDOW <= int(arg.value) <= MAX_WINDOW:
-            raise DslSyntaxError(
-                f"window for {name}() out of range [{MIN_WINDOW}, {MAX_WINDOW}]", *arg.pos
-            )
-
-    @staticmethod
-    def _check_ewma_literal(arg: Expr) -> None:
-        if not isinstance(arg, Num):
-            pos = getattr(arg, "pos", (0, 0))
-            raise DslSyntaxError("smoothing factor for ewma() must be a real literal", *pos)
-        if not 0.0 < arg.value <= 1.0:
-            raise DslSyntaxError("smoothing factor for ewma() must lie in (0, 1]", *arg.pos)
+    def _check_literal(name: str, kind: str | None, arg: Expr) -> None:
+        """`arg` must be the literal of `kind` that `BUILTINS` gives `name`."""
+        if kind == "window":
+            noun, literal, bounds = "window", "an integer literal", f"out of range [{MIN_WINDOW}, {MAX_WINDOW}]"
+            is_literal = isinstance(arg, Num) and arg.value == int(arg.value)
+            in_bounds = is_literal and MIN_WINDOW <= arg.value <= MAX_WINDOW
+        else:  # "alpha"
+            noun, literal, bounds = "smoothing factor", "a real literal", "must lie in (0, 1]"
+            is_literal = isinstance(arg, Num)
+            in_bounds = is_literal and 0.0 < arg.value <= 1.0
+        if not is_literal:
+            raise DslSyntaxError(f"{noun} for {name}() must be {literal}", *arg.pos)
+        if not in_bounds:
+            raise DslSyntaxError(f"{noun} for {name}() {bounds}", *arg.pos)
 
 
 def parse(source: str) -> RuleAst:

@@ -78,6 +78,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.length < 2:
             raise SimulationError("length must be >= 2")
+        if self.seed < 0:
+            raise SimulationError("seed must be >= 0")
         if self.sigma < 0:
             raise SimulationError("sigma must be >= 0")
         if not 0.0 < self.a < 1.0:

@@ -132,6 +132,12 @@ class TestGenData:
         result = runner.invoke(main, ["gen-data", "--out", str(tmp_path / "x"), "--length", "1"])
         assert result.exit_code == 3
 
+    def test_negative_seed(self, tmp_path, runner):
+        result = runner.invoke(main, ["gen-data", "--out", str(tmp_path / "x"), "--seed", "-1"])
+        assert result.exit_code == 3
+        assert result.output == "error: seed must be >= 0\n"
+        assert not (tmp_path / "x").exists()
+
 
 class TestCheck:
     def test_ok_with_meta(self, tmp_path, runner):
@@ -879,6 +885,26 @@ class TestReport:
             assert result.exit_code == 3, (bad, result.output)
             assert "error: " in result.output, bad
             assert not (run_dir / "report.txt").exists()
+
+    @pytest.mark.parametrize(
+        "field,value,narrate,message",
+        [
+            ("threshold", "high", False, "threshold must be of type float, got 'high'"),
+            ("provider", "sampler", True, "config key 'provider' must be an object"),
+        ],
+    )
+    def test_bad_snapshot_field_exits_3(self, tmp_path, runner, sim_corpus, field, value, narrate, message):
+        run_dir = self.finished_run(tmp_path, runner, sim_corpus)
+        snapshot_path = run_dir / "config.snapshot"
+        snapshot = json.loads(snapshot_path.read_text(encoding="utf-8"))
+        snapshot[field] = value
+        snapshot_path.write_text(json.dumps(snapshot), encoding="utf-8")
+        args = ["report", "--run", str(run_dir), "--data", str(run_dir / "test.csv"), "--meta", str(run_dir / "meta.json")]
+        result = runner.invoke(main, args + ["--narrate"] * narrate)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == f"error: {message}\n"
+        assert not (run_dir / "report.txt").exists()
 
 
 NOT_UTF8 = b"\xff\xfe"

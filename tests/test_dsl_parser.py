@@ -185,12 +185,10 @@ class TestTypecheck:
     def test_boolean_result(self):
         rule = typecheck(parse("return $zone_temp > 30"), {"zone_temp"})
         assert isinstance(rule, TypedRule)
-        assert rule.result_is_bool
         assert rule.features == frozenset({"zone_temp"})
 
     def test_numeric_result_accepted(self):
         rule = typecheck(parse("return zscore($x, 8)"), {"x"})
-        assert not rule.result_is_bool
         assert rule.max_window == 8
 
     def test_unknown_feature(self):
@@ -227,8 +225,9 @@ class TestTypecheck:
             typecheck(parse("return $a / 0"), {"a"})
 
     def test_bindings_typed_through(self):
-        rule = typecheck(parse("hot = $t > 30\nreturn hot or $t > 40"), {"t"})
-        assert rule.result_is_bool
+        typecheck(parse("hot = $t > 30\nreturn hot or $t > 40"), {"t"})
+        with pytest.raises(DslTypeError, match="'or' requires"):
+            typecheck(parse("hot = $t + 30\nreturn hot or $t > 40"), {"t"})
 
     def test_max_window_across_bindings(self):
         rule = typecheck(parse("a = mean($x, 4)\nreturn a - rmin($x, 100) > 0"), {"x"})

@@ -727,7 +727,7 @@ class TestSampleRule:
         for seed in range(100):
             code = sample_rule(seed, FEATURES)
             rule = compile_rule(code, FEATURES)
-            assert rule.node_count <= 512
+            assert rule.ast.node_count <= 512
             assert rule.features == set(re.findall(r"\$([A-Za-z_]\w*)", code))
 
     def test_argument_validation(self):

@@ -35,6 +35,8 @@ class TestValidation:
     def test_bad_config(self):
         with pytest.raises(SimulationError):
             SimConfig(length=1)
+        with pytest.raises(SimulationError, match="seed must be >= 0"):
+            SimConfig(seed=-1)
         with pytest.raises(SimulationError):
             SimConfig(sigma=-0.1)
         with pytest.raises(SimulationError):
