@@ -3,8 +3,8 @@
 Every expression is classified as a numeric series or a boolean series.
 Comparisons take numeric operands and produce booleans; `and/or/not` demand
 booleans; arithmetic and all builtins stay numeric. The checker also pins
-down which features a rule references and its largest window, both of which
-the interpreter's evaluation budget and the diagnostic report rely on.
+down which features a rule references and its largest window, which
+`pillm check` reports.
 """
 
 from __future__ import annotations

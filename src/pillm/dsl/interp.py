@@ -23,16 +23,18 @@ window or lag as an int, `ewma`'s smoothing factor as a float.
 Windowed builtins cost O(T) for any window: `rmin`/`rmax` use the van Herk /
 Gil-Werman block scans, and `mean`/`std`/`zscore` use per-block prefix sums
 with an error bound that sends the rare ill-conditioned window to an exact
-two-pass sum. The evaluation budget still charges node_count x T x
-max_window, a deliberately unchanged cap.
+two-pass sum. The evaluation budget charges the work done: node_count x T
+before any work, plus the length of each window summed exactly, charged
+before the sum is made. `EVAL_BUDGET` caps the total.
 
 Windowed results are kept in an `EvalMemo` tied to one table, so a term
 such as `zscore($zone_temp, 720)` that several rules share is computed once.
 Only the windowed builtins (`mean`, `std`, `rmin`, `rmax`, `zscore`, `ewma`)
 are kept: they cost 18-430 ns/row against 2-7 for elementwise nodes, and
 keeping every node would hold six times the memory for little speed. A
-memoized series is the one a fresh evaluation computes, bit for bit, so a
-score never depends on what the memo holds.
+memoized series is the one a fresh evaluation computes, bit for bit, and a
+hit charges the budget what computing it did, so neither a score nor the
+budget's verdict depends on what the memo holds.
 
 Only the final result coerces MISSING to 0.0: a rule that cannot decide
 does not alarm.
@@ -40,12 +42,14 @@ does not alarm.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
+
 import numpy as np
 
 from ..timeseries import TimeSeriesTable
 from .checker import TypedRule
 from .errors import BudgetError
-from .nodes import BUILTINS, COMPARISONS, BinOp, Call, Expr, FeatureRef, Num, Unary, VarRef
+from .nodes import BUILTINS, COMPARISONS, BinOp, Call, Expr, FeatureRef, Num, Unary, VarRef, children
 
 EVAL_BUDGET = 2**28
 ZSCORE_EPS = 1e-9
@@ -66,6 +70,8 @@ _UFUNCS = {
 # An `EvalMemo` holds at most this many bytes of series; inserting into a full
 # memo evicts its oldest entries first.
 MEMO_BYTES = 64 << 20
+# The evaluation that this thread's kernels charge; `_Evaluator.run` sets it.
+_RUNNING: ContextVar[_Evaluator] = ContextVar("running evaluation")
 
 
 def _missing(values: np.ndarray, mask: np.ndarray | bool = False) -> np.ndarray:
@@ -185,6 +191,8 @@ def _rolling_moment(x: np.ndarray, window: int, name: str) -> np.ndarray:
     constant = ~_rolling_any(change, window - 1)
     redo = np.flatnonzero(bad & ~constant)
     if redo.size:
+        # The one O(T x w) path: charged before any of its work is done.
+        _RUNNING.get().charge(redo.size * window)
         exact_mean, exact_std = _two_pass(blocks.ravel(), redo, window, count.ravel()[rows][redo])
         if name == "mean":
             out[redo] = exact_mean
@@ -272,13 +280,17 @@ class EvalMemo:
     A result's key is its node's structure with every `VarRef` replaced by
     the key of the expression bound to it, since one name may mean different
     things in different rules. At most `MEMO_BYTES` of series are kept; an
-    insertion that would pass the bound evicts the oldest entries first. The
-    memo takes no lock: use it from one thread at a time.
+    insertion that would pass the bound evicts the oldest entries first.
+    Each result's charge, the window values its kernel summed exactly, is kept
+    even once its series is evicted (one int per key), so a hit can charge
+    every windowed call under it. The memo takes no lock: use it from one
+    thread at a time.
     """
 
     def __init__(self, table: TimeSeriesTable) -> None:
         self.table = table
         self._series: dict[tuple, np.ndarray] = {}
+        self.charges: dict[tuple, int] = {}
         self.nbytes = 0
 
     def __len__(self) -> int:
@@ -287,7 +299,8 @@ class EvalMemo:
     def get(self, key: tuple) -> np.ndarray | None:
         return self._series.get(key)
 
-    def put(self, key: tuple, series: np.ndarray) -> None:
+    def put(self, key: tuple, series: np.ndarray, charge: int) -> None:
+        self.charges[key] = charge
         if series.nbytes > MEMO_BYTES:
             return
         while self.nbytes + series.nbytes > MEMO_BYTES:
@@ -303,16 +316,34 @@ class _Evaluator:
         self._length = table.num_rows
         self._env: dict[str, np.ndarray] = {}
         self._keys: dict[str, tuple] = {}  # each binding's memo key
+        self._nodes = 0
+        self._exact = 0  # window values charged for exact sums so far
 
     def run(self, rule: TypedRule) -> np.ndarray:
-        for name, expr in rule.ast.bindings:
-            self._keys[name] = self._key(expr)
-            # Read-only, so that every `VarRef` to it shares the one array.
-            self._env[name] = self._eval(expr)
-            self._env[name].setflags(write=False)
-        result = self._eval(rule.ast.result)
+        self._nodes = rule.ast.node_count
+        self.charge(0)  # node_count x T, before any work
+        token = _RUNNING.set(self)
+        try:
+            for name, expr in rule.ast.bindings:
+                self._keys[name] = self._key(expr)
+                # Read-only, so that every `VarRef` to it shares the one array.
+                self._env[name] = self._eval(expr)
+                self._env[name].setflags(write=False)
+            result = self._eval(rule.ast.result)
+        finally:
+            _RUNNING.reset(token)
         # Final coercion: MISSING scores do not alarm.
         return np.where(np.isnan(result), 0.0, result)
+
+    def charge(self, values: int) -> None:
+        """Charge `values` more window values summed exactly; `BudgetError` past `EVAL_BUDGET`."""
+        self._exact += values
+        cost = self._nodes * self._length + self._exact
+        if cost > EVAL_BUDGET:
+            raise BudgetError(
+                f"evaluation budget exceeded: {self._nodes} nodes x {self._length} rows "
+                f"+ {self._exact} window values summed exactly = {cost} > {EVAL_BUDGET}"
+            )
 
     def _eval(self, expr: Expr) -> np.ndarray:
         if isinstance(expr, Num):
@@ -364,21 +395,33 @@ class _Evaluator:
 
     def _eval_call(self, expr: Call) -> np.ndarray:
         if expr.name not in _MEMOIZED:
-            return self._eval_builtin(expr)
+            return _KERNELS[expr.name](*self._eval_args(expr))
         key = self._key(expr)
         series = self._memo.get(key)
-        if series is None:
-            series = self._eval_builtin(expr)
-            series.setflags(write=False)
-            self._memo.put(key, series)
+        if series is not None:
+            self._recharge(expr)
+            return series
+        args = self._eval_args(expr)
+        before = self._exact
+        series = _KERNELS[expr.name](*args)
+        series.setflags(write=False)
+        self._memo.put(key, series, self._exact - before)
         return series
 
-    def _eval_builtin(self, expr: Call) -> np.ndarray:
+    def _eval_args(self, expr: Call) -> list:
+        """The kernel's arguments: the evaluated series, then the literal converted by its kind."""
         _, literal_at, kind = BUILTINS[expr.name]
         args = [self._eval(arg) for at, arg in enumerate(expr.args) if at != literal_at]
         if literal_at is not None:
             args.append(_LITERAL_TYPES[kind](expr.args[literal_at].value))  # a `Num`, by the parser
-        return _KERNELS[expr.name](*args)
+        return args
+
+    def _recharge(self, expr: Expr) -> None:
+        """Charge what evaluating `expr` charged, in the same order, without evaluating it."""
+        for child in children(expr):
+            self._recharge(child)
+        if isinstance(expr, Call) and expr.name in _MEMOIZED:
+            self.charge(self._memo.charges[self._key(expr)])
 
 
 def evaluate(rule: TypedRule, table: TimeSeriesTable, memo: EvalMemo | None = None) -> np.ndarray:
@@ -389,22 +432,15 @@ def evaluate(rule: TypedRule, table: TimeSeriesTable, memo: EvalMemo | None = No
     makes its own, so repeats within the rule are still computed once. The
     scores are the same, bit for bit, whatever the memo holds.
 
-    Every builtin, windowed or not, costs O(T) per node. Even so, the budget
-    still charges node_count x T x max_window whether or not the memo holds
-    a node, so the set of accepted rules stays what it was when windows cost
-    O(T x w). Raises `BudgetError` when that exceeds the fixed evaluation
-    budget, before any work; the caller is expected to mark such candidates
-    invalid rather than retry.
+    The budget charges node_count x T before any work, then the length of
+    each window that `mean`, `std` or `zscore` sums exactly, before summing
+    it. A memo hit charges what computing its result did. Raises
+    `BudgetError` as soon as the total exceeds `EVAL_BUDGET`, so the verdict
+    depends only on the rule and the table; the caller is expected to mark
+    such candidates invalid rather than retry.
     """
     if memo is not None and memo.table is not table:
         raise ValueError("the memo belongs to another table")
-    nodes = rule.ast.node_count
-    cost = nodes * table.num_rows * rule.max_window
-    if cost > EVAL_BUDGET:
-        raise BudgetError(
-            f"evaluation budget exceeded: {nodes} nodes x {table.num_rows} rows "
-            f"x window {rule.max_window} = {cost} > {EVAL_BUDGET}"
-        )
     return _Evaluator(table, memo).run(rule)
 
 

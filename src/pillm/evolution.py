@@ -312,7 +312,7 @@ class EvolutionEngine:
         self._feature_names = tuple(train_table.feature_names)
         # Evaluation runs on the engine's thread only, so neither takes a lock.
         self._memo = EvalMemo(train_table)
-        self._reports: dict[RuleAst, MetricReport] = {}
+        self._reports: dict[RuleAst, MetricReport | BudgetError] = {}
         self._task_description = prompts.default_task_description()
         self._feature_list = prompts.feature_list_text(train_table.features)
         self._system_prompt = prompts.render(
@@ -468,26 +468,30 @@ class EvolutionEngine:
         """Fill fitness for pending candidates, then give each its id and log it once."""
         for candidate in population:
             if candidate.fitness is None and candidate.error is None:
-                try:
-                    report = self._score(candidate.rule)
+                report = self._score(candidate.rule)
+                if isinstance(report, BudgetError):
+                    candidate.error = str(report)
+                    candidate.rule = None
+                else:
                     candidate.fitness = report.f1
                     candidate.metrics = report
-                except BudgetError as exc:
-                    candidate.error = str(exc)
-                    candidate.rule = None
             self._log_candidate(candidate)
 
-    def _score(self, rule: TypedRule) -> MetricReport:
-        """`rule`'s report on the training split, computed once per distinct rule.
+    def _score(self, rule: TypedRule) -> MetricReport | BudgetError:
+        """`rule`'s report on the training split, or the `BudgetError` its evaluation raised.
 
-        A rule over the evaluation budget raises `BudgetError` each time and
-        is never cached.
+        Each distinct rule is evaluated once, so a rule over the budget is
+        not run again when it recurs.
         """
         report = self._reports.get(rule.ast)
         if report is None:
-            scores = evaluate(rule, self.train_table, self._memo)
-            flags = to_flags(scores, self.config.threshold)
-            report = self._reports[rule.ast] = event_f1_pa(flags, self.train_table.labels)
+            try:
+                scores = evaluate(rule, self.train_table, self._memo)
+            except BudgetError as exc:
+                report = exc.with_traceback(None)  # frees the evaluation's frames and arrays
+            else:
+                report = event_f1_pa(to_flags(scores, self.config.threshold), self.train_table.labels)
+            self._reports[rule.ast] = report
         return report
 
     def _log_candidate(self, candidate: RuleCandidate) -> None:

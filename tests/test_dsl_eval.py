@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pillm.dsl import BudgetError, VarRef, compile_rule, evaluate, parse, to_flags
+from pillm.dsl import EVAL_BUDGET, BudgetError, VarRef, compile_rule, evaluate, parse, to_flags
+from pillm.dsl import interp
 from pillm.dsl.interp import _Evaluator
+from pillm.providers import sample_rule
+from pillm.simulate import FEATURES, SimConfig, generate_corpus
 
 from . import reference
 from .conftest import make_table
@@ -126,10 +129,8 @@ class TestWindowedAtScale:
         )
         values = xs.tolist()
         for name in WINDOWED:
-            # Straight to the evaluator: at w = 1024 these 100,000 rows are
-            # past the evaluation budget, which still charges T x w.
             rule = compile_rule(f"return {name}($x, {w})", ("x",))
-            got = _Evaluator(table).run(rule)[rows]
+            got = evaluate(rule, table)[rows]
             want = [reference.window_brute(name, values, int(t), w) for t in rows]
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9, err_msg=name)
 
@@ -148,6 +149,17 @@ class TestWindowedAtScale:
                     continue
                 want = reference.window_brute(name, xs, t, w)
                 assert abs(value - want) <= 1e-9 * (1.0 + abs(want)), (name, t)
+
+    def test_no_sampler_rule_is_rejected_at_one_year(self):
+        # A year of minute data: every sampler rule fits the upfront charge,
+        # and the largest fit the whole charge on simulated data.
+        rows = 525_600
+        names = tuple(meta.name for meta in FEATURES)
+        rules = [compile_rule(sample_rule(seed, names), names) for seed in range(500)]
+        assert max(rule.ast.node_count for rule in rules) * rows <= EVAL_BUDGET
+        table = generate_corpus(SimConfig(length=rows, seed=1))
+        for rule in sorted(rules, key=lambda rule: rule.ast.node_count)[-3:]:
+            assert evaluate(rule, table).shape == (rows,)
 
     def test_spike_later_in_block_does_not_leak(self):
         # Row 126 shares a 64-row block with the windows ending at rows
@@ -283,10 +295,29 @@ class TestEvaluationContract:
         assert np.all(np.isfinite(out))
 
     def test_budget_error(self):
-        table = make_table({"x": np.zeros(60000)})
-        rule = compile_rule("return mean($x, 1024) > 0", table.feature_names)
-        with pytest.raises(BudgetError):
+        # 501 nodes x 540,000 rows = 270,540,000 > 2**28, charged before any work.
+        table = make_table({"x": np.zeros(540_000)})
+        rule = compile_rule("return " + " + ".join(["$x"] * 250) + " > 0", table.feature_names)
+        with pytest.raises(BudgetError, match="exceeded: 501 nodes x 540000 rows [+] 0 .* = 270540000 > "):
             evaluate(rule, table)
+
+    def test_exact_windows_are_charged_before_they_are_summed(self, monkeypatch):
+        # On an alternating +-1000 column nearly every window of mean($x, 1024)
+        # fails the error bound: 2,034,688 window values are summed exactly.
+        table = make_table({"x": np.where(np.arange(2048) % 2, -1000.0, 1000.0)})
+        rule = compile_rule("return mean($x, 1024) > 0", ("x",))
+        upfront = rule.ast.node_count * table.num_rows
+        exact = 2_034_688
+        sums = []
+        two_pass = interp._two_pass
+        monkeypatch.setattr(interp, "_two_pass", lambda *args: sums.append(args) or two_pass(*args))
+        monkeypatch.setattr(interp, "EVAL_BUDGET", upfront + exact - 1)
+        with pytest.raises(BudgetError, match=f"[+] {exact} window values summed exactly"):
+            evaluate(rule, table)
+        assert sums == []
+        monkeypatch.setattr(interp, "EVAL_BUDGET", upfront + exact)
+        assert evaluate(rule, table).shape == (2048,)
+        assert len(sums) == 1
 
     def test_budget_monotone_on_prefixes(self):
         table = make_table({"x": np.arange(512, dtype=np.float64)})

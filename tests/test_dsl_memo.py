@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pillm.dsl import EvalMemo, compile_rule, evaluate
+from pillm.dsl import BudgetError, EvalMemo, compile_rule, evaluate
 from pillm.dsl import interp
 
 from .conftest import make_table
@@ -53,6 +53,14 @@ def tables(draw):
 
 def bits(scores: np.ndarray) -> list[int]:
     return scores.view(np.uint64).tolist()
+
+
+def outcome(rule, table, memo=None):
+    """The score bits of `rule`, or the message of the `BudgetError` it raised."""
+    try:
+        return bits(evaluate(rule, table, memo))
+    except BudgetError as exc:
+        return str(exc)
 
 
 @contextlib.contextmanager
@@ -130,3 +138,38 @@ class TestSharedMemo:
         rule = compile_rule("return mean($x, 3) > 1", ("x",))
         with pytest.raises(ValueError, match="another table"):
             evaluate(rule, twin, EvalMemo(table))
+
+
+class TestBudgetVerdict:
+    @given(tables(), rule_sources, rule_sources, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_verdict_depends_only_on_rule_and_table(self, table, source, other, data):
+        """The verdict and the scores are the same with no memo, a fresh one and warmed ones.
+
+        `_TOL` at 1e-300 sends every window that is not constant to the exact
+        sum, so the charges a memo hit must repeat are not zero. The budget is
+        drawn from one below the upfront charge up to the rule's whole charge.
+        """
+        rule, warmer = (compile_rule(text, ("a", "b")) for text in (source, other))
+        with mock.patch.object(interp, "_TOL", 1e-300):
+            by_other, by_rule = EvalMemo(table), EvalMemo(table)
+            outcome(warmer, table, by_other)
+            probe = interp._Evaluator(table, by_rule)  # leaves every windowed result in by_rule
+            probe.run(rule)
+            spend = data.draw(st.integers(min_value=-1, max_value=probe._exact))
+            with mock.patch.object(interp, "EVAL_BUDGET", rule.ast.node_count * table.num_rows + spend):
+                alone = outcome(rule, table)
+                for memo in (EvalMemo(table), by_other, by_rule, by_other):
+                    assert outcome(rule, table, memo) == alone
+
+    def test_a_hit_charges_the_windows_under_it(self):
+        # Here zscore sums 45 window values exactly and mean 18: a memo that
+        # holds the mean must still charge both, on top of 7 nodes x 10 rows.
+        table = make_table({"a": np.array([1.0, 2, 5, 3, -1, 4, 2, 2, 7, 1]), "b": np.ones(10)})
+        rule = compile_rule("return mean(zscore($a, 5), 2) > 0", ("a", "b"))
+        with mock.patch.object(interp, "_TOL", 1e-300):
+            warm = EvalMemo(table)
+            evaluate(rule, table, warm)
+            with mock.patch.object(interp, "EVAL_BUDGET", 7 * 10 + 45 + 18 - 1):
+                assert outcome(rule, table, warm) == outcome(rule, table)
+                assert outcome(rule, table).endswith("+ 63 window values summed exactly = 133 > 132")

@@ -318,8 +318,8 @@ class TestEngine:
         assert all(r["precision"] is not None for r in sink)
 
     def test_each_distinct_rule_is_scored_once(self, small_table, monkeypatch):
-        # `return mean($x, 60) > 1` costs 4 nodes x 6 rows x window 60 > 100.
-        monkeypatch.setattr(interp, "EVAL_BUDGET", 100)
+        # `return mean($x, 60) > 1` costs 5 nodes x 6 rows = 30 > 20.
+        monkeypatch.setattr(interp, "EVAL_BUDGET", 20)
         wide = "```rule\nreturn mean($x, 60) > 1\n```\n\n```context\nToo wide.\n```"
         spaced = "```rule\nreturn   $x>0.5\n```\n\n```context\nSame rule, other spacing.\n```"
         provider = scripted(("init", RULE_HALF), ("init", wide), ("init", spaced), ("init", wide))
@@ -334,8 +334,8 @@ class TestEngine:
         sink = ListSink()
         config = base_config(population_size=5, generations=0)
         run_evolution(config, small_table, provider, log=sink, seed_rule=SEED_DUD)
-        # Rules over the budget are never cached: each is rejected again.
-        assert scored == [SEED_DUD[0], "return $x > 0.5", "return mean($x, 60) > 1", "return mean($x, 60) > 1"]
+        # A rule over the budget is evaluated once too; its recurrence is rejected from the cache.
+        assert scored == [SEED_DUD[0], "return $x > 0.5", "return mean($x, 60) > 1"]
         assert [r["fitness"] for r in sink] == [0.0, pytest.approx(0.5), None, pytest.approx(0.5), None]
         assert sink[1]["precision"] == sink[3]["precision"]
         assert "evaluation budget exceeded" in sink[2]["error"] and sink[4]["error"] == sink[2]["error"]

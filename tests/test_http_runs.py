@@ -16,6 +16,7 @@ from email.message import Message
 
 import pytest
 
+from pillm.dsl import interp
 from pillm.evolution import EvolutionConfig, run_evolution
 from pillm.providers import API_KEY_ENV, HttpProvider, sample_rule
 from pillm.reporting import RunLog
@@ -149,6 +150,21 @@ class TestHttpRuns:
                 assert runs[cap][name] == runs[1][name], (cap, name)
             tags = runs[cap]["requests.log"].splitlines()
             assert Counter(tags) == Counter(runs[1]["requests.log"].splitlines())
+
+    def test_budget_verdicts_do_not_depend_on_width(self, http, train_table, tmp_path, monkeypatch):
+        # With every window that is not constant summed exactly, this budget
+        # rejects some rules before any work and some while they run.
+        monkeypatch.setattr(interp, "_TOL", 1e-300)
+        monkeypatch.setattr(interp, "EVAL_BUDGET", 30_000)
+        runs = {}
+        for cap in (1, 16):
+            session = SeedSession(train_table.feature_names, miss_every=0)
+            result, runs[cap] = evolve_to(tmp_path, f"cap{cap}", http(session, cap), train_table, config())
+        rejected = [r["error"] for r in result.records if r["error"]]
+        assert any(" + 0 window values" in error for error in rejected)
+        assert any(" + 0 window values" not in error for error in rejected)
+        assert any(r["fitness"] is not None for r in result.records)
+        assert runs[16]["run.jsonl"] == runs[1]["run.jsonl"]
 
     def test_the_gate_narrows_to_a_server_that_admits_four(self, http, train_table, tmp_path):
         # Each admitted post takes ten times the wait its 429s ask for.
