@@ -30,6 +30,7 @@ from .simulate import FAULT_KINDS, FaultSpec, SimConfig, generate_corpus
 from .timeseries import (
     TableError,
     cut_csv,
+    decode_text,
     load_csv,
     load_meta,
     save_csv,
@@ -57,15 +58,14 @@ def _fail(message: str, code: int = 1) -> None:
 
 
 def _read_text(path: str, what: str) -> str:
-    """A UTF-8 text file's contents; any other encoding is a configuration error."""
-    data = Path(path).read_bytes()
+    """A UTF-8 text file's contents, read as `data.csv` is: a leading byte-order mark is dropped.
+
+    Any other encoding is a configuration error.
+    """
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        _fail(
-            f"{what} is not valid UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}",
-            EXIT_BAD_CONFIG,
-        )
+        text = decode_text(Path(path).read_bytes(), what, TableError)
+    except TableError as exc:
+        _fail(str(exc), EXIT_BAD_CONFIG)
     # Universal newlines, as Path.read_text reads them.
     return text.replace("\r\n", "\n").replace("\r", "\n")
 

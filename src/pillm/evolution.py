@@ -222,9 +222,14 @@ def request_seed(config: EvolutionConfig, ordinal: int, attempt: int) -> int:
     return (base + index * _SEED_STRIDE) % _SEED_MODULUS
 
 
+def candidate_order(candidate_id: str) -> tuple[int, str]:
+    """Sort key that puts candidate ids in the order they were made: `c9999` before `c10000`."""
+    return (len(candidate_id), candidate_id)
+
+
 def _rank_key(candidate: RuleCandidate) -> tuple:
     invalid = candidate.fitness is None
-    return (invalid, -(candidate.fitness or 0.0), candidate.id)
+    return (invalid, -(candidate.fitness or 0.0), candidate_order(candidate.id))
 
 
 class _CallBudgetExhausted(Exception):

@@ -14,14 +14,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .timeseries import IncidentSet, incidents_from_labels
+from .timeseries import incidents_from_labels
 
 METRIC_MODES = ("pointwise", "point_adjusted", "event_pa")
 
 
 @dataclass(frozen=True)
 class ConfusionCounts:
-    """Pointwise confusion counts over aligned flag/label vectors."""
+    """Confusion counts over aligned flag/label vectors.
+
+    `tp` and `fn` count rows or incidents, as the scoring mode says; `fp`
+    and `tn` always count rows.
+    """
 
     tp: int
     fp: int
@@ -48,6 +52,43 @@ class MetricReport:
         )
 
 
+# No generated __eq__: `hits` is an array, which has no single truth value.
+@dataclass(frozen=True, eq=False)
+class Verdict:
+    """One flag vector read against the incidents of its labels.
+
+    `hits[i]` counts the flagged rows of `incidents[i]`, an inclusive
+    (start, end) span; `false_alarms` counts the flagged rows outside every
+    incident. Every scoring mode is a function of these.
+    """
+
+    rows: int
+    incidents: tuple[tuple[int, int], ...]
+    hits: np.ndarray
+    false_alarms: int
+
+    def counts(self, mode: str) -> ConfusionCounts:
+        """Confusion counts of `mode`.
+
+        A true positive is a flagged incident row in `pointwise`, a row of a
+        caught incident in `point_adjusted`, and a caught incident in
+        `event_pa`. An incident is caught when any of its rows is flagged.
+        """
+        sizes = np.array([end - start + 1 for start, end in self.incidents], dtype=np.int64)
+        label_rows = int(sizes.sum())
+        caught = self.hits > 0
+        if mode == "pointwise":
+            tp, positives = int(self.hits.sum()), label_rows
+        elif mode == "point_adjusted":
+            tp, positives = int(sizes[caught].sum()), label_rows
+        elif mode == "event_pa":
+            tp, positives = int(caught.sum()), len(self.incidents)
+        else:
+            raise ValueError(f"unknown metric mode {mode!r}")
+        fp = self.false_alarms
+        return ConfusionCounts(tp=tp, fp=fp, fn=positives - tp, tn=self.rows - label_rows - fp)
+
+
 def _as_binary(vec: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
     arr = np.asarray(vec)
     if arr.ndim != 1:
@@ -57,17 +98,28 @@ def _as_binary(vec: Sequence[int] | np.ndarray, what: str) -> np.ndarray:
     return arr.astype(np.uint8)
 
 
-def confusion(flags: Sequence[int] | np.ndarray, labels: Sequence[int] | np.ndarray) -> ConfusionCounts:
-    """Count pointwise agreement between flags and ground-truth labels."""
+def verdict(flags: Sequence[int] | np.ndarray, labels: Sequence[int] | np.ndarray) -> Verdict:
+    """Read a flag vector against the incidents of its labels, counting hits with one prefix sum."""
     f = _as_binary(flags, "flags")
     y = _as_binary(labels, "labels")
     if f.shape != y.shape:
         raise ValueError(f"flags ({f.size}) and labels ({y.size}) differ in length")
-    tp = int(np.sum((f == 1) & (y == 1)))
-    fp = int(np.sum((f == 1) & (y == 0)))
-    fn = int(np.sum((f == 0) & (y == 1)))
-    tn = int(np.sum((f == 0) & (y == 0)))
-    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+    incidents = incidents_from_labels(y)
+    spans = np.array(incidents, dtype=np.intp).reshape(-1, 2)
+    # flagged[i] counts the flagged rows before row i.
+    flagged = np.concatenate(([0], np.cumsum(f, dtype=np.int64)))
+    hits = flagged[spans[:, 1] + 1] - flagged[spans[:, 0]]
+    return Verdict(
+        rows=f.size,
+        incidents=incidents,
+        hits=hits,
+        false_alarms=int(flagged[-1] - hits.sum()),
+    )
+
+
+def confusion(flags: Sequence[int] | np.ndarray, labels: Sequence[int] | np.ndarray) -> ConfusionCounts:
+    """Count pointwise agreement between flags and ground-truth labels."""
+    return verdict(flags, labels).counts("pointwise")
 
 
 def _ratio(num: float, den: float) -> float:
@@ -85,28 +137,13 @@ def precision_recall_f1(counts: ConfusionCounts, mode: str = "pointwise") -> Met
     return MetricReport(precision=precision, recall=recall, f1=_f1(precision, recall), mode=mode)
 
 
-def point_adjust(flags: Sequence[int] | np.ndarray, incidents: IncidentSet) -> np.ndarray:
-    """Expand flags so a hit anywhere in an incident credits its whole span."""
-    adjusted = _as_binary(flags, "flags").copy()
-    for start, end in incidents:
-        if end >= adjusted.size:
-            raise ValueError(
-                f"incident ({start}, {end}) is out of range for {adjusted.size} flags"
-            )
-        if np.any(adjusted[start : end + 1]):
-            adjusted[start : end + 1] = 1
-    return adjusted
-
-
 def pointwise_report(flags, labels) -> MetricReport:
     return precision_recall_f1(confusion(flags, labels), mode="pointwise")
 
 
 def point_adjusted_report(flags, labels) -> MetricReport:
-    """Pointwise scoring after point adjustment against labeled incidents."""
-    y = _as_binary(labels, "labels")
-    adjusted = point_adjust(flags, incidents_from_labels(y))
-    return precision_recall_f1(confusion(adjusted, y), mode="point_adjusted")
+    """Pointwise scoring after a hit anywhere in an incident credits its whole span."""
+    return precision_recall_f1(verdict(flags, labels).counts("point_adjusted"), mode="point_adjusted")
 
 
 def event_f1_pa(flags, labels) -> MetricReport:
@@ -118,14 +155,4 @@ def event_f1_pa(flags, labels) -> MetricReport:
     recall = TP_e / (TP_e + FN_e) and precision = TP_e / (TP_e + FP_p),
     with empty denominators scoring 0.
     """
-    f = _as_binary(flags, "flags")
-    y = _as_binary(labels, "labels")
-    if f.shape != y.shape:
-        raise ValueError(f"flags ({f.size}) and labels ({y.size}) differ in length")
-    incidents = incidents_from_labels(y)
-    tp_events = sum(1 for start, end in incidents if np.any(f[start : end + 1]))
-    fn_events = len(incidents) - tp_events
-    fp_points = int(np.sum((f == 1) & (y == 0)))
-    precision = _ratio(tp_events, tp_events + fp_points)
-    recall = _ratio(tp_events, tp_events + fn_events)
-    return MetricReport(precision=precision, recall=recall, f1=_f1(precision, recall), mode="event_pa")
+    return precision_recall_f1(verdict(flags, labels).counts("event_pa"), mode="event_pa")

@@ -21,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .dsl import compile_rule, evaluate, to_flags
+from .evolution import candidate_order
 from .metrics import MetricReport, event_f1_pa
 from .providers import CompletionRequest, Provider
 from .timeseries import TimeSeriesTable, incidents_from_labels
@@ -173,7 +174,7 @@ class RunLog:
 def best_record(records: Sequence[dict]) -> dict | None:
     """Highest-fitness valid record; earliest candidate wins ties."""
     valid = [r for r in records if r.get("fitness") is not None]
-    return min(valid, key=lambda r: (-r["fitness"], r["candidate_id"]), default=None)
+    return min(valid, key=lambda r: (-r["fitness"], candidate_order(r["candidate_id"])), default=None)
 
 
 @dataclass(frozen=True)

@@ -187,41 +187,8 @@ class TimeSeriesTable:
         return self.labels is None or np.array_equal(self.labels, other.labels)
 
 
-@dataclass(frozen=True)
-class IncidentSet:
-    """Maximal runs of consecutive anomalous rows, as inclusive (start, end) spans."""
-
-    incidents: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        prev_end = -2
-        for start, end in self.incidents:
-            if start < 0 or end < start:
-                raise ValueError(f"invalid incident span ({start}, {end})")
-            if start <= prev_end + 1:
-                raise ValueError(
-                    "incidents must be sorted, non-overlapping and non-adjacent"
-                )
-            prev_end = end
-
-    def __len__(self) -> int:
-        return len(self.incidents)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.incidents)
-
-    def to_labels(self, length: int) -> np.ndarray:
-        """Materialize the spans back into a 0/1 label vector of `length` rows."""
-        labels = np.zeros(length, dtype=np.uint8)
-        for start, end in self.incidents:
-            if end >= length:
-                raise ValueError(f"incident ({start}, {end}) exceeds length {length}")
-            labels[start : end + 1] = 1
-        return labels
-
-
-def incidents_from_labels(labels: Sequence[int] | np.ndarray) -> IncidentSet:
-    """Group a 0/1 label vector into maximal runs of consecutive ones."""
+def incidents_from_labels(labels: Sequence[int] | np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Group a 0/1 label vector into maximal runs of consecutive ones, as inclusive (start, end) spans."""
     lab = np.asarray(labels)
     if lab.ndim != 1:
         raise ValueError("labels must be 1-D")
@@ -231,7 +198,7 @@ def incidents_from_labels(labels: Sequence[int] | np.ndarray) -> IncidentSet:
     edges = np.diff(padded)
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1) - 1
-    return IncidentSet(tuple(zip(starts.tolist(), ends.tolist())))
+    return tuple(zip(starts.tolist(), ends.tolist()))
 
 
 def _parse_timestamp(cell: str, row: int) -> int:
@@ -252,7 +219,7 @@ def _parse_timestamp(cell: str, row: int) -> int:
     return int(moment.timestamp())
 
 
-def _decode(data: bytes | str, what: str, error: type[TableError]) -> str:
+def decode_text(data: bytes | str, what: str, error: type[TableError]) -> str:
     """UTF-8 text without a leading byte-order mark; a bad byte raises `error` with its offset."""
     if isinstance(data, bytes):
         try:
@@ -295,7 +262,7 @@ def load_csv(data: bytes | str, meta: Sequence[FeatureMeta]) -> TimeSeriesTable:
         raise SchemaError("feature metadata must declare at least one feature")
     # The columnar path reads ASCII bytes; text beyond ASCII goes row by row.
     if not (isinstance(data, bytes) and data.isascii()):
-        text = _decode(data, "CSV", ParseError)
+        text = decode_text(data, "CSV", ParseError)
         if not text.isascii():
             return _load_rows(text, metas)
         data = text.encode("ascii")
@@ -508,7 +475,7 @@ def load_meta(data: bytes | str) -> tuple[FeatureMeta, ...]:
 
     The text is UTF-8, optionally behind a byte-order mark.
     """
-    text = _decode(data, "metadata", SchemaError)
+    text = decode_text(data, "metadata", SchemaError)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

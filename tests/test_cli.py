@@ -908,6 +908,7 @@ class TestReport:
 
 
 NOT_UTF8 = b"\xff\xfe"
+BOM = b"\xef\xbb\xbf"
 
 
 class TestInputEncoding:
@@ -981,21 +982,48 @@ class TestInputEncoding:
     def test_byte_order_mark_and_crlf_score_the_same(self, tmp_path, runner, sim_corpus):
         data, meta = sim_corpus
         bom_data = tmp_path / "bom.csv"
-        bom_data.write_bytes(b"\xef\xbb\xbf" + data.read_bytes().replace(b"\n", b"\r\n"))
+        bom_data.write_bytes(BOM + data.read_bytes().replace(b"\n", b"\r\n"))
         bom_meta = tmp_path / "bom.json"
-        bom_meta.write_bytes(b"\xef\xbb\xbf" + meta.read_bytes())
+        bom_meta.write_bytes(BOM + meta.read_bytes())
         rule = tmp_path / "rule.txt"
         rule.write_text("return zscore($zone_temp, 60) > 2\n")
+        bom_rule = tmp_path / "bom_rule.txt"
+        bom_rule.write_bytes(BOM + b"return zscore($zone_temp, 60) > 2\r\n")
         lines = []
-        for data_path, meta_path in ((data, meta), (bom_data, bom_meta)):
+        for rule_path, data_path, meta_path in ((rule, data, meta), (bom_rule, bom_data, bom_meta)):
             result = runner.invoke(
                 main,
-                ["eval", "--rule", str(rule), "--data", str(data_path), "--meta", str(meta_path)],
+                ["eval", "--rule", str(rule_path), "--data", str(data_path), "--meta", str(meta_path)],
             )
             assert result.exit_code == 0, result.output
             lines.append(result.output)
         assert lines[0] == lines[1]
         assert lines[0].startswith("mode=event_pa ")
+
+    def test_check_rule_behind_byte_order_mark(self, tmp_path, runner):
+        rule = tmp_path / "rule.txt"
+        rule.write_bytes(BOM + RULE_OK.encode("utf-8"))
+        result = runner.invoke(main, ["check", "--rule", str(rule)])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith("OK: ")
+
+    def test_evolve_config_behind_byte_order_mark(self, tmp_path, runner, sim_corpus):
+        data, meta = sim_corpus
+        config = tmp_path / "bom_config.json"
+        config.write_bytes(BOM + evolve_config(tmp_path).read_bytes())
+        result = runner.invoke(
+            main,
+            [
+                "evolve",
+                "--data", str(data),
+                "--meta", str(meta),
+                "--config", str(config),
+                "--provider", "sampler",
+                "--out", str(tmp_path / "runs"),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        assert run_dir_from(result.output).is_dir()
 
 
 class TestVersion:

@@ -230,6 +230,13 @@ class TestCandidate:
         candidate.fitness = 0.0
         assert candidate.is_valid
 
+    def test_ties_rank_by_creation_order_past_9999(self):
+        tied = [
+            RuleCandidate(id=i, code="", context="", operator="init", generation=0, fitness=0.5)
+            for i in ("c10000", "c9999")
+        ]
+        assert [c.id for c in sorted(tied, key=evolution._rank_key)] == ["c9999", "c10000"]
+
 
 def base_config(**overrides) -> EvolutionConfig:
     kwargs = dict(

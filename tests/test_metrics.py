@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pillm.metrics import (
     ConfusionCounts,
     confusion,
     event_f1_pa,
-    point_adjust,
     point_adjusted_report,
     pointwise_report,
     precision_recall_f1,
+    verdict,
 )
-from pillm.timeseries import IncidentSet, incidents_from_labels
+from pillm.timeseries import incidents_from_labels
 
 from . import reference
 
@@ -74,35 +74,67 @@ class TestPrecisionRecallF1:
         )
 
 
-class TestPointAdjust:
-    def test_hand_application(self):
-        out = point_adjust([0, 0, 0, 1, 0, 0], IncidentSet(((2, 4),)))
-        assert list(out) == [0, 0, 1, 1, 1, 0]
+def _runs(first: int, lengths: list[int]) -> list[int]:
+    """A 0/1 vector of alternating runs of the given lengths, the first of value `first`."""
+    return [(first + i) % 2 for i, length in enumerate(lengths) for _ in range(length)]
 
-    def test_missed_incident_unchanged(self):
-        out = point_adjust([0, 0, 0, 0], IncidentSet(((1, 2),)))
-        assert list(out) == [0, 0, 0, 0]
 
-    def test_stray_flag_preserved(self):
-        out = point_adjust([1, 0, 0, 1], IncidentSet(((1, 2),)))
-        assert list(out) == [1, 0, 0, 1]
+def _brute_reports(flags, labels) -> dict[str, tuple[float, float, float]]:
+    adjusted = reference.point_adjust_brute(flags, reference.incidents_brute(labels))
+    return {
+        "pointwise": reference.prf_brute(*reference.confusion_brute(flags, labels)[:3]),
+        "point_adjusted": reference.prf_brute(*reference.confusion_brute(adjusted, labels)[:3]),
+        "event_pa": reference.event_f1_pa_brute(flags, labels),
+    }
 
-    def test_out_of_range_incident(self):
-        with pytest.raises(ValueError):
-            point_adjust([0, 1], IncidentSet(((1, 5),)))
 
+class TestPointAdjustedReport:
     @given(st.tuples(binary_vec, binary_vec))
-    def test_idempotent_and_monotone(self, pair):
+    def test_matches_reference(self, pair):
         flags, labels = pair
         n = min(len(flags), len(labels))
         flags, labels = flags[:n], labels[:n]
-        incidents = incidents_from_labels(labels)
-        once = point_adjust(flags, incidents)
-        twice = point_adjust(once, incidents)
-        assert np.array_equal(once, twice)
-        # PA never clears a flag.
-        assert np.all(once >= np.asarray(flags, dtype=np.uint8))
-        assert list(once) == reference.point_adjust_brute(flags, list(incidents))
+        expected = _brute_reports(flags, labels)["point_adjusted"]
+        report = point_adjusted_report(flags, labels)
+        assert (report.precision, report.recall, report.f1) == expected
+
+
+class TestVerdict:
+    # Label runs up to 2,000 rows put incidents at the first and last rows,
+    # one row long, and all-ones or all-zero: the edges of the flag prefix sum.
+    @given(
+        first=st.integers(min_value=0, max_value=1),
+        lengths=st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=100),
+        density=st.sampled_from((0.0, 0.003, 0.05, 0.5, 1.0)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(first=1, lengths=[2000], density=0.5, seed=0)
+    @example(first=0, lengths=[2000], density=0.5, seed=0)
+    @example(first=1, lengths=[1, 1, 1, 1, 1], density=1.0, seed=0)
+    @settings(max_examples=200, deadline=None)
+    def test_all_modes_match_reference(self, first, lengths, density, seed):
+        labels = _runs(first, lengths)
+        flags = (np.random.default_rng(seed).random(len(labels)) < density).astype(int).tolist()
+        reports = {
+            "pointwise": pointwise_report(flags, labels),
+            "point_adjusted": point_adjusted_report(flags, labels),
+            "event_pa": event_f1_pa(flags, labels),
+        }
+        for mode, (p, r, f1) in _brute_reports(flags, labels).items():
+            report = reports[mode]
+            assert (report.mode, report.precision, report.recall, report.f1) == (mode, p, r, f1)
+        tp, fp, fn, tn = reference.confusion_brute(flags, labels)
+        assert confusion(flags, labels) == ConfusionCounts(tp, fp, fn, tn)
+
+    def test_hits_and_false_alarms(self):
+        result = verdict([1, 1, 0, 1, 0, 0, 1, 1], [1, 0, 0, 1, 1, 0, 0, 1])
+        assert result.incidents == ((0, 0), (3, 4), (7, 7))
+        assert result.hits.tolist() == [1, 1, 1]
+        assert result.false_alarms == 2
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="unknown metric mode"):
+            verdict([0], [1]).counts("pa")
 
 
 class TestEventF1PA:

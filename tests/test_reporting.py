@@ -145,6 +145,8 @@ class TestBestRecord:
     def test_tie_goes_to_earlier_id(self):
         records = [record("c0002", 0.9), record("c0001", 0.9), record("c0003", 0.9)]
         assert best_record(records)["candidate_id"] == "c0001"
+        records = [record("c10000", 0.9), record("c9999", 0.9)]
+        assert best_record(records)["candidate_id"] == "c9999"
 
     def test_invalid_skipped_even_when_last(self):
         records = [record("c0000", 0.4), record("c0001", None)]

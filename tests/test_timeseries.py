@@ -10,7 +10,6 @@ from pillm import timeseries
 from pillm.simulate import FaultSpec, SimConfig, generate_corpus
 from pillm.timeseries import (
     FeatureMeta,
-    IncidentSet,
     OrderError,
     ParseError,
     SchemaError,
@@ -125,23 +124,9 @@ class TestIncidents:
         assert tuple(incidents_from_labels([0, 0])) == ()
         assert tuple(incidents_from_labels([1, 0, 1])) == ((0, 0), (2, 2))
 
-    def test_to_labels_round_trip(self):
-        labels = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=np.uint8)
-        spans = incidents_from_labels(labels)
-        assert np.array_equal(spans.to_labels(len(labels)), labels)
-
-    def test_invalid_spans_rejected(self):
-        with pytest.raises(ValueError):
-            IncidentSet(((3, 1),))
-        with pytest.raises(ValueError):
-            IncidentSet(((0, 1), (2, 3)))  # adjacent runs are one incident
-        with pytest.raises(ValueError):
-            IncidentSet(((4, 5), (0, 1)))
-
     @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=40))
-    def test_round_trip_property(self, labels):
-        spans = incidents_from_labels(labels)
-        assert np.array_equal(spans.to_labels(len(labels)), np.array(labels, dtype=np.uint8))
+    def test_matches_reference(self, labels):
+        assert incidents_from_labels(labels) == tuple(reference.incidents_brute(labels))
 
 
 class TestCsv:
