@@ -88,6 +88,42 @@ def _brute_reports(flags, labels) -> dict[str, tuple[float, float, float]]:
     }
 
 
+class TestPointAdjust:
+    """Point adjustment marks every row of a caught incident as flagged.
+
+    The point-adjusted counts of a verdict must equal the confusion counts of
+    the adjusted flag vector, written out here or built by the brute oracle.
+    """
+
+    def test_hand_application(self):
+        labels = [0, 0, 1, 1, 1, 0]
+        counts = verdict([0, 0, 0, 1, 0, 0], labels).counts("point_adjusted")
+        assert counts == confusion([0, 0, 1, 1, 1, 0], labels)
+
+    def test_missed_incident_unchanged(self):
+        flags, labels = [0, 0, 0, 0], [0, 1, 1, 0]
+        assert verdict(flags, labels).counts("point_adjusted") == confusion(flags, labels)
+
+    def test_stray_flag_preserved(self):
+        flags, labels = [1, 0, 0, 1], [0, 1, 1, 0]
+        counts = verdict(flags, labels).counts("point_adjusted")
+        assert counts == confusion(flags, labels) == ConfusionCounts(tp=0, fp=2, fn=2, tn=0)
+
+    @given(st.tuples(binary_vec, binary_vec))
+    def test_idempotent_and_monotone(self, pair):
+        flags, labels = pair
+        n = min(len(flags), len(labels))
+        flags, labels = flags[:n], labels[:n]
+        adjusted = reference.point_adjust_brute(flags, reference.incidents_brute(labels))
+        once = verdict(flags, labels).counts("point_adjusted")
+        assert once == confusion(adjusted, labels)
+        assert verdict(adjusted, labels).counts("point_adjusted") == once
+        # PA never clears a flag: it gains true positives and keeps the false alarms.
+        pointwise = confusion(flags, labels)
+        assert once.tp >= pointwise.tp
+        assert once.fp == pointwise.fp
+
+
 class TestPointAdjustedReport:
     @given(st.tuples(binary_vec, binary_vec))
     def test_matches_reference(self, pair):

@@ -114,6 +114,14 @@ class TestTableInvariants:
         assert clone == small_table
 
 
+def _spans_to_labels(spans, n: int) -> np.ndarray:
+    """The 0/1 label vector of `n` rows whose incidents are `spans`."""
+    labels = np.zeros(n, dtype=np.uint8)
+    for start, end in spans:
+        labels[start : end + 1] = 1
+    return labels
+
+
 class TestIncidents:
     def test_runs_are_grouped(self):
         spans = incidents_from_labels([0, 1, 1, 0, 0, 1, 1, 0])
@@ -123,6 +131,16 @@ class TestIncidents:
         assert tuple(incidents_from_labels([1, 1, 1])) == ((0, 2),)
         assert tuple(incidents_from_labels([0, 0])) == ()
         assert tuple(incidents_from_labels([1, 0, 1])) == ((0, 0), (2, 2))
+
+    def test_to_labels_round_trip(self):
+        labels = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=np.uint8)
+        assert np.array_equal(_spans_to_labels(incidents_from_labels(labels), len(labels)), labels)
+
+    @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=40))
+    def test_round_trip_property(self, labels):
+        spans = incidents_from_labels(labels)
+        rebuilt = _spans_to_labels(spans, len(labels))
+        assert np.array_equal(rebuilt, np.array(labels, dtype=np.uint8))
 
     @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=40))
     def test_matches_reference(self, labels):
