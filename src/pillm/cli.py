@@ -22,11 +22,12 @@ from .providers import (
     HttpProvider,
     Provider,
     ProviderConfigError,
+    ProviderError,
     SamplerProvider,
     ScriptedProvider,
 )
 from .reporting import RunLog, RunLogError, best_record, generate_report, narrate_report
-from .simulate import FAULT_KINDS, FaultSpec, SimConfig, generate_corpus
+from .simulate import FAULT_KINDS, FaultSpec, SimConfig, SimulationError, generate_corpus
 from .timeseries import (
     TableError,
     cut_csv,
@@ -38,9 +39,24 @@ from .timeseries import (
     split,
 )
 
-EXIT_OK = 0
 EXIT_ABORTED = 2
 EXIT_BAD_CONFIG = 3
+
+# The exit code of each error class a command lets through. A fault in a rule
+# or a run directory exits 1; any other unusable input exits 3. The most
+# specific class listed wins, so a ProviderConfigError exits 3 and any other
+# ProviderError 1.
+EXIT_CODES = {
+    DslError: 1,
+    RunLogError: 1,
+    ProviderError: 1,
+    TableError: EXIT_BAD_CONFIG,
+    ConfigError: EXIT_BAD_CONFIG,
+    json.JSONDecodeError: EXIT_BAD_CONFIG,
+    ProviderConfigError: EXIT_BAD_CONFIG,
+    prompts.PromptError: EXIT_BAD_CONFIG,
+    SimulationError: EXIT_BAD_CONFIG,
+}
 
 # The keys a config's `provider` block may hold; the snapshot adds `type`.
 _PROVIDER_KEYS = ("endpoint", "model", "timeout_secs", "script")
@@ -62,10 +78,7 @@ def _read_text(path: str, what: str) -> str:
 
     Any other encoding is a configuration error.
     """
-    try:
-        text = decode_text(Path(path).read_bytes(), what, TableError)
-    except TableError as exc:
-        _fail(str(exc), EXIT_BAD_CONFIG)
+    text = decode_text(Path(path).read_bytes(), what, TableError)
     # Universal newlines, as Path.read_text reads them.
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
@@ -75,7 +88,24 @@ def _load_table(data_path: str, meta_path: str):
     return load_csv(Path(data_path).read_bytes(), metas), metas
 
 
-@click.group()
+def _provider_block(doc: dict) -> dict:
+    block = doc.get("provider", {})
+    if not isinstance(block, dict):
+        raise ConfigError("config key 'provider' must be an object")
+    return block
+
+
+class _Commands(click.Group):
+    """The command group: an error class in `EXIT_CODES` ends a command with one `error:` line and its code."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except tuple(EXIT_CODES) as exc:
+            _fail(str(exc), next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES))
+
+
+@click.group(cls=_Commands)
 @click.version_option(version=__version__, prog_name="pillm")
 def main() -> None:
     """Evolve and audit interpretable anomaly-detection rules for HVAC data."""
@@ -101,11 +131,8 @@ def gen_data(out_dir: str, fault_kind: str | None, intensity: float, window_text
     elif window_text is not None:
         _fail("--window has no effect without --fault", EXIT_BAD_CONFIG)
 
-    try:
-        fault = FaultSpec(fault_kind, intensity, window) if fault_kind is not None else None
-        table = generate_corpus(SimConfig(length=length, seed=seed), fault)
-    except ValueError as exc:
-        _fail(str(exc), EXIT_BAD_CONFIG)
+    fault = FaultSpec(fault_kind, intensity, window) if fault_kind is not None else None
+    table = generate_corpus(SimConfig(length=length, seed=seed), fault)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "data.csv").write_bytes(save_csv(table))
@@ -119,18 +146,13 @@ def gen_data(out_dir: str, fault_kind: str | None, intensity: float, window_text
 def check(rule_path: str, meta_path: str | None) -> None:
     """Parse and typecheck a rule file; print diagnostics on failure."""
     source = _read_text(rule_path, "rule file")
-    try:
-        ast = parse(source)
-        if meta_path is not None:
-            features = [m.name for m in load_meta(Path(meta_path).read_bytes())]
-        else:
-            # Without metadata, accept whatever features the rule references.
-            features = [n.name for n in walk(*ast.roots) if isinstance(n, FeatureRef)]
-        rule = typecheck(ast, features)
-    except DslError as exc:
-        _fail(str(exc))
-    except TableError as exc:
-        _fail(str(exc), EXIT_BAD_CONFIG)
+    ast = parse(source)
+    if meta_path is not None:
+        features = [m.name for m in load_meta(Path(meta_path).read_bytes())]
+    else:
+        # Without metadata, accept whatever features the rule references.
+        features = [n.name for n in walk(*ast.roots) if isinstance(n, FeatureRef)]
+    rule = typecheck(ast, features)
     feature_list = ", ".join(sorted(rule.features)) or "(none)"
     click.echo(
         f"OK: {rule.ast.node_count} nodes, max window {rule.max_window}, features: {feature_list}"
@@ -145,18 +167,11 @@ def check(rule_path: str, meta_path: str | None) -> None:
 @click.option("--threshold", type=float, default=0.5, show_default=True)
 def eval_cmd(rule_path: str, data_path: str, meta_path: str, metric: str, threshold: float) -> None:
     """Score a rule against a labeled corpus and print one metric line."""
-    try:
-        table, _ = _load_table(data_path, meta_path)
-    except TableError as exc:
-        _fail(str(exc), EXIT_BAD_CONFIG)
+    table, _ = _load_table(data_path, meta_path)
     if not table.has_labels:
         _fail("data has no label column; scoring requires labels", EXIT_BAD_CONFIG)
-    source = _read_text(rule_path, "rule file")
-    try:
-        rule = compile_rule(source, table.feature_names)
-        flags = to_flags(evaluate(rule, table), threshold)
-    except DslError as exc:
-        _fail(str(exc))
+    rule = compile_rule(_read_text(rule_path, "rule file"), table.feature_names)
+    flags = to_flags(evaluate(rule, table), threshold)
     click.echo(_METRIC_FUNCS[metric](flags, table.labels).line())
 
 
@@ -218,45 +233,28 @@ def evolve(
     prompts_dir: str | None,
 ) -> None:
     """Run the evolutionary loop and persist the run directory."""
-    try:
-        doc = json.loads(_read_text(config_path, "config"))
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        config = EvolutionConfig.from_dict(doc)
-    except (json.JSONDecodeError, ConfigError) as exc:
-        _fail(str(exc), EXIT_BAD_CONFIG)
+    doc = json.loads(_read_text(config_path, "config"))
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    config = EvolutionConfig.from_dict(doc)
     if no_pir:
         config.enable_pir = False
     if no_pic:
         config.enable_pic = False
 
     data = Path(data_path).read_bytes()
-    try:
-        metas = load_meta(Path(meta_path).read_bytes())
-        table = load_csv(data, metas)
-    except TableError as exc:
-        _fail(str(exc), EXIT_BAD_CONFIG)
+    metas = load_meta(Path(meta_path).read_bytes())
+    table = load_csv(data, metas)
     if not table.has_labels:
         _fail("training data must be labeled", EXIT_BAD_CONFIG)
-    try:
-        train_table, _ = split(table, config.train_fraction)
-    except TableError as exc:
-        _fail(str(exc), EXIT_BAD_CONFIG)
+    train_table, _ = split(table, config.train_fraction)
 
-    provider_block = doc.get("provider", {})
-    if not isinstance(provider_block, dict):
-        _fail("config key 'provider' must be an object", EXIT_BAD_CONFIG)
+    provider_block = _provider_block(doc)
     unknown = sorted(set(provider_block) - set(_PROVIDER_KEYS))
     if unknown:
-        _fail(f"unknown provider keys: {', '.join(unknown)}", EXIT_BAD_CONFIG)
-    try:
-        provider = _build_provider(provider_kind, provider_block, script_path, config, table.feature_names)
-    except ProviderConfigError as exc:
-        _fail(str(exc), EXIT_BAD_CONFIG)
-    try:
-        templates = prompts.load_templates(prompts_dir)
-    except prompts.PromptError as exc:
-        _fail(str(exc), EXIT_BAD_CONFIG)
+        raise ConfigError(f"unknown provider keys: {', '.join(unknown)}")
+    provider = _build_provider(provider_kind, provider_block, script_path, config, table.feature_names)
+    templates = prompts.load_templates(prompts_dir)
 
     root = Path(out_root)
     root.mkdir(parents=True, exist_ok=True)
@@ -291,40 +289,24 @@ def evolve(
 def report(run_dir: str, data_path: str, meta_path: str, narrate: bool) -> None:
     """Render the diagnostic report for a finished run."""
     run_path = Path(run_dir)
-    try:
-        log = RunLog(run_path.parent, run_path.name)
-        best = best_record(log.records())
-        if best is None:
-            _fail("run log contains no valid candidate to report on")
-        snapshot = log.config_snapshot()
-        table, metas = _load_table(data_path, meta_path)
-        train_table = load_csv(log.train_csv(), metas)
-    except RunLogError as exc:
-        _fail(str(exc))
-    except TableError as exc:
-        _fail(str(exc), EXIT_BAD_CONFIG)
+    log = RunLog(run_path.parent, run_path.name)
+    best = best_record(log.records())
+    if best is None:
+        _fail("run log contains no valid candidate to report on")
+    snapshot = log.config_snapshot()
+    table, metas = _load_table(data_path, meta_path)
+    train_table = load_csv(log.train_csv(), metas)
 
-    provider_block = snapshot.get("provider", {})
-    try:
-        if not isinstance(provider_block, dict):
-            raise ConfigError("config key 'provider' must be an object")
-        config = EvolutionConfig.from_dict(
-            {k: v for k, v in snapshot.items() if k not in ("provider", "prompts_dir")}
-        )
-    except ConfigError as exc:
-        _fail(str(exc), EXIT_BAD_CONFIG)
+    provider_block = _provider_block(snapshot)
+    config = EvolutionConfig.from_dict(
+        {k: v for k, v in snapshot.items() if k not in ("provider", "prompts_dir")}
+    )
 
-    try:
-        doc = generate_report(best["code"], best["context"], table, config.threshold, train_table)
-    except DslError as exc:
-        _fail(str(exc))
+    doc = generate_report(best["code"], best["context"], table, config.threshold, train_table)
     text = doc.render()
     if narrate:
         kind = provider_block.get("type", "sampler")
-        try:
-            provider = _build_provider(kind, provider_block, provider_block.get("script"), config, table.feature_names)
-        except ProviderConfigError as exc:
-            _fail(str(exc), EXIT_BAD_CONFIG)
+        provider = _build_provider(kind, provider_block, provider_block.get("script"), config, table.feature_names)
         text = narrate_report(text, provider)
     log.write_report(text)
     click.echo(text, nl=False)

@@ -188,13 +188,14 @@ class TimeSeriesTable:
 
 
 def incidents_from_labels(labels: Sequence[int] | np.ndarray) -> tuple[tuple[int, int], ...]:
-    """Group a 0/1 label vector into maximal runs of consecutive ones, as inclusive (start, end) spans."""
+    """Group a 0/1 label vector into maximal runs of consecutive ones, as inclusive (start, end) spans.
+
+    Every entry must already be 0 or 1: this function does not check it.
+    """
     lab = np.asarray(labels)
     if lab.ndim != 1:
         raise ValueError("labels must be 1-D")
-    if lab.size and not np.all((lab == 0) | (lab == 1)):
-        raise ValueError("labels must be 0 or 1")
-    padded = np.concatenate(([0], lab.astype(np.int8), [0]))
+    padded = np.concatenate(([0], lab, [0]))
     edges = np.diff(padded)
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1) - 1
@@ -489,12 +490,14 @@ def load_meta(data: bytes | str) -> tuple[FeatureMeta, ...]:
         for key in ("name", "unit", "description", "role"):
             if key not in entry:
                 raise SchemaError(f"metadata entry {i} is missing field {key!r}")
+            if not isinstance(entry[key], str):
+                raise SchemaError(f"metadata entry {i} field {key!r} must be a string, got {entry[key]!r}")
         metas.append(
             FeatureMeta(
-                name=str(entry["name"]),
-                unit=str(entry["unit"]),
-                description=str(entry["description"]),
-                role=str(entry["role"]),
+                name=entry["name"],
+                unit=entry["unit"],
+                description=entry["description"],
+                role=entry["role"],
             )
         )
     if not metas:

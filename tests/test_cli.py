@@ -10,10 +10,10 @@ import pytest
 from click.testing import CliRunner
 
 import pillm
-from pillm.cli import main
+from pillm.cli import EXIT_CODES, main
 from pillm.dsl import MAX_DEPTH
 from pillm.prompts import TEMPLATE_IDS, load_templates
-from pillm.providers import SamplerProvider
+from pillm.providers import CompletionError, SamplerProvider
 from pillm.reporting import RunLog, best_record
 from pillm.timeseries import load_csv, load_meta, save_csv, save_meta
 
@@ -756,6 +756,18 @@ class TestEvolve:
         assert f"best_id={best['candidate_id']} " in result.output
 
 
+def fail_narration(monkeypatch) -> None:
+    """Make the sampler provider fail each narration request as a server answering 400 does."""
+    complete = SamplerProvider.complete
+
+    def failing(provider, request):
+        if request.tag == "narrate":
+            raise CompletionError("[narrate] HTTP 400: bad request")
+        return complete(provider, request)
+
+    monkeypatch.setattr(SamplerProvider, "complete", failing)
+
+
 class TestReport:
     def finished_run(self, tmp_path, runner, sim_corpus) -> Path:
         data, meta = sim_corpus
@@ -862,6 +874,16 @@ class TestReport:
         assert narrated.output == plain.output
 
 
+    def test_narrate_provider_failure_exits_1(self, tmp_path, runner, sim_corpus, monkeypatch):
+        run_dir = self.finished_run(tmp_path, runner, sim_corpus)
+        fail_narration(monkeypatch)
+        args = ["report", "--run", str(run_dir), "--data", str(run_dir / "test.csv"), "--meta", str(run_dir / "meta.json")]
+        result = runner.invoke(main, args + ["--narrate"])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == "error: [narrate] HTTP 400: bad request\n"
+        assert not (run_dir / "report.txt").exists()
+
     def test_narrate_with_bad_script_exits_3(self, tmp_path, runner, sim_corpus):
         run_dir = self.finished_run(tmp_path, runner, sim_corpus)
         snapshot_path = run_dir / "config.snapshot"
@@ -905,6 +927,103 @@ class TestReport:
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.output == f"error: {message}\n"
         assert not (run_dir / "report.txt").exists()
+
+
+class _Workdir:
+    """A test's own directory, beside one finished sampler run and its corpus."""
+
+    def __init__(self, root: Path, monkeypatch, data: Path, meta: Path, run_dir: Path):
+        self.root, self.monkeypatch = root, monkeypatch
+        self.data, self.meta, self.run_dir = str(data), str(meta), run_dir
+
+    def file(self, name: str, text: str) -> str:
+        path = self.root / name
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    def evolve(self, config_text: str, *extra: str) -> list[str]:
+        config = self.file("config.json", config_text)
+        out = str(self.root / "runs")
+        return ["evolve", "--data", self.data, "--meta", self.meta, "--config", config, "--out", out, *extra]
+
+    def report(self, run_dir: Path, *extra: str) -> list[str]:
+        return ["report", "--run", str(run_dir), "--data", self.data, "--meta", self.meta, *extra]
+
+    def torn_run(self) -> Path:
+        run_dir = self.root / "torn"
+        run_dir.mkdir()
+        (run_dir / "run.jsonl").write_bytes(b'{"generation": 0')
+        return run_dir
+
+    def failed_narration(self) -> list[str]:
+        fail_narration(self.monkeypatch)
+        return self.report(self.run_dir, "--narrate")
+
+    def empty_dir(self) -> str:
+        path = self.root / "empty"
+        path.mkdir()
+        return str(path)
+
+
+# One invocation per class in the exit-code table: (the most specific listed
+# class it raises, the exit code, a part of its error message, its arguments).
+EXIT_CODE_CASES = [
+    ("DslError", 1, "1:20: expected an expression", lambda w: ["check", "--rule", w.file("bad.rule", "return $zone_temp >\n")]),
+    ("RunLogError", 1, f"{os.sep}torn{os.sep}run.jsonl line 1 is not valid JSON", lambda w: w.report(w.torn_run())),
+    ("ProviderError", 1, "[narrate] HTTP 400: bad request", lambda w: w.failed_narration()),
+    (
+        "TableError",
+        3,
+        "metadata must be a JSON list",
+        lambda w: ["eval", "--rule", w.file("ok.rule", RULE_OK), "--data", w.data, "--meta", w.file("meta.json", "{}")],
+    ),
+    ("ConfigError", 3, "population_size must be >= 2", lambda w: w.evolve('{"population_size": 1}', "--provider", "sampler")),
+    ("JSONDecodeError", 3, "Expecting property name", lambda w: w.evolve("{not json", "--provider", "sampler")),
+    ("ProviderConfigError", 3, "scripted provider requires --script FILE", lambda w: w.evolve("{}", "--provider", "scripted")),
+    (
+        "PromptError",
+        3,
+        "template override not found",
+        lambda w: w.evolve("{}", "--provider", "sampler", "--prompts-dir", w.empty_dir()),
+    ),
+    (
+        "SimulationError",
+        3,
+        "fault window must satisfy 0 <= start < end",
+        lambda w: ["gen-data", "--out", str(w.root / "corpus"), "--fault", "sensor_bias", "--window", "5:3"],
+    ),
+]
+
+
+class TestExitCodes:
+    @pytest.fixture(scope="class")
+    def finished_run(self, tmp_path_factory) -> tuple[Path, Path, Path]:
+        root = tmp_path_factory.mktemp("exit_codes")
+        runner = CliRunner()
+        out = root / "corpus"
+        args = ["gen-data", "--out", str(out), "--fault", "sensor_bias", "--window", "1000:1400", "--seed", "42"]
+        assert runner.invoke(main, args).exit_code == 0
+        data, meta = out / "data.csv", out / "meta.json"
+        config = evolve_config(root)
+        args = ["evolve", "--data", str(data), "--meta", str(meta), "--config", str(config)]
+        result = runner.invoke(main, args + ["--provider", "sampler", "--out", str(root / "runs")])
+        assert result.exit_code == 0, result.output
+        return data, meta, run_dir_from(result.output)
+
+    def test_every_table_class_has_a_case(self):
+        assert {name: code for name, code, _, _ in EXIT_CODE_CASES} == {
+            cls.__name__: code for cls, code in EXIT_CODES.items()
+        }
+
+    @pytest.mark.parametrize("name,code,message,build", EXIT_CODE_CASES, ids=[c[0] for c in EXIT_CODE_CASES])
+    def test_error_class_exit_code(self, tmp_path, runner, monkeypatch, finished_run, name, code, message, build):
+        result = runner.invoke(main, build(_Workdir(tmp_path, monkeypatch, *finished_run)))
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1, result.output
+        assert message in errors[0], errors[0]
+        assert not (tmp_path / "runs").exists()
 
 
 NOT_UTF8 = b"\xff\xfe"

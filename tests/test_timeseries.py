@@ -1,3 +1,4 @@
+import json
 import statistics
 import time
 
@@ -426,6 +427,12 @@ class TestMeta:
     def test_not_a_list(self):
         with pytest.raises(SchemaError):
             load_meta('{"name": "a"}')
+
+    def test_field_that_is_not_a_string(self):
+        ok = {"name": "a", "unit": "degC", "description": "d", "role": "sensor"}
+        bad = {"name": "zone_temp", "unit": None, "description": None, "role": "sensor"}
+        with pytest.raises(SchemaError, match=r"^metadata entry 1 field 'unit' must be a string, got None$"):
+            load_meta(json.dumps([ok, bad]))
 
     def test_invalid_json(self):
         with pytest.raises(SchemaError):
