@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import time
@@ -167,6 +168,8 @@ def check(rule_path: str, meta_path: str | None) -> None:
 @click.option("--threshold", type=float, default=0.5, show_default=True)
 def eval_cmd(rule_path: str, data_path: str, meta_path: str, metric: str, threshold: float) -> None:
     """Score a rule against a labeled corpus and print one metric line."""
+    if not math.isfinite(threshold):
+        raise ConfigError("threshold must be finite")
     table, _ = _load_table(data_path, meta_path)
     if not table.has_labels:
         _fail("data has no label column; scoring requires labels", EXIT_BAD_CONFIG)
@@ -196,14 +199,20 @@ def _build_provider(kind: str, provider_block: dict, script: str | None, config:
 
 
 def _unique_run_dir(root: Path, seed: int) -> str:
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    base = f"run-{stamp}-s{seed}"
-    run_id = base
-    counter = 2
-    while (root / run_id).exists():
-        run_id = f"{base}-{counter}"
-        counter += 1
-    return run_id
+    """Create a fresh run directory under `root` and return its name.
+
+    The exclusive mkdir reserves the name, so two runs started in the same
+    second with the same seed get two directories (the second with `-2`).
+    """
+    base = f"run-{time.strftime('%Y%m%d-%H%M%S')}-s{seed}"
+    run_id, counter = base, 2
+    while True:
+        try:
+            (root / run_id).mkdir()
+            return run_id
+        except FileExistsError:
+            run_id = f"{base}-{counter}"
+            counter += 1
 
 
 @main.command("evolve")

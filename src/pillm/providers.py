@@ -90,13 +90,11 @@ class CompletionRequest:
 @dataclass(frozen=True)
 class CompletionResult:
     text: str
-    provider_id: str
     latency_ms: int
     attempt: int
 
 
 class Provider(Protocol):
-    provider_id: str
     # How many `complete` calls the caller may have running at once.
     max_in_flight: int
 
@@ -212,7 +210,6 @@ class HttpProvider:
         self._sleep = sleeper
         self._gate = AdaptiveGate(self.max_in_flight)
         self._rng = random.Random()
-        self.provider_id = f"http:{model}"
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         payload = {
@@ -247,10 +244,7 @@ class HttpProvider:
                 else:
                     text = self._extract_text(response, request.tag)
                     latency = int((time.monotonic() - start) * 1000)
-                    return CompletionResult(
-                        text=text, provider_id=self.provider_id,
-                        latency_ms=latency, attempt=attempt,
-                    )
+                    return CompletionResult(text=text, latency_ms=latency, attempt=attempt)
             if attempt < RETRY_MAX_ATTEMPTS:
                 if retry_after is not None:
                     self._sleep(min(retry_after, RETRY_AFTER_MAX_SECONDS))
@@ -305,7 +299,6 @@ class ScriptedProvider:
     consumed in call order, so callers issue one request at a time.
     """
 
-    provider_id = "scripted"
     max_in_flight = 1
 
     def __init__(self, records: Sequence[dict]) -> None:
@@ -339,16 +332,11 @@ class ScriptedProvider:
     def complete(self, request: CompletionRequest) -> CompletionResult:
         with self._lock:
             if request.tag == "narrate":
-                return CompletionResult(
-                    text=request.user_prompt, provider_id=self.provider_id,
-                    latency_ms=0, attempt=1,
-                )
+                return CompletionResult(text=request.user_prompt, latency_ms=0, attempt=1)
             for i, (tag, text) in enumerate(self._records):
                 if not self._consumed[i] and tag == request.tag:
                     self._consumed[i] = True
-                    return CompletionResult(
-                        text=text, provider_id=self.provider_id, latency_ms=0, attempt=1
-                    )
+                    return CompletionResult(text=text, latency_ms=0, attempt=1)
         raise ScriptExhaustedError(f"no scripted response left for tag {request.tag!r}")
 
 
@@ -370,16 +358,12 @@ class SamplerProvider:
         self._features = tuple(feature_names)
         self._counter = 0
         self._lock = threading.Lock()
-        self.provider_id = f"sampler:{seed}"
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
         with self._lock:
             self._counter += 1
             if request.tag == "narrate":
-                return CompletionResult(
-                    text=request.user_prompt, provider_id=self.provider_id,
-                    latency_ms=0, attempt=1,
-                )
+                return CompletionResult(text=request.user_prompt, latency_ms=0, attempt=1)
             call_seed = self._seed * 1_000_003 + self._counter
             ast = _sample_ast(call_seed, self._features)
             names = sorted({n.name for n in walk(*ast.roots) if isinstance(n, FeatureRef)})
@@ -388,9 +372,7 @@ class SamplerProvider:
                 f"Sampled hypothesis: deviations in {', '.join(names)} relative to recent "
                 "behavior indicate abnormal operation of the conditioning loop.",
             )
-            return CompletionResult(
-                text=text, provider_id=self.provider_id, latency_ms=0, attempt=1
-            )
+            return CompletionResult(text=text, latency_ms=0, attempt=1)
 
 
 _WINDOWS = (5, 10, 15, 30, 60, 120)

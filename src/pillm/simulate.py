@@ -7,14 +7,17 @@ The model is a first-order thermal zone under a bang-bang thermostat:
                    - c*cool[t] + d*occupancy[t] + noise
 
 One row per minute; the default horizon is two days. `generate_corpus` runs
-the model once and applies at most one fault, from a small taxonomy:
+the model once and applies at most one fault, from a small taxonomy. Every
+fault is a per-row array, set in one block before the simulation loop; the
+loop itself steps only the thermostat mode and the true zone temperature.
 
-- `heating_coil_leak` and `simultaneous_heat_cool` act inside the loop. They
-  change the dynamics, so the zone temperature, the thermostat and the fan
-  respond downstream.
-- `sensor_bias`, `sensor_drift` and `damper_stuck` are overlays applied after
-  the loop. They change only what is reported (`zone_temp`, or `damper_pos`
-  held at the command of the window's first row); nothing in the model reads
+- `heating_coil_leak` (heat added while the valve is shut) and
+  `simultaneous_heat_cool` (both valves forced open) are read by the loop.
+  They change the dynamics, so the zone temperature, the thermostat and the
+  fan respond downstream.
+- `sensor_bias`, `sensor_drift` and `damper_stuck` change only what is
+  reported: an offset added to `zone_temp` after the loop, or `damper_pos`
+  held at the command of the window's first row. Nothing in the model reads
   the reported value, so no other column changes.
 
 Labels are 1 exactly on the fault window.
@@ -22,7 +25,6 @@ Labels are 1 exactly on the fault window.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,21 +127,11 @@ def zone_step(cfg: SimConfig, zone: float, outdoor: float, heat: float, cool: fl
     return zone + cfg.a * (outdoor - zone) + cfg.b * heat - cfg.c * cool + cfg.d * occupancy
 
 
-def _damper_schedule(t: int, occupied: float) -> float:
-    # Demand-controlled ventilation: modulate around a base fraction while
-    # occupied, minimum leakage position otherwise.
-    if occupied:
-        return 0.3 + 0.2 * math.sin(2.0 * math.pi * t / 240.0)
-    return 0.05
-
-
 def generate_corpus(cfg: SimConfig, fault: FaultSpec | None = None) -> TimeSeriesTable:
     """Simulate one run, with at most one fault; labels are 1 exactly on its window."""
     n = cfg.length
-    start, end = (0, 0) if fault is None else fault.window
-    if end > n:
+    if fault is not None and fault.window[1] > n:
         raise SimulationError(f"fault window {fault.window} extends past {n} rows")
-    kind = None if fault is None else fault.kind
 
     rng = np.random.default_rng(cfg.seed)
     outdoor_noise = rng.normal(0.0, cfg.sigma, n)
@@ -155,50 +147,48 @@ def generate_corpus(cfg: SimConfig, fault: FaultSpec | None = None) -> TimeSerie
     occupancy = (
         (minute_of_day >= OCCUPIED_START_MIN) & (minute_of_day < OCCUPIED_END_MIN)
     ).astype(np.float64)
+    # Demand-controlled ventilation: modulate around a base fraction while
+    # occupied, minimum leakage position otherwise.
+    damper_cmd = np.where(occupancy > 0.0, 0.3 + 0.2 * np.sin(2.0 * np.pi * t_arr / 240.0), 0.05)
 
-    zone = np.empty(n)
-    heat_cmd = np.zeros(n)
-    cool_cmd = np.zeros(n)
-    damper_cmd = np.empty(n)
-    fan_speed = np.zeros(n)
-
-    zone[0] = SETPOINT_C
-    mode = 0
-    for t in range(n):
-        in_window = start <= t < end
-        mode = thermostat_step(mode, zone[t])
-        heat = 1.0 if mode == 1 else 0.0
-        cool = 1.0 if mode == -1 else 0.0
-        if in_window and kind == "simultaneous_heat_cool":
-            heat, cool = 1.0, 1.0
-        heat_cmd[t], cool_cmd[t] = heat, cool
-
-        damper_cmd[t] = _damper_schedule(t, occupancy[t])
-        fan_speed[t] = occupancy[t] * min(abs(zone[t] - SETPOINT_C) / 2.0, 1.0)
-
-        if t + 1 < n:
-            nxt = zone_step(cfg, zone[t], outdoor[t], heat, cool, occupancy[t])
-            if in_window and kind == "heating_coil_leak" and heat == 0.0:
-                nxt += cfg.b * fault.intensity
-            zone[t + 1] = nxt + zone_noise[t]
-
-    # Overlays: they change only what a sensor reports, after the dynamics.
+    forced = np.zeros(n, dtype=bool)
+    leak = np.zeros(n)
+    sensor_offset = np.zeros(n)
     damper_pos = damper_cmd.copy()
     labels = np.zeros(n, dtype=np.uint8)
     if fault is not None:
+        start, end = fault.window
         labels[start:end] = 1
         span = SENSOR_FAULT_SPAN_C * fault.intensity
-        if kind == "sensor_bias":
-            zone[start:end] += span
-        elif kind == "sensor_drift":
-            zone[start:end] += np.linspace(0.0, span, end - start)
-        elif kind == "damper_stuck":
+        if fault.kind == "simultaneous_heat_cool":
+            forced[start:end] = True
+        elif fault.kind == "heating_coil_leak":
+            leak[start:end] = cfg.b * fault.intensity
+        elif fault.kind == "sensor_bias":
+            sensor_offset[start:end] = span
+        elif fault.kind == "sensor_drift":
+            sensor_offset[start:end] = np.linspace(0.0, span, end - start)
+        elif fault.kind == "damper_stuck":
             damper_pos[start:end] = damper_cmd[start]
+
+    zone = np.empty(n)
+    heat_cmd = np.empty(n)
+    cool_cmd = np.empty(n)
+    temp, mode = SETPOINT_C, 0
+    for t, (out, occ, force, leak_t, noise) in enumerate(zip(outdoor, occupancy, forced, leak, zone_noise)):
+        zone[t] = temp
+        mode = thermostat_step(mode, temp)
+        heat = 1.0 if mode == 1 or force else 0.0
+        cool = 1.0 if mode == -1 or force else 0.0
+        heat_cmd[t], cool_cmd[t] = heat, cool
+        # The step after the last row is computed and dropped.
+        temp = zone_step(cfg, temp, out, heat, cool, occ) + (0.0 if heat else leak_t) + noise
+    fan_speed = occupancy * np.minimum(np.abs(zone - SETPOINT_C) / 2.0, 1.0)
 
     values = np.column_stack(
         [
             outdoor,
-            zone,
+            zone + sensor_offset,
             heat_cmd,
             cool_cmd,
             damper_cmd,

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import pillm
-from pillm.cli import EXIT_CODES, main
+from pillm.cli import EXIT_CODES, _unique_run_dir, main
 from pillm.dsl import MAX_DEPTH
 from pillm.prompts import TEMPLATE_IDS, load_templates
 from pillm.providers import CompletionError, SamplerProvider
@@ -274,6 +275,16 @@ class TestEval:
         )
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_rejected(self, tmp_path, runner, threshold):
+        data, meta = write_spike_corpus(tmp_path)
+        rule = tmp_path / "rule.txt"
+        rule.write_text(RULE_OK)
+        args = ["eval", "--rule", str(rule), "--data", str(data), "--meta", str(meta), "--threshold", threshold]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert result.output.splitlines() == ["error: threshold must be finite"]
+
 
 class TestEvolve:
     def invoke_evolve(self, runner, data, meta, config, out, *extra):
@@ -294,6 +305,13 @@ class TestEvolve:
                 *extra,
             ],
         )
+
+    def test_run_dirs_in_one_second_differ(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(time, "strftime", lambda fmt: "20260101-000000")
+        first = _unique_run_dir(tmp_path, 7)
+        second = _unique_run_dir(tmp_path, 7)
+        assert (first, second) == ("run-20260101-000000-s7", "run-20260101-000000-s7-2")
+        assert (tmp_path / first).is_dir() and (tmp_path / second).is_dir()
 
     def test_sampler_run_artifacts(self, tmp_path, runner, sim_corpus):
         data, meta = sim_corpus

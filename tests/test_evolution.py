@@ -48,7 +48,6 @@ def scripted(*records: tuple[str, str]) -> ScriptedProvider:
 class CannedProvider:
     """Returns queued texts per tag and remembers every request it saw."""
 
-    provider_id = "canned"
     max_in_flight = 1
 
     def __init__(self, texts_by_tag: dict[str, list[str]]) -> None:
@@ -60,9 +59,7 @@ class CannedProvider:
         queue = self._queues.get(request.tag)
         if not queue:
             raise ScriptExhaustedError(f"no canned text for {request.tag!r}")
-        return CompletionResult(
-            text=queue.pop(0), provider_id=self.provider_id, latency_ms=0, attempt=1
-        )
+        return CompletionResult(text=queue.pop(0), latency_ms=0, attempt=1)
 
 
 class ListSink(list):
@@ -77,7 +74,6 @@ class ListSink(list):
 
 
 class FailingProvider:
-    provider_id = "failing"
     max_in_flight = 1
 
     def __init__(self, only_tags: set[str] | None = None, fallback=None) -> None:
@@ -636,8 +632,6 @@ class KeyedProvider:
     is in `fail_seeds`, raise `error`.
     """
 
-    provider_id = "keyed"
-
     def __init__(self, max_in_flight=4, delay=0.02, fail_at=(), fail_seeds=(), error=None) -> None:
         self.max_in_flight = max_in_flight
         self._delay = delay
@@ -684,7 +678,6 @@ class KeyedProvider:
                 raise self._error
             return CompletionResult(
                 text=self.answer(request, occurrence),
-                provider_id=self.provider_id,
                 latency_ms=0,
                 attempt=1,
             )

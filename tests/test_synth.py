@@ -265,3 +265,22 @@ def test_corpus_bytes_are_pinned(case):
     spec = None if case is None else FaultSpec(case[0], 0.6, case[1])
     data = save_csv(generate_corpus(SimConfig(length=2880, seed=42), spec))
     assert hashlib.sha256(data).hexdigest() == CORPUS_SHA256[case]
+
+
+# The same pins in a warm climate (outdoor mean 22 °C), where the thermostat
+# itself cools: the default climate never enters mode -1 on a clean run. The
+# second value is the number of rows with the cooling valve open.
+WARM_CORPUS_SHA256 = {
+    None: ("553cc53e1a82995492b5b7150a144b9f29518761107f3fe39a9dcf5dacebedd7", 319),
+    "heating_coil_leak": ("5e29cf502bd751f6b4974f4c7485b205d8257e1948399dd461726adbf19e00f8", 470),
+    "simultaneous_heat_cool": ("b1adfc90fca193ece792807d2b20de508b1abf2c81bddc3c7f8e8f2f8cffaa70", 719),
+}
+
+
+@pytest.mark.parametrize("kind", list(WARM_CORPUS_SHA256), ids=str)
+def test_warm_corpus_bytes_are_pinned(kind):
+    spec = None if kind is None else FaultSpec(kind, 0.6, (1000, 1400))
+    table = generate_corpus(SimConfig(length=2880, seed=42, outdoor_mean=22.0), spec)
+    digest, cooling_rows = WARM_CORPUS_SHA256[kind]
+    assert int(table.column("cool_cmd").sum()) == cooling_rows
+    assert hashlib.sha256(save_csv(table)).hexdigest() == digest
