@@ -32,9 +32,9 @@ from .simulate import FAULT_KINDS, FaultSpec, SimConfig, SimulationError, genera
 from .timeseries import (
     TableError,
     cut_csv,
-    decode_text,
     load_csv,
     load_meta,
+    read_text,
     save_csv,
     save_meta,
     split,
@@ -72,16 +72,6 @@ _METRIC_FUNCS = {
 def _fail(message: str, code: int = 1) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
-
-
-def _read_text(path: str, what: str) -> str:
-    """A UTF-8 text file's contents, read as `data.csv` is: a leading byte-order mark is dropped.
-
-    Any other encoding is a configuration error.
-    """
-    text = decode_text(Path(path).read_bytes(), what, TableError)
-    # Universal newlines, as Path.read_text reads them.
-    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _load_table(data_path: str, meta_path: str):
@@ -146,7 +136,7 @@ def gen_data(out_dir: str, fault_kind: str | None, intensity: float, window_text
 @click.option("--meta", "meta_path", type=click.Path(exists=True, dir_okay=False), default=None)
 def check(rule_path: str, meta_path: str | None) -> None:
     """Parse and typecheck a rule file; print diagnostics on failure."""
-    source = _read_text(rule_path, "rule file")
+    source = read_text(rule_path, "rule file", TableError)
     ast = parse(source)
     if meta_path is not None:
         features = [m.name for m in load_meta(Path(meta_path).read_bytes())]
@@ -165,7 +155,7 @@ def check(rule_path: str, meta_path: str | None) -> None:
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--meta", "meta_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--metric", type=click.Choice(sorted(_METRIC_FUNCS)), default="event-pa", show_default=True)
-@click.option("--threshold", type=float, default=0.5, show_default=True)
+@click.option("--threshold", type=float, default=EvolutionConfig.threshold, show_default=True)
 def eval_cmd(rule_path: str, data_path: str, meta_path: str, metric: str, threshold: float) -> None:
     """Score a rule against a labeled corpus and print one metric line."""
     if not math.isfinite(threshold):
@@ -173,7 +163,7 @@ def eval_cmd(rule_path: str, data_path: str, meta_path: str, metric: str, thresh
     table, _ = _load_table(data_path, meta_path)
     if not table.has_labels:
         _fail("data has no label column; scoring requires labels", EXIT_BAD_CONFIG)
-    rule = compile_rule(_read_text(rule_path, "rule file"), table.feature_names)
+    rule = compile_rule(read_text(rule_path, "rule file", TableError), table.feature_names)
     flags = to_flags(evaluate(rule, table), threshold)
     click.echo(_METRIC_FUNCS[metric](flags, table.labels).line())
 
@@ -242,7 +232,7 @@ def evolve(
     prompts_dir: str | None,
 ) -> None:
     """Run the evolutionary loop and persist the run directory."""
-    doc = json.loads(_read_text(config_path, "config"))
+    doc = json.loads(read_text(config_path, "config", TableError))
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     config = EvolutionConfig.from_dict(doc)

@@ -43,6 +43,7 @@ does not alarm.
 from __future__ import annotations
 
 from contextvars import ContextVar
+from dataclasses import fields
 
 import numpy as np
 
@@ -379,19 +380,18 @@ class _Evaluator:
             return _missing(_UFUNCS[op](left, right))
 
     def _key(self, expr: Expr) -> tuple:
-        """`expr`'s memo key: its structure, with bound names replaced by their keys."""
+        """`expr`'s memo key: its structure, with bound names replaced by their keys.
+
+        A node's key is its type, its first field (a name or an operator) and
+        its children's keys.
+        """
         if isinstance(expr, VarRef):
             return self._keys[expr.name]
         if isinstance(expr, Num):
             # hex() tells 0.0 from -0.0, which compare equal.
             return (Num, expr.value.hex())
-        if isinstance(expr, FeatureRef):
-            return (FeatureRef, expr.name)
-        if isinstance(expr, Call):
-            return (Call, expr.name, *map(self._key, expr.args))
-        if isinstance(expr, Unary):
-            return (Unary, expr.op, self._key(expr.operand))
-        return (BinOp, expr.op, self._key(expr.left), self._key(expr.right))
+        label = getattr(expr, fields(expr)[0].name)
+        return (type(expr), label, *map(self._key, children(expr)))
 
     def _eval_call(self, expr: Call) -> np.ndarray:
         if expr.name not in _MEMOIZED:
@@ -444,6 +444,6 @@ def evaluate(rule: TypedRule, table: TimeSeriesTable, memo: EvalMemo | None = No
     return _Evaluator(table, memo).run(rule)
 
 
-def to_flags(scores: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Binarize scores with a strict > comparison."""
+def to_flags(scores: np.ndarray, threshold: float) -> np.ndarray:
+    """Binarize scores: a row is flagged when its score is strictly above `threshold`."""
     return (np.asarray(scores, dtype=np.float64) > threshold).astype(np.uint8)

@@ -222,14 +222,14 @@ def request_seed(config: EvolutionConfig, ordinal: int, attempt: int) -> int:
     return (base + index * _SEED_STRIDE) % _SEED_MODULUS
 
 
-def candidate_order(candidate_id: str) -> tuple[int, str]:
-    """Sort key that puts candidate ids in the order they were made: `c9999` before `c10000`."""
-    return (len(candidate_id), candidate_id)
+def rank_key(fitness: float | None, candidate_id: str) -> tuple:
+    """Sort key of a candidate: invalid ones last, then higher fitness, then creation order.
 
-
-def _rank_key(candidate: RuleCandidate) -> tuple:
-    invalid = candidate.fitness is None
-    return (invalid, -(candidate.fitness or 0.0), candidate_order(candidate.id))
+    Creation order puts `c9999` before `c10000`. The engine's survivors,
+    elites and best-ever candidate, and the record `report` describes, are
+    all chosen by this key.
+    """
+    return (fitness is None, -(fitness or 0.0), len(candidate_id), candidate_id)
 
 
 class _CallBudgetExhausted(Exception):
@@ -502,8 +502,9 @@ class EvolutionEngine:
     def _log_candidate(self, candidate: RuleCandidate) -> None:
         candidate.id = self._new_id()
         # Best-ever considers every logged candidate, not just survivors.
+        best = self._best_ever
         if candidate.fitness is not None and (
-            self._best_ever is None or _rank_key(candidate) < _rank_key(self._best_ever)
+            best is None or rank_key(candidate.fitness, candidate.id) < rank_key(best.fitness, best.id)
         ):
             self._best_ever = candidate
         record = {
@@ -560,7 +561,7 @@ class EvolutionEngine:
         """
         config = self.config
         pairs = select_pairs(population, self._rng, config.pairs_per_gen)
-        ranked = sorted((c for c in population if c.fitness is not None), key=_rank_key)
+        ranked = sorted((c for c in population if c.is_valid), key=lambda c: rank_key(c.fitness, c.id))
         plan = []
         if config.enable_pir:
             plan += [_SlotSpec((), partial(self._reflection_call, *pair)) for pair in pairs]
@@ -676,8 +677,9 @@ class EvolutionEngine:
             fresh = self._run_plan(pool, self._generation_plan(population, generation))
             if self._halt.is_set():
                 break
-            elites = sorted(population, key=_rank_key)[: config.elite_count]
-            population = sorted(elites + fresh, key=_rank_key)[: config.population_size]
+            elites = sorted(population, key=lambda c: rank_key(c.fitness, c.id))[: config.elite_count]
+            ranked = sorted(elites + fresh, key=lambda c: rank_key(c.fitness, c.id))
+            population = ranked[: config.population_size]
             generations_completed = generation
             history.append(self._best_ever.fitness if self._best_ever else 0.0)
 

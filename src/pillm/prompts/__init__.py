@@ -97,10 +97,11 @@ class ParsedResponse:
 def load_templates(prompts_dir: str | Path | None = None) -> dict[str, str]:
     """Every template body by id: the packaged set, or all five read from `prompts_dir`.
 
-    An override that is missing, is not UTF-8, or names a placeholder its
-    packaged template lacks raises `PromptError`. Each packaged placeholder
-    an override leaves out is logged once, here, as a warning: `render`
-    drops its binding silently.
+    An override is read by `timeseries.read_text`, so a leading byte-order
+    mark is dropped. One that is missing, is not UTF-8, or names a
+    placeholder its packaged template lacks raises `PromptError`. Each
+    packaged placeholder an override leaves out is logged once, here, as a
+    warning: `render` drops its binding silently.
     """
     packaged = _packaged_templates()
     if prompts_dir is None:
@@ -110,10 +111,7 @@ def load_templates(prompts_dir: str | Path | None = None) -> dict[str, str]:
         path = Path(prompts_dir) / f"{template_id}.txt"
         if not path.is_file():
             raise PromptError(f"template override not found: {path}")
-        try:
-            body = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError:
-            raise PromptError(f"template override is not valid UTF-8: {path}") from None
+        body = timeseries.read_text(path, f"template override {path}", PromptError)
         unknown = _slots(body) - _slots(packaged[template_id])
         if unknown:
             names = ", ".join(f"{{{slot}}}" for slot in sorted(unknown))

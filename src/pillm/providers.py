@@ -25,6 +25,7 @@ from .dsl.formatter import format_rule
 from .dsl.nodes import BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef, walk
 from .dsl.parser import MAX_BINDINGS, MAX_NODES
 from .prompts import format_response
+from .timeseries import read_text
 
 if TYPE_CHECKING:
     from .transport import KeepAliveSession
@@ -316,11 +317,11 @@ class ScriptedProvider:
     @classmethod
     def from_path(cls, path: str | Path) -> "ScriptedProvider":
         try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except (OSError, UnicodeDecodeError) as exc:
+            text = read_text(path, f"script {str(path)!r}", ProviderConfigError)
+        except OSError as exc:
             raise ProviderConfigError(f"cannot read script {str(path)!r}: {exc}") from None
         records = []
-        for line_num, line in enumerate(lines, 1):
+        for line_num, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
             try:

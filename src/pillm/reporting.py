@@ -21,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .dsl import compile_rule, evaluate, to_flags
-from .evolution import candidate_order
+from .dsl.interp import ZSCORE_EPS
+from .evolution import rank_key
 from .metrics import MetricReport, event_f1_pa
 from .providers import CompletionRequest, Provider
 from .timeseries import TimeSeriesTable, incidents_from_labels
@@ -54,8 +55,6 @@ _REPORTED_FIELDS = ("candidate_id", "fitness", "code", "context")
 
 SEVERITY_LOW_SCORE = 0.5
 SEVERITY_MODERATE_FRACTION = 0.01
-
-_ZSCORE_EPS = 1e-9
 
 
 class RunLogError(Exception):
@@ -172,9 +171,9 @@ class RunLog:
 
 
 def best_record(records: Sequence[dict]) -> dict | None:
-    """Highest-fitness valid record; earliest candidate wins ties."""
+    """The valid record `rank_key` puts first: highest fitness, earliest candidate on ties."""
     valid = [r for r in records if r.get("fitness") is not None]
-    return min(valid, key=lambda r: (-r["fitness"], candidate_order(r["candidate_id"])), default=None)
+    return min(valid, key=lambda r: rank_key(r["fitness"], r["candidate_id"]), default=None)
 
 
 @dataclass(frozen=True)
@@ -298,7 +297,7 @@ def generate_report(
         evidence = []
         for name, (mu, sd) in train_stats.items():
             value = float(test_table.column(name)[peak_row])
-            evidence.append(EvidenceItem(name, value, (value - mu) / (sd + _ZSCORE_EPS)))
+            evidence.append(EvidenceItem(name, value, (value - mu) / (sd + ZSCORE_EPS)))
         evidence.sort(key=lambda item: (-abs(item.z_score), item.feature))
         findings.append(
             IncidentFinding(

@@ -171,18 +171,21 @@ def generate_corpus(cfg: SimConfig, fault: FaultSpec | None = None) -> TimeSerie
         elif fault.kind == "damper_stuck":
             damper_pos[start:end] = damper_cmd[start]
 
-    zone = np.empty(n)
-    heat_cmd = np.empty(n)
-    cool_cmd = np.empty(n)
+    # A memoryview yields plain floats and bools, which step faster than numpy
+    # scalars, without copying the inputs into lists.
+    zone, heat_cmd, cool_cmd = [], [], []
     temp, mode = SETPOINT_C, 0
-    for t, (out, occ, force, leak_t, noise) in enumerate(zip(outdoor, occupancy, forced, leak, zone_noise)):
-        zone[t] = temp
+    rows = zip(*map(memoryview, (outdoor, occupancy, forced, leak, zone_noise)))
+    for out, occ, force, leak_t, noise in rows:
+        zone.append(temp)
         mode = thermostat_step(mode, temp)
         heat = 1.0 if mode == 1 or force else 0.0
         cool = 1.0 if mode == -1 or force else 0.0
-        heat_cmd[t], cool_cmd[t] = heat, cool
+        heat_cmd.append(heat)
+        cool_cmd.append(cool)
         # The step after the last row is computed and dropped.
         temp = zone_step(cfg, temp, out, heat, cool, occ) + (0.0 if heat else leak_t) + noise
+    zone, heat_cmd, cool_cmd = np.array(zone), np.array(heat_cmd), np.array(cool_cmd)
     fan_speed = occupancy * np.minimum(np.abs(zone - SETPOINT_C) / 2.0, 1.0)
 
     values = np.column_stack(

@@ -15,6 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -220,7 +221,7 @@ def _parse_timestamp(cell: str, row: int) -> int:
     return int(moment.timestamp())
 
 
-def decode_text(data: bytes | str, what: str, error: type[TableError]) -> str:
+def decode_text(data: bytes | str, what: str, error: type[Exception]) -> str:
     """UTF-8 text without a leading byte-order mark; a bad byte raises `error` with its offset."""
     if isinstance(data, bytes):
         try:
@@ -231,6 +232,16 @@ def decode_text(data: bytes | str, what: str, error: type[TableError]) -> str:
                 f"at offset {exc.start}"
             ) from None
     return data.removeprefix(_BOM)
+
+
+def read_text(path: str | Path, what: str, error: type[Exception]) -> str:
+    """A user's text file, decoded by `decode_text` and read with universal newlines.
+
+    Rule files, configs, scripts and template overrides are all read here.
+    """
+    text = decode_text(Path(path).read_bytes(), what, error)
+    # Universal newlines, as Path.read_text reads them.
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _column_positions(header: list[str], metas: Sequence[FeatureMeta]) -> dict[str, int]:

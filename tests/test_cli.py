@@ -1053,8 +1053,47 @@ class TestInputEncoding:
 
     def expect_encoding_error(self, result, what: str) -> None:
         assert result.exit_code == 3, result.output
-        assert f"error: {what} is not valid UTF-8: byte 0xff at offset 0" in result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {what} is not valid UTF-8: byte 0xff at offset 0"], result.output
         assert "Traceback" not in result.output
+
+    def evolve(self, runner, sim_corpus, out, *extra):
+        data, meta = sim_corpus
+        config = evolve_config(out.parent, population_size=3, generations=1)
+        return runner.invoke(
+            main,
+            ["evolve", "--data", str(data), "--meta", str(meta), "--config", str(config), "--out", str(out), *extra],
+        )
+
+    @staticmethod
+    def run_bytes(result) -> list[bytes]:
+        assert result.exit_code == 0, result.output
+        run_dir = run_dir_from(result.output)
+        return [(run_dir / name).read_bytes() for name in ("run.jsonl", "requests.log", "best.rule")]
+
+    @staticmethod
+    def write_templates(prompts_dir: Path, prefix: bytes = b"") -> None:
+        prompts_dir.mkdir()
+        for template_id, text in load_templates().items():
+            (prompts_dir / f"{template_id}.txt").write_bytes(prefix + text.encode("utf-8"))
+
+    def test_script(self, tmp_path, runner, sim_corpus):
+        script = tmp_path / "script.jsonl"
+        script.write_bytes(NOT_UTF8 + b"{}\n")
+        out = tmp_path / "runs"
+        result = self.evolve(runner, sim_corpus, out, "--provider", "scripted", "--script", str(script))
+        self.expect_encoding_error(result, f"script {str(script)!r}")
+        assert not out.exists()
+
+    def test_prompt_override(self, tmp_path, runner, sim_corpus):
+        prompts_dir = tmp_path / "prompts"
+        self.write_templates(prompts_dir)
+        template = prompts_dir / "init.txt"
+        template.write_bytes(NOT_UTF8 + template.read_bytes())
+        out = tmp_path / "runs"
+        result = self.evolve(runner, sim_corpus, out, "--provider", "sampler", "--prompts-dir", str(prompts_dir))
+        self.expect_encoding_error(result, f"template override {template}")
+        assert not out.exists()
 
     def test_check_rule(self, tmp_path, runner):
         rule = tmp_path / "rule.txt"
@@ -1161,6 +1200,42 @@ class TestInputEncoding:
         )
         assert result.exit_code == 0, result.output
         assert run_dir_from(result.output).is_dir()
+
+    def test_script_behind_byte_order_mark(self, tmp_path, runner, sim_corpus):
+        reply = "```rule\nreturn $zone_temp > {}\n```\n\n```context\nWarm.\n```"
+        records = [{"tag": "init", "text": reply.format(30 + i)} for i in range(2)]
+        records += [{"tag": tag, "text": reply.format(33)} for tag in ("reflection", "crossover", "mutation")]
+        body = "".join(json.dumps(record) + "\n" for record in records).encode("utf-8")
+        runs = []
+        for name, prefix in (("plain", b""), ("bom", BOM)):
+            script = tmp_path / f"{name}.jsonl"
+            script.write_bytes(prefix + body)
+            out = tmp_path / f"runs_{name}"
+            result = self.evolve(runner, sim_corpus, out, "--provider", "scripted", "--script", str(script))
+            runs.append(self.run_bytes(result))
+        assert runs[0] == runs[1]
+
+    def test_prompt_overrides_behind_byte_order_mark(self, tmp_path, runner, sim_corpus, monkeypatch):
+        original = SamplerProvider.complete
+        sent = []
+
+        def recording(self, request):
+            sent.append((request.tag, request.system_prompt, request.user_prompt))
+            return original(self, request)
+
+        monkeypatch.setattr(SamplerProvider, "complete", recording)
+        runs, prompts_sent = [], []
+        for name, prefix in (("plain", b""), ("bom", BOM)):
+            prompts_dir = tmp_path / f"prompts_{name}"
+            self.write_templates(prompts_dir, prefix)
+            out = tmp_path / f"runs_{name}"
+            result = self.evolve(runner, sim_corpus, out, "--provider", "sampler", "--prompts-dir", str(prompts_dir))
+            runs.append(self.run_bytes(result))
+            prompts_sent.append(sent[:])
+            sent.clear()
+        assert runs[0] == runs[1]
+        assert prompts_sent[0] == prompts_sent[1]
+        assert {tag for tag, _, _ in prompts_sent[0]} == {"init", "reflection", "crossover", "mutation"}
 
 
 class TestVersion:

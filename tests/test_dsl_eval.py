@@ -1,3 +1,4 @@
+import random
 import warnings
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pillm.dsl import EVAL_BUDGET, BudgetError, VarRef, compile_rule, evaluate, parse, to_flags
+from pillm.dsl import BUILTINS, EVAL_BUDGET, BudgetError, VarRef, compile_rule, evaluate, parse, to_flags
 from pillm.dsl import interp
 from pillm.dsl.interp import _Evaluator
 from pillm.providers import sample_rule
-from pillm.simulate import FEATURES, SimConfig, generate_corpus
+from pillm.simulate import FEATURES, FaultSpec, SimConfig, generate_corpus
 
 from . import reference
 from .conftest import make_table
@@ -325,6 +326,35 @@ class TestEvaluationContract:
         evaluate(rule, table)
         for stop in (1, 5, 100, 511):
             evaluate(rule, table.slice_rows(0, stop))
+
+    def test_a_prefix_scores_as_the_start_of_the_whole(self):
+        # A score at row t reads only rows up to t, so a rule that sees rows as
+        # they arrive scores each one as it does on the whole corpus.
+        fault = FaultSpec("heating_coil_leak", 0.6, (2200, 2700))
+        table = generate_corpus(SimConfig(length=5000, seed=3), fault)
+        names = table.feature_names
+        sources = [sample_rule(seed, names) for seed in range(150)]
+        # Edits of one elite rule, windows 240-1024, as crossover and mutation make them.
+        rng = random.Random(20)
+        windows = (240, 360, 480, 720, 1024)
+        for _ in range(9):
+            w1, w2, w3, lag = (rng.choice(windows) for _ in range(4))
+            sources.append(
+                "d = abs($damper_cmd - $damper_pos)\n"
+                f"return zscore($zone_temp, {w1}) > {rng.uniform(0.8, 1.8):.2f} and mean(d, {w2}) < 0.05"
+                f" and (std($zone_temp, {w3}) < 0.2 or delta($zone_temp, {lag}) > 1)"
+            )
+        for name, (arity, literal_at, kind) in BUILTINS.items():
+            args = ["$zone_temp", "$outdoor_temp", "$fan_speed"][:arity]
+            if literal_at is not None:
+                args[literal_at] = "0.3" if kind == "alpha" else str(rng.choice(windows))
+            sources.append(f"return {name}({', '.join(args)})")
+        for source in sources:
+            rule = compile_rule(source, names)
+            whole = evaluate(rule, table)
+            for k in (7, 333, 2500):
+                prefix = evaluate(rule, table.slice_rows(0, k))
+                np.testing.assert_allclose(prefix, whole[:k], rtol=1e-9, atol=1e-9, err_msg=f"{k}: {source}")
 
     def test_series_are_read_only(self):
         table = make_table({"x": np.array([1.0, 2.0, 3.0])})

@@ -231,7 +231,13 @@ class TestCandidate:
             RuleCandidate(id=i, code="", context="", operator="init", generation=0, fitness=0.5)
             for i in ("c10000", "c9999")
         ]
-        assert [c.id for c in sorted(tied, key=evolution._rank_key)] == ["c9999", "c10000"]
+        ranked = sorted(tied, key=lambda c: evolution.rank_key(c.fitness, c.id))
+        assert [c.id for c in ranked] == ["c9999", "c10000"]
+
+    def test_rank_puts_invalid_last_then_higher_fitness_first(self):
+        keys = [("c0001", None), ("c0002", 0.0), ("c0003", 0.75), ("c0004", 0.75), ("c0000", None)]
+        ranked = sorted(keys, key=lambda k: evolution.rank_key(k[1], k[0]))
+        assert [cid for cid, _ in ranked] == ["c0003", "c0004", "c0002", "c0000", "c0001"]
 
 
 def base_config(**overrides) -> EvolutionConfig:

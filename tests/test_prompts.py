@@ -89,7 +89,7 @@ class TestTemplates:
     def test_override_that_is_not_utf8_is_rejected(self, tmp_path):
         write_packaged(tmp_path)
         (tmp_path / "init.txt").write_bytes(b"\xff\xfe{task_description}")
-        with pytest.raises(PromptError, match=r"not valid UTF-8: .*init\.txt"):
+        with pytest.raises(PromptError, match=r"init\.txt is not valid UTF-8: byte 0xff at offset 0"):
             load_templates(tmp_path)
 
     def test_override_directory(self, tmp_path):

@@ -668,7 +668,7 @@ class TestScriptedProvider:
                 ScriptedProvider.from_path(path)
         binary = tmp_path / "binary.jsonl"
         binary.write_bytes(b"\xff\xfe")
-        with pytest.raises(ProviderConfigError, match="cannot read script"):
+        with pytest.raises(ProviderConfigError, match=r"binary\.jsonl' is not valid UTF-8: byte 0xff at offset 0"):
             ScriptedProvider.from_path(binary)
 
     def test_offline_providers_take_one_request_at_a_time(self):
