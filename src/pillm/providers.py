@@ -16,6 +16,7 @@ import os
 import random
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Protocol, Sequence
@@ -150,9 +151,10 @@ class HttpProvider:
     server that admits fewer requests sets the width. A wait at the gate is
     not a retry attempt.
 
-    Requests go through `session`, by default a `transport.KeepAliveSession`,
-    which keeps its connections alive between calls, so a run opens at most
-    `max_in_flight` of them, and routes through the environment's proxy.
+    Requests go through `session`, by default a `transport.KeepAliveSession`
+    for `endpoint` and `timeout_secs`. It keeps its connections alive between
+    calls, so a run opens at most `max_in_flight` of them, and routes through
+    the environment's proxy as it was when the provider was made.
     """
 
     max_in_flight = 16
@@ -193,19 +195,16 @@ class HttpProvider:
                 f"environment variable {API_KEY_ENV} is not set; "
                 "the HTTP provider never reads keys from config files"
             )
-        self._endpoint = endpoint
         self._model = model
-        self._timeout = float(timeout_secs)
         self._api_key = api_key
         # Imported on first use: only this backend needs the HTTP stack, ~30 ms to import.
         from . import transport
 
         if session is None:
             try:
-                transport.proxy_for(endpoint)
-            except ValueError as exc:
+                session = transport.KeepAliveSession(endpoint, float(timeout_secs))
+            except ValueError as exc:  # a proxy that is not plain http://
                 raise ProviderConfigError(str(exc)) from None
-            session = transport.KeepAliveSession()
         self._session = session
         self._network_errors = transport.NETWORK_ERRORS
         self._sleep = sleeper
@@ -261,9 +260,7 @@ class HttpProvider:
         self._gate.acquire()
         status = None
         try:
-            response = self._session.post(
-                self._endpoint, json=payload, headers=headers, timeout=self._timeout
-            )
+            response = self._session.post(payload, headers)
             status = response.status_code
             return response
         finally:
@@ -303,16 +300,14 @@ class ScriptedProvider:
     max_in_flight = 1
 
     def __init__(self, records: Sequence[dict]) -> None:
-        cleaned = []
+        # One queue of texts per tag, in file order; a deque pops safely across threads.
+        self._queues: dict[str, deque[str]] = {tag: deque() for tag in REQUEST_TAGS}
         for i, record in enumerate(records):
             if not isinstance(record, dict) or "tag" not in record or "text" not in record:
                 raise ProviderConfigError(f"script record {i} must have 'tag' and 'text'")
             if record["tag"] not in REQUEST_TAGS:
                 raise ProviderConfigError(f"script record {i} has unknown tag {record['tag']!r}")
-            cleaned.append((str(record["tag"]), str(record["text"])))
-        self._records = cleaned
-        self._consumed = [False] * len(cleaned)
-        self._lock = threading.Lock()
+            self._queues[record["tag"]].append(str(record["text"]))
 
     @classmethod
     def from_path(cls, path: str | Path) -> "ScriptedProvider":
@@ -321,7 +316,8 @@ class ScriptedProvider:
         except OSError as exc:
             raise ProviderConfigError(f"cannot read script {str(path)!r}: {exc}") from None
         records = []
-        for line_num, line in enumerate(text.splitlines(), 1):
+        # `read_text` leaves "\n" as the only line break; U+2028 and kin may sit inside a string.
+        for line_num, line in enumerate(text.split("\n"), 1):
             if not line.strip():
                 continue
             try:
@@ -331,14 +327,13 @@ class ScriptedProvider:
         return cls(records)
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
-        with self._lock:
-            if request.tag == "narrate":
-                return CompletionResult(text=request.user_prompt, latency_ms=0, attempt=1)
-            for i, (tag, text) in enumerate(self._records):
-                if not self._consumed[i] and tag == request.tag:
-                    self._consumed[i] = True
-                    return CompletionResult(text=text, latency_ms=0, attempt=1)
-        raise ScriptExhaustedError(f"no scripted response left for tag {request.tag!r}")
+        if request.tag == "narrate":
+            return CompletionResult(text=request.user_prompt, latency_ms=0, attempt=1)
+        try:
+            text = self._queues[request.tag].popleft()
+        except IndexError:
+            raise ScriptExhaustedError(f"no scripted response left for tag {request.tag!r}") from None
+        return CompletionResult(text=text, latency_ms=0, attempt=1)
 
 
 class SamplerProvider:

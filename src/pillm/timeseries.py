@@ -13,7 +13,7 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -87,6 +87,10 @@ class FeatureMeta:
             )
 
 
+# The fields of a `meta.json` entry, in the order they are written.
+_META_KEYS = tuple(f.name for f in fields(FeatureMeta))
+
+
 @dataclass(frozen=True, eq=False)
 class TimeSeriesTable:
     """Immutable table of feature columns over a shared timestamp axis."""
@@ -155,12 +159,6 @@ class TimeSeriesTable:
         if name not in index:
             raise SchemaError(f"unknown feature {name!r}")
         return self.values[:, index[name]]
-
-    def meta(self, name: str) -> FeatureMeta:
-        index = self._index  # type: ignore[attr-defined]
-        if name not in index:
-            raise SchemaError(f"unknown feature {name!r}")
-        return self.features[index[name]]
 
     def slice_rows(self, start: int, stop: int) -> "TimeSeriesTable":
         """Return the chronological sub-table covering rows [start, stop)."""
@@ -498,30 +496,19 @@ def load_meta(data: bytes | str) -> tuple[FeatureMeta, ...]:
     for i, entry in enumerate(doc):
         if not isinstance(entry, dict):
             raise SchemaError(f"metadata entry {i} must be an object")
-        for key in ("name", "unit", "description", "role"):
+        for key in _META_KEYS:
             if key not in entry:
                 raise SchemaError(f"metadata entry {i} is missing field {key!r}")
             if not isinstance(entry[key], str):
                 raise SchemaError(f"metadata entry {i} field {key!r} must be a string, got {entry[key]!r}")
-        metas.append(
-            FeatureMeta(
-                name=entry["name"],
-                unit=entry["unit"],
-                description=entry["description"],
-                role=entry["role"],
-            )
-        )
+        metas.append(FeatureMeta(*(entry[key] for key in _META_KEYS)))
     if not metas:
         raise SchemaError("metadata must declare at least one feature")
     return tuple(metas)
 
 
 def save_meta(metas: Sequence[FeatureMeta]) -> str:
-    doc = [
-        {"name": m.name, "unit": m.unit, "description": m.description, "role": m.role}
-        for m in metas
-    ]
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps([asdict(m) for m in metas], indent=2) + "\n"
 
 
 def split(table: TimeSeriesTable, train_fraction: float) -> tuple[TimeSeriesTable, TimeSeriesTable]:

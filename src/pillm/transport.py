@@ -1,15 +1,16 @@
 """Keep-alive JSON POSTs on the standard library, for `HttpProvider`.
 
-`KeepAliveSession.post` sends one JSON body and returns the reply read in
-full. Idle connections are kept per origin (scheme, host and port) and
-handed to the next post, so no more are open than posts have been in flight
-at once. A kept connection that polls readable while idle was closed by the
-server; it is reopened before sending. A post that fails on the wire is
-never re-sent here: its connection is closed and dropped, and the error
-goes to the caller, whose retry policy decides.
+A `KeepAliveSession` posts to one URL with one timeout. Its route, its
+fixed headers and, for https, its TLS context are worked out once, when it
+is made. `post` sends one JSON body and returns the reply read in full.
+Idle connections are handed to the next post, so no more are open than
+posts have been in flight at once. A kept connection that polls readable
+while idle was closed by the server; it is reopened before sending. A post
+that fails on the wire is never re-sent here: its connection is closed and
+dropped, and the error goes to the caller, whose retry policy decides.
 
-Proxies come from the environment, read by `urllib.request.getproxies` and
-`proxy_bypass` (`http_proxy`, `https_proxy`, `all_proxy`, `no_proxy`). The
+The proxy comes from the environment, read once by `urllib.request.getproxies`
+and `proxy_bypass` (`http_proxy`, `https_proxy`, `all_proxy`, `no_proxy`). The
 proxy is spoken to in plain HTTP: an http endpoint is sent the absolute URL,
 an https one is tunnelled with CONNECT. Credentials in the proxy URL are
 sent as `Proxy-Authorization: Basic`. TLS is verified against
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from email.message import Message
 from http.client import HTTPConnection, HTTPException, HTTPSConnection
 from json import dumps, loads
-from urllib.parse import SplitResult, unquote, urlsplit
+from urllib.parse import unquote, urlsplit
 
 from . import __version__
 
@@ -54,15 +55,6 @@ class Response:
 
     def json(self):
         return loads(self.content)
-
-
-@dataclass(frozen=True)
-class _Pooled:
-    """A kept connection and what each request on it adds to the endpoint's path."""
-
-    conn: HTTPConnection
-    prefix: str  # the absolute form's scheme and host, for a plain proxy
-    headers: dict[str, str]
 
 
 def proxy_for(url: str) -> tuple[str, int, dict[str, str]] | None:
@@ -95,64 +87,61 @@ def _readable(sock) -> bool:
 
 
 class KeepAliveSession:
-    """POSTs JSON over connections kept alive between calls; safe to share between threads."""
+    """POSTs JSON to one URL over connections kept alive between calls; safe to share between threads.
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._idle: dict[tuple[str, str], list[_Pooled]] = {}
-        self._tls: ssl.SSLContext | None = None
+    `timeout` bounds the connect and each read, in seconds. Raises
+    `ValueError` when the environment's proxy for `url` is not plain `http://`.
+    """
 
-    def post(self, url: str, json: object, headers: dict[str, str], timeout: float) -> Response:
-        """POST `json` to `url`; `timeout` bounds the connect and each read, in seconds."""
+    def __init__(self, url: str, timeout: float) -> None:
         parts = urlsplit(url)
-        origin = (parts.scheme, parts.netloc)
+        https = parts.scheme == "https"
+        host, port = parts.hostname or "", parts.port or (443 if https else 80)
+        proxy = proxy_for(url)
+        # The socket goes to the proxy when there is one, else to the origin.
+        peer_host, peer_port, proxy_headers = proxy or (host, port, {})
+        self._peer = (peer_host, peer_port)
+        self._timeout = timeout
+        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        self._headers = dict(_HEADERS)
+        self._tls = ssl.create_default_context() if https else None  # ~30 ms: loads the trust store
+        self._tunnel = (host, port, proxy_headers) if https and proxy else None
+        if proxy and not https:
+            self._target = f"http://{parts.netloc.rpartition('@')[2]}{self._target}"
+            self._headers.update(proxy_headers)
+        self._lock = threading.Lock()
+        self._idle: list[HTTPConnection] = []
+
+    def post(self, json: object, headers: dict[str, str]) -> Response:
+        """POST `json` with `headers` added to the session's own."""
         with self._lock:
-            idle = self._idle.get(origin)
-            pooled = idle.pop() if idle else None
-        pooled = pooled or self._open(parts)
-        conn = pooled.conn
-        if conn.timeout != timeout or (conn.sock is not None and _readable(conn.sock)):
-            conn.close()  # the next request connects again, with this timeout
-            conn.timeout = timeout
-        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+            conn = self._idle.pop() if self._idle else self._open()
+        if conn.sock is not None and _readable(conn.sock):
+            conn.close()  # the next request connects again
         body = dumps(json, allow_nan=False).encode()
         try:
-            conn.request("POST", pooled.prefix + target, body, {**_HEADERS, **pooled.headers, **headers})
+            conn.request("POST", self._target, body, {**self._headers, **headers})
             reply = conn.getresponse()
             content = reply.read()
         except NETWORK_ERRORS:
             conn.close()
             raise
         with self._lock:
-            self._idle.setdefault(origin, []).append(pooled)
+            self._idle.append(conn)
         return Response(reply.status, reply.headers, content)
 
     def close(self) -> None:
         """Close the idle connections; a post in flight keeps its own until it returns."""
         with self._lock:
-            pooled = [p for idle in self._idle.values() for p in idle]
-            self._idle.clear()
-        for p in pooled:
-            p.conn.close()
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
-    def _open(self, parts: SplitResult) -> _Pooled:
-        """A new, not yet connected connection to `parts`' origin."""
-        https = parts.scheme == "https"
-        host, port = parts.hostname or "", parts.port or (443 if https else 80)
-        proxy = proxy_for(parts.geturl())
-        # The socket goes to the proxy when there is one, else to the origin.
-        peer_host, peer_port, proxy_headers = proxy or (host, port, {})
-        if not https:
-            prefix = f"http://{parts.netloc.rpartition('@')[2]}" if proxy else ""
-            return _Pooled(HTTPConnection(peer_host, peer_port), prefix, proxy_headers)
-        conn = HTTPSConnection(peer_host, peer_port, context=self._context())
-        if proxy:
-            conn.set_tunnel(host, port, proxy_headers)
-        return _Pooled(conn, "", {})
-
-    def _context(self) -> ssl.SSLContext:
-        # Made on the first https connection: loading the trust store takes ~40 ms.
-        with self._lock:
-            if self._tls is None:
-                self._tls = ssl.create_default_context()
-            return self._tls
+    def _open(self) -> HTTPConnection:
+        """A new, not yet connected connection to the peer."""
+        if self._tls is None:
+            return HTTPConnection(*self._peer, timeout=self._timeout)
+        conn = HTTPSConnection(*self._peer, timeout=self._timeout, context=self._tls)
+        if self._tunnel is not None:
+            conn.set_tunnel(*self._tunnel)
+        return conn

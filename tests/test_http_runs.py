@@ -69,7 +69,7 @@ class SeedSession:
         code = sample_rule(rng.randrange(2**31), self.features, depth_budget=3)
         return f"```rule\n{code}\n```\n\n```context\nContext {rng.randrange(1000)}.\n```"
 
-    def post(self, url, json, headers, timeout) -> Response:
+    def post(self, json, headers) -> Response:
         with self._lock:
             index = self.posts
             self.posts += 1

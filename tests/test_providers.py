@@ -87,8 +87,8 @@ class FakeSession:
         self.outcomes = list(outcomes)
         self.calls = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
+    def post(self, json=None, headers=None):
+        self.calls.append({"json": json, "headers": headers})
         outcome = self.outcomes.pop(0)
         if isinstance(outcome, Exception):
             raise outcome
@@ -150,7 +150,6 @@ class TestHttpProvider:
         session = FakeSession([FakeResponse(200, ok_body("ok"))])
         provider = HttpProvider(endpoint="HTTP://x:8000/v1", model="m", timeout_secs=5, session=session)
         assert provider.complete(req()).text == "ok"
-        assert session.calls[0]["timeout"] == 5.0
 
     def test_success_path_and_payload_shape(self, api_key):
         session = FakeSession([FakeResponse(200, ok_body("hello"))])
@@ -345,7 +344,7 @@ class TestAdaptiveGate:
         posts = []
 
         class Session:
-            def post(self, url, json=None, headers=None, timeout=None):
+            def post(self, json=None, headers=None):
                 posts.append(json["seed"])
                 posted.release()
                 if json["seed"] == 0:
@@ -486,21 +485,19 @@ def loopback(api_key, no_env_proxy):
 
 @pytest.fixture
 def http_to(loopback):
-    """An `HttpProvider` on a fresh `KeepAliveSession`, closed after the test."""
-    from pillm.transport import KeepAliveSession
-
-    sessions = []
+    """An `HttpProvider` on the session it makes itself, closed after the test."""
+    providers = []
 
     def make(endpoint, sleeps=None, timeout_secs=5.0):
-        sessions.append(KeepAliveSession())
-        return HttpProvider(
+        providers.append(HttpProvider(
             endpoint=endpoint, model="test-model", timeout_secs=timeout_secs,
-            session=sessions[-1], sleeper=(sleeps.append if sleeps is not None else lambda s: None),
-        )
+            sleeper=(sleeps.append if sleeps is not None else lambda s: None),
+        ))
+        return providers[-1]
 
     yield make
-    for session in sessions:
-        session.close()
+    for provider in providers:
+        provider._session.close()
 
 
 class TestKeepAliveSession:
@@ -568,6 +565,7 @@ class TestKeepAliveSession:
         assert server.connections == 1
 
     def test_read_timeout_is_retried_on_a_new_connection(self, loopback, http_to):
+        # `timeout_secs` reaches the socket through the provider's own session.
         server = loopback([(200, {}, json.dumps(ok_body("late")).encode(), 1.0)])
         sleeps = []
         result = http_to(server.url, sleeps, timeout_secs=0.2).complete(req())
@@ -599,6 +597,17 @@ class TestKeepAliveSession:
         assert seen.line == "POST /v1/chat/completions HTTP/1.1"
         assert "Proxy-Authorization" not in seen.headers
         assert len(proxy.seen) == 1
+
+    def test_route_is_fixed_when_the_provider_is_made(self, loopback, http_to, monkeypatch):
+        origin, proxy = loopback(), loopback()
+        provider = http_to(origin.url)
+        monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{proxy.server_address[1]}")
+        assert provider.complete(req()).text == "ok"
+        monkeypatch.setenv("http_proxy", "socks5://127.0.0.1:1")
+        provider._session.close()  # the next post opens a new connection
+        assert provider.complete(req()).text == "ok"
+        assert len(origin.seen) == 2 and origin.connections == 2
+        assert proxy.seen == []
 
     def test_https_goes_through_a_connect_tunnel(self, loopback, http_to, monkeypatch):
         proxy = loopback([(407, {}, b"", 0.0)] * 5)
@@ -661,6 +670,13 @@ class TestScriptedProvider:
         )
         provider = ScriptedProvider.from_path(script)
         assert provider.complete(req("mutation")).text == "b"
+
+    def test_from_path_keeps_unicode_line_breaks_inside_a_reply(self, tmp_path):
+        text = "a\u2028b\u2029c\x85d"
+        script = tmp_path / "script.jsonl"
+        record = json.dumps({"tag": "init", "text": text}, ensure_ascii=False)
+        script.write_text(record + "\n", encoding="utf-8")
+        assert ScriptedProvider.from_path(script).complete(req("init")).text == text
 
     def test_from_path_unreadable(self, tmp_path):
         for path in (tmp_path / "missing.jsonl", tmp_path):

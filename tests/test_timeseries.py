@@ -95,7 +95,6 @@ class TestTableInvariants:
 
     def test_column_and_meta_lookup(self, small_table):
         assert small_table.column("y")[1] == 1.0
-        assert small_table.meta("x").unit == "degC"
         with pytest.raises(SchemaError):
             small_table.column("nope")
 
