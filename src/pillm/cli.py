@@ -122,8 +122,8 @@ def gen_data(out_dir: str, fault_kind: str | None, intensity: float, window_text
     elif window_text is not None:
         _fail("--window has no effect without --fault", EXIT_BAD_CONFIG)
 
-    fault = FaultSpec(fault_kind, intensity, window) if fault_kind is not None else None
-    table = generate_corpus(SimConfig(length=length, seed=seed), fault)
+    faults = [FaultSpec(fault_kind, intensity, window)] if fault_kind is not None else []
+    table = generate_corpus(SimConfig(length=length, seed=seed), *faults)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "data.csv").write_bytes(save_csv(table))
@@ -268,7 +268,11 @@ def evolve(
     log.write_split(*cut_csv(data, table.num_rows, train_table.num_rows), save_meta(metas))
     click.echo(f"run_dir={log.dir}")
 
-    result = run_evolution(config, train_table, provider, log=log, templates=templates)
+    # The provider opens its connections only once the run sends requests.
+    try:
+        result = run_evolution(config, train_table, provider, log=log, templates=templates)
+    finally:
+        provider.close()
     click.echo(f"generations={result.generations_completed} llm_calls={result.llm_calls}")
     if result.best is not None:
         log.write_best(result.best.code, result.best.context)
@@ -306,7 +310,10 @@ def report(run_dir: str, data_path: str, meta_path: str, narrate: bool) -> None:
     if narrate:
         kind = provider_block.get("type", "sampler")
         provider = _build_provider(kind, provider_block, provider_block.get("script"), config, table.feature_names)
-        text = narrate_report(text, provider)
+        try:
+            text = narrate_report(text, provider)
+        finally:
+            provider.close()
     log.write_report(text)
     click.echo(text, nl=False)
 

@@ -232,6 +232,23 @@ def rank_key(fitness: float | None, candidate_id: str) -> tuple:
     return (fitness is None, -(fitness or 0.0), len(candidate_id), candidate_id)
 
 
+# The keys of a candidate's `run.jsonl` record, in the order `_log_candidate` writes them.
+RECORD_FIELDS = (
+    "generation",
+    "candidate_id",
+    "parent_ids",
+    "operator",
+    "code",
+    "context",
+    "code_hash",
+    "fitness",
+    "precision",
+    "recall",
+    "request_tags_used",
+    "error",
+)
+
+
 class _CallBudgetExhausted(Exception):
     """`llm_call_budget` allows no further request."""
 
@@ -507,20 +524,22 @@ class EvolutionEngine:
             best is None or rank_key(candidate.fitness, candidate.id) < rank_key(best.fitness, best.id)
         ):
             self._best_ever = candidate
-        record = {
-            "generation": candidate.generation,
-            "candidate_id": candidate.id,
-            "parent_ids": list(candidate.parent_ids),
-            "operator": candidate.operator,
-            "code": candidate.code,
-            "context": candidate.context,
-            "code_hash": candidate.code_hash,
-            "fitness": candidate.fitness,
-            "precision": candidate.metrics.precision if candidate.metrics else None,
-            "recall": candidate.metrics.recall if candidate.metrics else None,
-            "request_tags_used": list(candidate.request_tags_used),
-            "error": candidate.error,
-        }
+        metrics = candidate.metrics
+        values = (
+            candidate.generation,
+            candidate.id,
+            list(candidate.parent_ids),
+            candidate.operator,
+            candidate.code,
+            candidate.context,
+            candidate.code_hash,
+            candidate.fitness,
+            metrics.precision if metrics else None,
+            metrics.recall if metrics else None,
+            list(candidate.request_tags_used),
+            candidate.error,
+        )
+        record = dict(zip(RECORD_FIELDS, values, strict=True))
         self._records.append(record)
         if self.log is not None:
             self.log.append(record)

@@ -102,6 +102,9 @@ class Provider(Protocol):
 
     def complete(self, request: CompletionRequest) -> CompletionResult: ...
 
+    def close(self) -> None:
+        """Release what the provider holds open; the offline providers hold nothing."""
+
 
 class AdaptiveGate:
     """Admits at most `limit` holders at once; the limit follows the server's replies.
@@ -133,7 +136,7 @@ class AdaptiveGate:
             self._changed.notify_all()
 
 
-class HttpProvider:
+class HttpProvider(Provider):
     """Chat-completions-style HTTP backend with retry and an adaptive in-flight limit.
 
     Retries 429, 5xx, timeouts, and connection failures with exponential
@@ -266,6 +269,10 @@ class HttpProvider:
         finally:
             self._gate.release(status)
 
+    def close(self) -> None:
+        """Close the session's idle connections."""
+        self._session.close()
+
     @staticmethod
     def _extract_text(response, tag: str) -> str:
         try:
@@ -286,7 +293,7 @@ def _retry_after_seconds(value: str | None) -> float | None:
     return seconds if 0 <= seconds < math.inf else None
 
 
-class ScriptedProvider:
+class ScriptedProvider(Provider):
     """Replays canned responses from a JSON-lines script, matched by tag.
 
     Each record is `{"tag": ..., "text": ...}`. A request consumes the first
@@ -336,7 +343,7 @@ class ScriptedProvider:
         return CompletionResult(text=text, latency_ms=0, attempt=1)
 
 
-class SamplerProvider:
+class SamplerProvider(Provider):
     """Deterministic rule fabricator standing in for a generator LLM.
 
     Ignores the prompt text entirely. Every call yields a fenced, valid DSL

@@ -22,7 +22,7 @@ import numpy as np
 
 from .dsl import compile_rule, evaluate, to_flags
 from .dsl.interp import ZSCORE_EPS
-from .evolution import rank_key
+from .evolution import RECORD_FIELDS, rank_key
 from .metrics import MetricReport, event_f1_pa
 from .providers import CompletionRequest, Provider
 from .timeseries import TimeSeriesTable, incidents_from_labels
@@ -35,20 +35,6 @@ TEST_CSV_NAME = "test.csv"
 META_NAME = "meta.json"
 BEST_RULE_NAME = "best.rule"
 REPORT_NAME = "report.txt"
-
-RECORD_FIELDS = (
-    "generation",
-    "candidate_id",
-    "parent_ids",
-    "operator",
-    "code",
-    "context",
-    "code_hash",
-    "fitness",
-    "precision",
-    "recall",
-    "request_tags_used",
-)
 
 # The record fields `report` reads; every run log has carried them from the first.
 _REPORTED_FIELDS = ("candidate_id", "fitness", "code", "context")

@@ -7,9 +7,10 @@ The model is a first-order thermal zone under a bang-bang thermostat:
                    - c*cool[t] + d*occupancy[t] + noise
 
 One row per minute; the default horizon is two days. `generate_corpus` runs
-the model once and applies at most one fault, from a small taxonomy. Every
-fault is a per-row array, set in one block before the simulation loop; the
-loop itself steps only the thermostat mode and the true zone temperature.
+the model once and applies any number of faults, from a small taxonomy, on
+windows that neither overlap nor touch. Every fault is a per-row array, set
+in one block per fault before the simulation loop; the loop itself steps only
+the thermostat mode and the true zone temperature.
 
 - `heating_coil_leak` (heat added while the valve is shut) and
   `simultaneous_heat_cool` (both valves forced open) are read by the loop.
@@ -20,7 +21,7 @@ loop itself steps only the thermostat mode and the true zone temperature.
   held at the command of the window's first row. Nothing in the model reads
   the reported value, so no other column changes.
 
-Labels are 1 exactly on the fault window.
+Labels are 1 exactly on the fault windows.
 """
 
 from __future__ import annotations
@@ -127,12 +128,12 @@ def zone_step(cfg: SimConfig, zone: float, outdoor: float, heat: float, cool: fl
     return zone + cfg.a * (outdoor - zone) + cfg.b * heat - cfg.c * cool + cfg.d * occupancy
 
 
-def generate_corpus(cfg: SimConfig, fault: FaultSpec | None = None) -> TimeSeriesTable:
-    """Simulate one run, with at most one fault; labels are 1 exactly on its window."""
-    n = cfg.length
-    if fault is not None and fault.window[1] > n:
-        raise SimulationError(f"fault window {fault.window} extends past {n} rows")
+def generate_corpus(cfg: SimConfig, *faults: FaultSpec) -> TimeSeriesTable:
+    """Simulate one run with any number of faults; labels are 1 exactly on their windows.
 
+    No two windows may overlap or touch, so each window is one incident of the labels.
+    """
+    n = cfg.length
     rng = np.random.default_rng(cfg.seed)
     outdoor_noise = rng.normal(0.0, cfg.sigma, n)
     zone_noise = rng.normal(0.0, cfg.sigma, n)
@@ -156,8 +157,13 @@ def generate_corpus(cfg: SimConfig, fault: FaultSpec | None = None) -> TimeSerie
     sensor_offset = np.zeros(n)
     damper_pos = damper_cmd.copy()
     labels = np.zeros(n, dtype=np.uint8)
-    if fault is not None:
+    # Each fault writes only its own rows, so the order of `faults` does not matter.
+    for fault in faults:
         start, end = fault.window
+        if end > n:
+            raise SimulationError(f"fault window {fault.window} extends past {n} rows")
+        if labels[max(start - 1, 0) : end + 1].any():
+            raise SimulationError(f"fault window {fault.window} overlaps or touches another window")
         labels[start:end] = 1
         span = SENSOR_FAULT_SPAN_C * fault.intensity
         if fault.kind == "simultaneous_heat_cool":

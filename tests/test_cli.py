@@ -11,14 +11,16 @@ import pytest
 from click.testing import CliRunner
 
 import pillm
+from pillm import transport
 from pillm.cli import EXIT_CODES, _unique_run_dir, main
 from pillm.dsl import MAX_DEPTH
-from pillm.prompts import TEMPLATE_IDS, load_templates
+from pillm.prompts import TEMPLATE_IDS, format_response, load_templates
 from pillm.providers import CompletionError, SamplerProvider
 from pillm.reporting import RunLog, best_record
 from pillm.timeseries import load_csv, load_meta, save_csv, save_meta
 
 from .conftest import make_table
+from .test_providers import Loopback, ok_body
 
 RULE_OK = "return $x > 2.5\n"
 
@@ -945,6 +947,53 @@ class TestReport:
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.output == f"error: {message}\n"
         assert not (run_dir / "report.txt").exists()
+
+
+class TestHttpConnectionsAreClosed:
+    """`evolve` and `report --narrate` close the connections their http provider opened."""
+
+    RULE_REPLY = format_response("return zscore($zone_temp, 60) > 2", "A biased zone sensor reads high.")
+
+    def test_evolve_and_narrate_close_every_connection(self, tmp_path, runner, sim_corpus, monkeypatch):
+        monkeypatch.setenv("PILLM_API_KEY", "test-key")
+        for name in list(os.environ):
+            if name.lower().endswith("_proxy"):
+                monkeypatch.delenv(name)
+        # Every connection a session opens, kept here so that only `close` can shut it.
+        opened = []
+        open_connection = transport.KeepAliveSession._open
+
+        def open_and_keep(session):
+            opened.append(open_connection(session))
+            return opened[-1]
+
+        monkeypatch.setattr(transport.KeepAliveSession, "_open", open_and_keep)
+        reply = (200, {}, json.dumps(ok_body(self.RULE_REPLY)).encode(), 0.0)
+        server = Loopback(replies=[reply] * 40)
+        try:
+            data, meta = sim_corpus
+            config = evolve_config(
+                tmp_path, population_size=4, generations=1, provider={"endpoint": server.url, "model": "m"}
+            )
+            args = ["--data", str(data), "--meta", str(meta), "--config", str(config)]
+            result = runner.invoke(main, ["evolve", *args, "--provider", "http", "--out", str(tmp_path / "runs")])
+            assert result.exit_code == 0, result.output
+            assert "best_id=c" in result.output
+            run_dir = run_dir_from(result.output)
+            report = ["report", "--run", str(run_dir), "--data", str(data), "--meta", str(meta), "--narrate"]
+            assert runner.invoke(main, report).exit_code == 0
+            # A narration the server refuses raises out of the command; its connection is closed too.
+            server.replies[:] = [(400, {}, b"bad request", 0.0)]
+            result = runner.invoke(main, report)
+            assert result.exit_code == 1
+            assert "error: [narrate] HTTP 400" in result.output
+            assert opened
+            assert [conn for conn in opened if conn.sock is not None] == []
+            # The server saw each connection it accepted closed by the client.
+            for _ in range(server.connections):
+                assert server.closed.acquire(timeout=5)
+        finally:
+            server.stop()
 
 
 class _Workdir:

@@ -76,11 +76,14 @@ class TestRunLog:
         with pytest.raises(RunLogError, match="code_hash"):
             log.append(bad)
 
-    def test_error_field_is_optional(self, tmp_path):
+    def test_error_field_is_required(self, tmp_path):
         log = RunLog(tmp_path, "run-a")
         slim = record("c0000")
         del slim["error"]
-        log.append(slim)
+        with pytest.raises(RunLogError, match="error"):
+            log.append(slim)
+        # A log written before records carried `error` still reads.
+        log.path.write_text(json.dumps(slim) + "\n", encoding="utf-8")
         assert log.records()[0]["candidate_id"] == "c0000"
 
     def test_duplicate_id_rejected(self, tmp_path):

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pillm.simulate import (
     FAULT_KINDS,
@@ -16,7 +18,7 @@ from pillm.simulate import (
     thermostat_step,
     zone_step,
 )
-from pillm.timeseries import save_csv
+from pillm.timeseries import incidents_from_labels, save_csv
 
 CFG = SimConfig(length=2000, seed=5)
 WINDOW = (700, 900)
@@ -237,6 +239,125 @@ class TestFaults:
         assert generate_corpus(CFG, spec) == generate_corpus(CFG, spec)
 
 
+# One fault of each kind, on windows that neither overlap nor touch.
+FIVE = tuple(
+    FaultSpec(kind, 0.7, (100 + 400 * i, 300 + 400 * i)) for i, kind in enumerate(FAULT_KINDS)
+)
+
+
+def inclusive(faults) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted((f.window[0], f.window[1] - 1) for f in faults))
+
+
+def assert_causal(cfg: SimConfig, faults) -> None:
+    """With faults sorted by start, rows before each start match the corpus of the earlier faults only."""
+    faults = sorted(faults, key=lambda f: f.window)
+    table = generate_corpus(cfg, *faults)
+    for i, fault in enumerate(faults):
+        start = fault.window[0]
+        earlier = generate_corpus(cfg, *faults[:i])
+        np.testing.assert_array_equal(table.values[:start], earlier.values[:start])
+        np.testing.assert_array_equal(table.labels[:start], earlier.labels[:start])
+
+
+class TestManyFaults:
+    def test_two_reported_faults_compose(self, clean):
+        bias = FaultSpec("sensor_bias", 0.6, (200, 500))
+        stuck = FaultSpec("damper_stuck", 1.0, (900, 1200))
+        table = generate_corpus(CFG, bias, stuck)
+        assert incidents_from_labels(table.labels) == ((200, 499), (900, 1199))
+        want = {"zone_temp": generate_corpus(CFG, bias), "damper_pos": generate_corpus(CFG, stuck)}
+        for name in table.feature_names:
+            np.testing.assert_array_equal(
+                table.column(name), want.get(name, clean).column(name), err_msg=name
+            )
+
+    def test_two_dynamic_faults(self):
+        leak = FaultSpec("heating_coil_leak", 1.0, WINDOW)
+        forced = FaultSpec("simultaneous_heat_cool", 1.0, (1500, 1600))
+        table = generate_corpus(CFG, forced, leak)
+        assert incidents_from_labels(table.labels) == ((700, 899), (1500, 1599))
+        # Until the second window the run is the leak's alone.
+        np.testing.assert_array_equal(table.values[:1500], faulted("heating_coil_leak").values[:1500])
+        assert np.all(table.column("heat_cmd")[1500:1600] == 1.0)
+        assert np.all(table.column("cool_cmd")[1500:1600] == 1.0)
+
+    def test_all_five_kinds_in_one_corpus(self):
+        table = generate_corpus(CFG, *FIVE)
+        assert incidents_from_labels(table.labels) == inclusive(FIVE)
+        windows = {f.kind: slice(*f.window) for f in FIVE}
+        heat, cool = table.column("heat_cmd"), table.column("cool_cmd")
+        forced = windows["simultaneous_heat_cool"]
+        assert np.all(heat[forced] == 1.0) and np.all(cool[forced] == 1.0)
+        assert not np.any((heat == 1.0) & (cool == 1.0) & (table.labels == 0))
+        stuck = table.column("damper_pos")[windows["damper_stuck"]]
+        assert np.all(stuck == stuck[0])
+        assert_causal(CFG, FIVE)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ((700, 900), (800, 1000)),
+            ((700, 900), (750, 800)),
+            ((700, 900), (700, 900)),
+            ((700, 900), (900, 950)),
+        ],
+        ids=["overlap", "inside", "same", "touch"],
+    )
+    def test_overlapping_or_touching_windows_raise(self, first, second):
+        a = FaultSpec("sensor_bias", 1.0, first)
+        b = FaultSpec("heating_coil_leak", 1.0, second)
+        for faults, named in (((a, b), second), ((b, a), first)):
+            with pytest.raises(SimulationError, match=rf"fault window \({named[0]}, {named[1]}\) overlaps"):
+                generate_corpus(CFG, *faults)
+
+    def test_a_gap_of_one_row_is_two_incidents(self):
+        table = generate_corpus(
+            CFG, FaultSpec("sensor_bias", 1.0, (700, 900)), FaultSpec("sensor_drift", 1.0, (901, 950))
+        )
+        assert incidents_from_labels(table.labels) == ((700, 899), (901, 949))
+
+    def test_fault_order_does_not_matter(self):
+        table = generate_corpus(CFG, *FIVE)
+        for order in (FIVE[::-1], FIVE[2:] + FIVE[:2], (FIVE[3], FIVE[0], FIVE[4], FIVE[1], FIVE[2])):
+            assert generate_corpus(CFG, *order) == table
+
+    def test_one_row_drift_changes_no_column(self, clean):
+        # np.linspace(0, span, 1) is [0.0], so the ramp's only row adds nothing.
+        table = generate_corpus(CFG, FaultSpec("sensor_drift", 1.0, (700, 701)))
+        np.testing.assert_array_equal(table.values, clean.values)
+        assert incidents_from_labels(table.labels) == ((700, 700),)
+
+
+@st.composite
+def disjoint_faults(draw, length: int):
+    """Faults of random kinds on random windows that neither overlap nor touch, in random order."""
+    faults, start = [], draw(st.integers(0, 40))
+    for _ in range(draw(st.integers(0, 5))):
+        end = start + draw(st.integers(1, 60))
+        if end > length:
+            break
+        kind = draw(st.sampled_from(FAULT_KINDS))
+        intensity = draw(st.floats(0.1, 1.0))
+        faults.append(FaultSpec(kind, intensity, (start, end)))
+        start = end + draw(st.integers(1, 60))
+    return draw(st.permutations(faults))
+
+
+SMALL = SimConfig(length=300, seed=9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(faults=disjoint_faults(SMALL.length), shuffle=st.randoms(use_true_random=False))
+def test_any_disjoint_faults_are_their_windows_in_any_order(faults, shuffle):
+    table = generate_corpus(SMALL, *faults)
+    assert incidents_from_labels(table.labels) == inclusive(faults)
+    reordered = list(faults)
+    shuffle.shuffle(reordered)
+    assert generate_corpus(SMALL, *reordered) == table
+    assert_causal(SMALL, faults)
+
+
 # sha256 of the data.csv that `pillm gen-data --length 2880 --seed 42` writes,
 # clean and for every fault kind at intensity 0.6, with windows at the start,
 # in the middle and at the very end of the series.
@@ -262,8 +383,8 @@ CORPUS_SHA256 = {
 
 @pytest.mark.parametrize("case", list(CORPUS_SHA256), ids=str)
 def test_corpus_bytes_are_pinned(case):
-    spec = None if case is None else FaultSpec(case[0], 0.6, case[1])
-    data = save_csv(generate_corpus(SimConfig(length=2880, seed=42), spec))
+    faults = [] if case is None else [FaultSpec(case[0], 0.6, case[1])]
+    data = save_csv(generate_corpus(SimConfig(length=2880, seed=42), *faults))
     assert hashlib.sha256(data).hexdigest() == CORPUS_SHA256[case]
 
 
@@ -279,8 +400,8 @@ WARM_CORPUS_SHA256 = {
 
 @pytest.mark.parametrize("kind", list(WARM_CORPUS_SHA256), ids=str)
 def test_warm_corpus_bytes_are_pinned(kind):
-    spec = None if kind is None else FaultSpec(kind, 0.6, (1000, 1400))
-    table = generate_corpus(SimConfig(length=2880, seed=42, outdoor_mean=22.0), spec)
+    faults = [] if kind is None else [FaultSpec(kind, 0.6, (1000, 1400))]
+    table = generate_corpus(SimConfig(length=2880, seed=42, outdoor_mean=22.0), *faults)
     digest, cooling_rows = WARM_CORPUS_SHA256[kind]
     assert int(table.column("cool_cmd").sum()) == cooling_rows
     assert hashlib.sha256(save_csv(table)).hexdigest() == digest
