@@ -16,7 +16,7 @@ import click
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__, prompts
-from .dsl import DslError, FeatureRef, compile_rule, evaluate, parse, to_flags, typecheck, walk
+from .dsl import DslError, compile_rule, evaluate, parse, to_flags, typecheck
 from .evolution import ConfigError, EvolutionConfig, run_evolution
 from .metrics import event_f1_pa, point_adjusted_report, pointwise_report
 from .providers import (
@@ -142,9 +142,9 @@ def check(rule_path: str, meta_path: str | None) -> None:
         features = [m.name for m in load_meta(Path(meta_path).read_bytes())]
     else:
         # Without metadata, accept whatever features the rule references.
-        features = [n.name for n in walk(*ast.roots) if isinstance(n, FeatureRef)]
+        features = ast.features
     rule = typecheck(ast, features)
-    feature_list = ", ".join(sorted(rule.features)) or "(none)"
+    feature_list = ", ".join(sorted(ast.features)) or "(none)"
     click.echo(
         f"OK: {rule.ast.node_count} nodes, max window {rule.max_window}, features: {feature_list}"
     )

@@ -3,8 +3,8 @@
 Every expression is classified as a numeric series or a boolean series.
 Comparisons take numeric operands and produce booleans; `and/or/not` demand
 booleans; arithmetic and all builtins stay numeric. The checker also pins
-down which features a rule references and its largest window, which
-`pillm check` reports.
+down a rule's largest window, which `pillm check` reports with the features
+the rule reads (`RuleAst.features`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ class TypedRule:
     """A rule that passed parsing and static checks against a feature set."""
 
     ast: RuleAst
-    features: frozenset[str]
     max_window: int
 
 
@@ -75,11 +74,8 @@ def typecheck(ast: RuleAst, features: Iterable[str]) -> TypedRule:
     for name, expr in ast.bindings:
         env[name] = visit(expr)
     visit(ast.result)
-    nodes = list(walk(*ast.roots))
     return TypedRule(
-        ast=ast,
-        features=frozenset(n.name for n in nodes if isinstance(n, FeatureRef)),
-        max_window=max((_window(n) for n in nodes if isinstance(n, Call)), default=1),
+        ast=ast, max_window=max((_window(n) for n in walk(*ast.roots) if isinstance(n, Call)), default=1)
     )
 
 

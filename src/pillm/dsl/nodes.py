@@ -99,9 +99,13 @@ class RuleAst:
     bindings: tuple[tuple[str, Expr], ...]
     result: Expr
     node_count: int = field(init=False)
+    # The names of the features the rule reads; derived, so not compared.
+    features: frozenset[str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "node_count", sum(1 for _ in walk(*self.roots)))
+        nodes = list(walk(*self.roots))
+        object.__setattr__(self, "node_count", len(nodes))
+        object.__setattr__(self, "features", frozenset(n.name for n in nodes if isinstance(n, FeatureRef)))
 
     @property
     def roots(self) -> tuple[Expr, ...]:

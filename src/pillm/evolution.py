@@ -19,7 +19,7 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import prompts
 from .dsl import BudgetError, DslError, EvalMemo, RuleAst, TypedRule, compile_rule, evaluate, to_flags
@@ -347,15 +347,17 @@ class EvolutionEngine:
     def llm_calls(self) -> int:
         return len(self._request_tags)
 
-    def _requests(
-        self, tag: str, user: str, system: str | None = None
-    ) -> tuple[CompletionRequest, ...]:
-        """The next slot's requests, one per attempt, each with its own seed."""
+    def _requests(self, tag: str, user: str, system: str | None = None) -> Iterator[CompletionRequest]:
+        """The next slot's requests, one per attempt, each with its own seed.
+
+        The slot's ordinal is taken now; each request is built when the slot
+        asks for it, so a slot builds only the requests it sends.
+        """
         config = self.config
         ordinal = self._next_ordinal
         self._next_ordinal += 1
         temperature = config.init_temperature if tag == "init" else config.refine_temperature
-        return tuple(
+        return (
             CompletionRequest(
                 system_prompt=system or self._system_prompt,
                 user_prompt=user,
@@ -381,7 +383,7 @@ class EvolutionEngine:
 
     def _slot(
         self,
-        requests: tuple[CompletionRequest, ...],
+        requests: Iterator[CompletionRequest],
         generation: int,
         parents: tuple[str, ...] = (),
     ) -> RuleCandidate | None:
@@ -393,7 +395,6 @@ class EvolutionEngine:
         candidate invalid with the provider's message, and during init also
         aborts the run.
         """
-        tag = requests[0].tag
         issued: list[str] = []
         parsed = rule = error = None
         try:
@@ -409,7 +410,7 @@ class EvolutionEngine:
                     break
         except ProviderError as exc:
             error = str(exc)
-            if tag == "init":
+            if request.tag == "init":
                 # No population to fall back on yet: the run ends after generation 0.
                 self._aborted = True
                 self._halt.set()
@@ -420,7 +421,7 @@ class EvolutionEngine:
             id="",
             code=parsed.code if parsed else "",
             context=parsed.context if parsed else "",
-            operator=tag,
+            operator=request.tag,
             generation=generation,
             parent_ids=parents,
             request_tags_used=tuple(issued),
@@ -624,10 +625,10 @@ class EvolutionEngine:
         user = "Respond now with your hints and the improved physical context."
         return partial(self._reflect, self._requests("reflection", user, system))
 
-    def _reflect(self, requests: tuple[CompletionRequest, ...]) -> Reflection | None:
+    def _reflect(self, requests: Iterator[CompletionRequest]) -> Reflection | None:
         """Ask for hints about why the better rule wins; None drops the pair."""
         try:
-            text = self._complete(requests[0], [])
+            text = self._complete(next(requests), [])
         except (ProviderError, _CallBudgetExhausted):
             return None
         return Reflection(*prompts.parse_reflection(text))

@@ -98,10 +98,10 @@ def load_templates(prompts_dir: str | Path | None = None) -> dict[str, str]:
     """Every template body by id: the packaged set, or all five read from `prompts_dir`.
 
     An override is read by `timeseries.read_text`, so a leading byte-order
-    mark is dropped. One that is missing, is not UTF-8, or names a
-    placeholder its packaged template lacks raises `PromptError`. Each
-    packaged placeholder an override leaves out is logged once, here, as a
-    warning: `render` drops its binding silently.
+    mark is dropped. One that is missing, is not UTF-8, is empty or only
+    whitespace, or names a placeholder its packaged template lacks raises
+    `PromptError`. Each packaged placeholder an override leaves out is
+    logged once, here, as a warning: `render` drops its binding silently.
     """
     packaged = _packaged_templates()
     if prompts_dir is None:
@@ -112,6 +112,8 @@ def load_templates(prompts_dir: str | Path | None = None) -> dict[str, str]:
         if not path.is_file():
             raise PromptError(f"template override not found: {path}")
         body = timeseries.read_text(path, f"template override {path}", PromptError)
+        if not body.strip():
+            raise PromptError(f"template override {path} is empty")
         unknown = _slots(body) - _slots(packaged[template_id])
         if unknown:
             names = ", ".join(f"{{{slot}}}" for slot in sorted(unknown))

@@ -6,10 +6,18 @@ message list in, text choice out). The scripted provider replays canned
 responses matched by request tag in file order, and the grammar sampler
 fabricates valid DSL rules deterministically, which makes full evolutionary
 runs reproducible with zero network access.
+
+The sampler draws its builtins, and each one's window or alpha literal, from
+`nodes.BUILTINS`, so every builtin of the DSL can appear in its rules. Each
+of its answers is a pure function of the sampler's seed and the request's
+`seed`, not of call order. It still takes one request at a time, because the
+engine writes `requests.log` in the order requests are issued, and that
+order varies when more than one is in flight.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -23,7 +31,7 @@ from typing import TYPE_CHECKING, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .dsl.formatter import format_rule
-from .dsl.nodes import BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef, walk
+from .dsl.nodes import BUILTINS, BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef
 from .dsl.parser import MAX_BINDINGS, MAX_NODES
 from .prompts import format_response
 from .timeseries import read_text
@@ -347,9 +355,15 @@ class SamplerProvider(Provider):
     """Deterministic rule fabricator standing in for a generator LLM.
 
     Ignores the prompt text entirely. Every call yields a fenced, valid DSL
-    rule over the configured features plus a fixed-format context paragraph;
-    the sequence of responses is a pure function of (seed, call order), so
-    callers issue one request at a time.
+    rule over the configured features plus a fixed-format context paragraph
+    naming the features it reads. The rule's builtins, and the window or
+    alpha literal each takes, are drawn from `nodes.BUILTINS`. Each answer is
+    a pure function of (sampler seed, request seed), so it does not depend on
+    the order of calls; a request without a seed is answered from the
+    sampler seed alone. `narrate` requests echo the prompt.
+
+    Its width stays 1 although its answers would allow more: the engine
+    writes `requests.log` in issue order, which varies above width 1.
     """
 
     max_in_flight = 1
@@ -359,28 +373,24 @@ class SamplerProvider(Provider):
             raise ProviderConfigError("sampler provider requires at least one feature name")
         self._seed = seed
         self._features = tuple(feature_names)
-        self._counter = 0
-        self._lock = threading.Lock()
 
     def complete(self, request: CompletionRequest) -> CompletionResult:
-        with self._lock:
-            self._counter += 1
-            if request.tag == "narrate":
-                return CompletionResult(text=request.user_prompt, latency_ms=0, attempt=1)
-            call_seed = self._seed * 1_000_003 + self._counter
-            ast = _sample_ast(call_seed, self._features)
-            names = sorted({n.name for n in walk(*ast.roots) if isinstance(n, FeatureRef)})
-            text = format_response(
-                format_rule(ast),
-                f"Sampled hypothesis: deviations in {', '.join(names)} relative to recent "
-                "behavior indicate abnormal operation of the conditioning loop.",
-            )
-            return CompletionResult(text=text, latency_ms=0, attempt=1)
+        if request.tag == "narrate":
+            return CompletionResult(text=request.user_prompt, latency_ms=0, attempt=1)
+        # A digest, unlike `hash()`, is the same in every process.
+        key = hashlib.sha256(f"{self._seed}:{request.seed}".encode()).digest()
+        ast = _sample_ast(int.from_bytes(key[:8], "big"), self._features)
+        text = format_response(
+            format_rule(ast),
+            f"Sampled hypothesis: deviations in {', '.join(sorted(ast.features))} relative to recent "
+            "behavior indicate abnormal operation of the conditioning loop.",
+        )
+        return CompletionResult(text=text, latency_ms=0, attempt=1)
 
 
-_WINDOWS = (5, 10, 15, 30, 60, 120)
-_LAGS = (1, 2, 5, 10, 30)
-_ALPHAS = (0.1, 0.2, 0.3, 0.5)
+# Each literal kind's choices, within the parser's bounds; windows stay at
+# 120 or below so that sampled rules stay cheap to score.
+_LITERALS = {"window": (1, 2, 5, 10, 15, 30, 60, 120), "alpha": (0.1, 0.2, 0.3, 0.5)}
 _CMP_OPS = (">", "<", ">=", "<=")
 
 
@@ -391,11 +401,8 @@ class _RuleSampler:
         self._bound: list[str] = []
 
     def _leaf(self) -> Expr:
-        names = self._features + self._bound
-        pick = self._rng.choice(names)
-        if pick in self._bound:
-            return VarRef(pick)
-        return FeatureRef(pick)
+        # A feature may share its name with a binding, so pick among nodes.
+        return self._rng.choice([*map(FeatureRef, self._features), *map(VarRef, self._bound)])
 
     def _numeric(self, depth: int) -> Expr:
         if depth <= 0:
@@ -404,17 +411,13 @@ class _RuleSampler:
         if roll < 0.25:
             return self._leaf()
         if roll < 0.75:
-            name = self._rng.choice(
-                ("mean", "std", "rmin", "rmax", "zscore", "delta", "lag", "ewma", "abs")
+            name = self._rng.choice(tuple(BUILTINS))
+            arity, literal_at, kind = BUILTINS[name]
+            args = (
+                Num(float(self._rng.choice(_LITERALS[kind]))) if i == literal_at else self._numeric(depth - 1)
+                for i in range(arity)
             )
-            inner = self._numeric(depth - 1)
-            if name == "abs":
-                return Call("abs", (inner,))
-            if name in ("delta", "lag"):
-                return Call(name, (inner, Num(float(self._rng.choice(_LAGS)))))
-            if name == "ewma":
-                return Call(name, (inner, Num(self._rng.choice(_ALPHAS))))
-            return Call(name, (inner, Num(float(self._rng.choice(_WINDOWS)))))
+            return Call(name, tuple(args))
         op = self._rng.choice(("+", "-", "*"))
         return BinOp(op, self._numeric(depth - 1), self._numeric(depth - 1))
 

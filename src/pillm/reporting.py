@@ -272,7 +272,7 @@ def generate_report(
     incidents = incidents_from_labels(flags)
 
     train_stats = {}
-    for name in sorted(rule.features):
+    for name in sorted(rule.ast.features):
         column = train_table.column(name)
         train_stats[name] = (float(np.mean(column)), float(np.std(column)))
 

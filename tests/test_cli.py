@@ -693,8 +693,11 @@ class TestEvolve:
         [
             (b"Cross {worse_rules} over {input_features}.", "names a placeholder"),
             (b"\xff\xfe Cross {worse_rules}.", "is not valid UTF-8"),
+            # A blank template would render an empty prompt, which no request may carry.
+            (b"", "is empty"),
+            (b" \n\t\n", "is empty"),
         ],
-        ids=["unknown-slot", "not-utf8"],
+        ids=["unknown-slot", "not-utf8", "empty", "blank"],
     )
     def test_bad_prompt_override_exits_3_before_run_dir(
         self, tmp_path, runner, sim_corpus, body, problem
@@ -738,21 +741,22 @@ class TestEvolve:
         assert logs[0] == logs[1]
 
     # sha256 of run.jsonl, requests.log and best.rule of the README corpus
-    # run at pop 10 x gen 10, seed 7, taken from the sequential engine. Any
-    # change in the order the sampler's requests are issued changes them.
+    # run at pop 10 x gen 10, seed 7, taken from the sequential engine. The
+    # sampler answers each request by its seed, so any change in the seeds
+    # the engine gives its requests, or in the order it issues them, changes them.
     GOLDEN = {
         (): (
-            "3708494ed3a8f5695ab7a035e67eda627b895849bba061b3e24b525fa3f28c48",
+            "3b6234182f1957b1ad5283e5a5baf137b61b0e43a90725b5eb65b349ee4c1957",
             "dea4d447da20fc7af3810e74f6aa374ddb6de5b84f6c8d56888aacbf7f804d34",
             "469bb3a173f4de9ea71752c9aa679234d8f61e5cdbd2a75dd55e115aacacffb3",
         ),
         ("--no-pir",): (
-            "8202af0c18ca829c1083a498533865167bcad5662a7708c34dc84c1685b8ffb0",
+            "1826cc7093d1c96ce06a6cc685ed22c43cf01204f88887c6b6a8a633e02e4138",
             "35bb62254164d16aa033058298339c522c0a902677e4eeb785f6a1fcde3641ba",
             "469bb3a173f4de9ea71752c9aa679234d8f61e5cdbd2a75dd55e115aacacffb3",
         ),
         ("--no-pic",): (
-            "b05c5896dc0a3d6387c22dfe69966a1584ca765bd255e8c0f417509a23a49398",
+            "c06d6b501e22493a4ed3ba2473ba66a81b66305bb9d57b415e2cd3f7ba102e91",
             "ba3b4ecfe78d82ae4723b08ebb0b28785d503e8849266ac1e234e37e1f633e88",
             "469bb3a173f4de9ea71752c9aa679234d8f61e5cdbd2a75dd55e115aacacffb3",
         ),

@@ -27,7 +27,16 @@ def terms(depth: int):
         lambda name, x, w: f"{name}({x}, {w})", st.sampled_from(WINDOWED), inner, st.sampled_from((1, 2, 5))
     )
     ewma = st.builds(lambda x, a: f"ewma({x}, {a})", inner, st.sampled_from((0.25, 1)))
-    return st.one_of(inner, windowed, ewma, st.builds(lambda x, y: f"({x} - {y})", inner, inner))
+    # Random bounds put lo above hi on some rows; `clip` then gives hi, as np.clip does.
+    clip = st.builds(lambda x, lo, hi: f"clip({x}, {lo}, {hi})", inner, inner, inner)
+    return st.one_of(
+        inner,
+        windowed,
+        ewma,
+        st.builds(lambda x: f"abs({x})", inner),
+        clip,
+        st.builds(lambda x, y: f"({x} - {y})", inner, inner),
+    )
 
 
 # Every rule binds `d`, to a different expression in different rules, so a

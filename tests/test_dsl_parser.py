@@ -68,6 +68,17 @@ class TestParseBasics:
         # FeatureRef, Num, BinOp(+), Num, BinOp(>)
         assert ast.node_count == 5
 
+    def test_features_are_the_feature_names_read(self):
+        ast = parse("x = mean($a, 3) + $b\nreturn clip(x, $a, 1) > 2")
+        assert ast.features == frozenset({"a", "b"})
+        assert parse("x = 1\nreturn x > 0").features == frozenset()
+
+    def test_features_take_no_part_in_equality(self):
+        ast = parse("return $x > 1")
+        twin = RuleAst(ast.bindings, ast.result)
+        object.__setattr__(twin, "features", frozenset({"other"}))
+        assert twin == ast and hash(twin) == hash(ast)
+
     def test_walk_is_preorder_left_to_right(self):
         ast = parse("d = abs($a - lag($b, 2))\nreturn not (d > 1)")
         kinds = [type(n).__name__ for n in walk(*ast.roots)]
@@ -185,7 +196,7 @@ class TestTypecheck:
     def test_boolean_result(self):
         rule = typecheck(parse("return $zone_temp > 30"), {"zone_temp"})
         assert isinstance(rule, TypedRule)
-        assert rule.features == frozenset({"zone_temp"})
+        assert rule.ast.features == frozenset({"zone_temp"})
 
     def test_numeric_result_accepted(self):
         rule = typecheck(parse("return zscore($x, 8)"), {"x"})

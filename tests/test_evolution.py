@@ -23,7 +23,6 @@ from pillm.evolution import (
     run_evolution,
     select_pairs,
 )
-from pillm.prompts import parse_response
 from pillm.providers import (
     CompletionError,
     CompletionRequest,
@@ -804,16 +803,28 @@ class TestConcurrentWaves:
         assert calls == ["evaluate_population"] + ["select_pairs", "evaluate_population"] * 3
 
     def test_width_one_issues_requests_in_slot_order(self, small_table):
-        # The sampler answers by call order, so its rules show the order in
-        # which the slots issued their requests. Without reflections, pairs
-        # drawn twice give identical crossover requests that are not adjacent.
+        # Without reflections and retries each slot sends one request, whose
+        # seed numbers the slot. Pairs drawn twice give identical crossover
+        # requests that are not adjacent.
         config = self.config(enable_pir=False, retry_budget=0, pairs_per_gen=5, generations=6)
-        names = small_table.feature_names
-        result = run_evolution(config, small_table, SamplerProvider(seed=5, feature_names=names))
-        fresh = SamplerProvider(seed=5, feature_names=names)
-        request = CompletionRequest(system_prompt="s", user_prompt="u", tag="init")
-        expected = [parse_response(fresh.complete(request).text).code for _ in result.records[1:]]
-        assert [r["code"] for r in result.records[1:]] == expected
+        provider = KeyedProvider(max_in_flight=1, delay=0)
+        result = run_evolution(config, small_table, provider)
+        seeds = [request.seed for request, _ in provider.issued]
+        assert len(seeds) == result.llm_calls > config.population_size
+        assert seeds == [request_seed(config, k, 0) for k in range(len(seeds))]
+
+    def test_a_slot_builds_only_the_requests_it_sends(self, small_table, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(kwargs["tag"])
+            return CompletionRequest(*args, **kwargs)
+
+        monkeypatch.setattr(evolution, "CompletionRequest", counting)
+        config = self.config(retry_budget=1000, seed=2)
+        result = run_evolution(config, small_table, KeyedProvider(max_in_flight=1, delay=0))
+        assert "reflection" in built and any(len(r["request_tags_used"]) > 1 for r in result.records)
+        assert len(built) == result.llm_calls
 
     def test_every_request_has_its_own_seed(self, small_table):
         # Seed 2: init slots and later slots retry, and each retry gets a new seed.

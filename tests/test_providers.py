@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 import pillm
-from pillm.dsl import compile_rule
+from pillm import providers
+from pillm.dsl import BUILTINS, Call, FeatureRef, compile_rule, parse, walk
+from pillm.dsl.nodes import MAX_WINDOW, MIN_WINDOW
 from pillm.prompts import parse_response
 from pillm.reporting import narrate_report
 from pillm.providers import (
@@ -706,11 +708,11 @@ class TestScriptedProvider:
 
 class TestSamplerProvider:
     def test_deterministic_sequence(self):
-        first = [SamplerProvider(9, FEATURES).complete(req()).text for _ in range(1)]
+        first = [SamplerProvider(9, FEATURES).complete(req(seed=0)).text for _ in range(1)]
         a = SamplerProvider(9, FEATURES)
         b = SamplerProvider(9, FEATURES)
-        seq_a = [a.complete(req()).text for _ in range(5)]
-        seq_b = [b.complete(req()).text for _ in range(5)]
+        seq_a = [a.complete(req(seed=seed)).text for seed in range(5)]
+        seq_b = [b.complete(req(seed=seed)).text for seed in range(5)]
         assert seq_a == seq_b
         assert first[0] == seq_a[0]
 
@@ -721,10 +723,55 @@ class TestSamplerProvider:
 
     def test_responses_are_extractable_and_compilable(self):
         provider = SamplerProvider(4, FEATURES)
-        for _ in range(20):
-            parsed = parse_response(provider.complete(req()).text)
+        codes = set()
+        for seed in range(20):
+            parsed = parse_response(provider.complete(req(seed=seed)).text)
             compile_rule(parsed.code, FEATURES)
             assert parsed.context.strip()
+            codes.add(parsed.code)
+        assert len(codes) == 20
+
+    def test_answer_depends_on_the_request_seed_not_on_call_order(self):
+        seeds = [None, *range(30)]
+        forward, backward = SamplerProvider(5, FEATURES), SamplerProvider(5, FEATURES)
+        ahead = {seed: forward.complete(req(seed=seed)).text for seed in seeds}
+        behind = {seed: backward.complete(req(seed=seed)).text for seed in reversed(seeds)}
+        assert ahead == behind
+        # Neither the tag nor the prompt takes part; a repeated request gets the same answer.
+        assert forward.complete(req("mutation", seed=3)).text == ahead[3]
+        assert forward.complete(req(seed=None)).text == ahead[None]
+
+    def test_draws_every_builtin_with_literals_from_the_table(self):
+        drawn = set()
+        provider = SamplerProvider(1, FEATURES)
+        for seed in range(300):
+            ast = parse(parse_response(provider.complete(req(seed=seed)).text).code)
+            for call in (node for node in walk(*ast.roots) if isinstance(node, Call)):
+                drawn.add(call.name)
+                arity, literal_at, kind = BUILTINS[call.name]
+                assert len(call.args) == arity
+                if literal_at is None:
+                    continue
+                value = call.args[literal_at].value
+                assert value in providers._LITERALS[kind]
+                if kind == "window":
+                    assert value == int(value) and MIN_WINDOW <= value <= MAX_WINDOW
+                else:
+                    assert 0 < value <= 1
+        assert drawn == set(BUILTINS)
+
+    def test_a_feature_named_like_a_binding_is_still_drawn(self):
+        # Sampled bindings are named sig_0 and sig_1; a feature may be named sig_0 too.
+        features = ("sig_0", "x")
+        read_after_binding = 0
+        for seed in range(300):
+            ast = parse(sample_rule(seed, features))
+            if "sig_0" in dict(ast.bindings):
+                later = (*(expr for name, expr in ast.bindings if name != "sig_0"), ast.result)
+                read_after_binding += any(
+                    isinstance(node, FeatureRef) and node.name == "sig_0" for node in walk(*later)
+                )
+        assert read_after_binding > 0
 
     def test_narrate_echoes(self):
         provider = SamplerProvider(4, FEATURES)
@@ -744,7 +791,7 @@ class TestSampleRule:
             code = sample_rule(seed, FEATURES)
             rule = compile_rule(code, FEATURES)
             assert rule.ast.node_count <= 512
-            assert rule.features == set(re.findall(r"\$([A-Za-z_]\w*)", code))
+            assert rule.ast.features == set(re.findall(r"\$([A-Za-z_]\w*)", code))
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
