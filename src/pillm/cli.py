@@ -6,7 +6,6 @@ import json
 import math
 import os
 import sys
-import time
 from pathlib import Path
 
 import click
@@ -143,11 +142,9 @@ def check(rule_path: str, meta_path: str | None) -> None:
     else:
         # Without metadata, accept whatever features the rule references.
         features = ast.features
-    rule = typecheck(ast, features)
+    typecheck(ast, features)
     feature_list = ", ".join(sorted(ast.features)) or "(none)"
-    click.echo(
-        f"OK: {rule.ast.node_count} nodes, max window {rule.max_window}, features: {feature_list}"
-    )
+    click.echo(f"OK: {ast.node_count} nodes, max window {ast.max_window}, features: {feature_list}")
 
 
 @main.command("eval")
@@ -186,23 +183,6 @@ def _build_provider(kind: str, provider_block: dict, script: str | None, config:
             timeout_secs=provider_block.get("timeout_secs", 60.0),
         )
     raise ProviderConfigError(f"unknown provider {kind!r}")
-
-
-def _unique_run_dir(root: Path, seed: int) -> str:
-    """Create a fresh run directory under `root` and return its name.
-
-    The exclusive mkdir reserves the name, so two runs started in the same
-    second with the same seed get two directories (the second with `-2`).
-    """
-    base = f"run-{time.strftime('%Y%m%d-%H%M%S')}-s{seed}"
-    run_id, counter = base, 2
-    while True:
-        try:
-            (root / run_id).mkdir()
-            return run_id
-        except FileExistsError:
-            run_id = f"{base}-{counter}"
-            counter += 1
 
 
 @main.command("evolve")
@@ -255,16 +235,13 @@ def evolve(
     provider = _build_provider(provider_kind, provider_block, script_path, config, table.feature_names)
     templates = prompts.load_templates(prompts_dir)
 
-    root = Path(out_root)
-    root.mkdir(parents=True, exist_ok=True)
-    run_id = _unique_run_dir(root, config.seed)
     snapshot = config.to_dict()
     snapshot["provider"] = {"type": provider_kind, **provider_block}
     if script_path is not None:
         snapshot["provider"]["script"] = str(Path(script_path).resolve())
     if prompts_dir is not None:
         snapshot["prompts_dir"] = str(Path(prompts_dir).resolve())
-    log = RunLog(root, run_id, config_snapshot=snapshot)
+    log = RunLog.create(out_root, config.seed, snapshot)
     log.write_split(*cut_csv(data, table.num_rows, train_table.num_rows), save_meta(metas))
     click.echo(f"run_dir={log.dir}")
 
@@ -291,8 +268,7 @@ def evolve(
 @click.option("--narrate", is_flag=True, help="Elaborate the report through the run's provider.")
 def report(run_dir: str, data_path: str, meta_path: str, narrate: bool) -> None:
     """Render the diagnostic report for a finished run."""
-    run_path = Path(run_dir)
-    log = RunLog(run_path.parent, run_path.name)
+    log = RunLog(run_dir)
     best = best_record(log.records())
     if best is None:
         _fail("run log contains no valid candidate to report on")

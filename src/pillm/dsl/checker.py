@@ -2,9 +2,7 @@
 
 Every expression is classified as a numeric series or a boolean series.
 Comparisons take numeric operands and produce booleans; `and/or/not` demand
-booleans; arithmetic and all builtins stay numeric. The checker also pins
-down a rule's largest window, which `pillm check` reports with the features
-the rule reads (`RuleAst.features`).
+booleans; arithmetic and all builtins stay numeric.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import DslTypeError
-from .nodes import BUILTINS, COMPARISONS, BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef, walk
+from .nodes import COMPARISONS, BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef
 
 _NUM = "numeric-series"
 _BOOL = "boolean-series"
@@ -24,7 +22,6 @@ class TypedRule:
     """A rule that passed parsing and static checks against a feature set."""
 
     ast: RuleAst
-    max_window: int
 
 
 def typecheck(ast: RuleAst, features: Iterable[str]) -> TypedRule:
@@ -74,15 +71,7 @@ def typecheck(ast: RuleAst, features: Iterable[str]) -> TypedRule:
     for name, expr in ast.bindings:
         env[name] = visit(expr)
     visit(ast.result)
-    return TypedRule(
-        ast=ast, max_window=max((_window(n) for n in walk(*ast.roots) if isinstance(n, Call)), default=1)
-    )
-
-
-def _window(call: Call) -> int:
-    """The window a call counts toward `max_window`: its window literal, else 1."""
-    _, literal_at, kind = BUILTINS[call.name]
-    return int(call.args[literal_at].value) if kind == "window" else 1  # a `Num`, by the parser
+    return TypedRule(ast)
 
 
 def _require(actual: str, expected: str, where: str, expr: Expr) -> None:

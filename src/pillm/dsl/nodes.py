@@ -33,8 +33,8 @@ MAX_WINDOW = 1024
 # builtin -> (arity, index of its literal argument or None, the literal's kind).
 # A "window" literal is an integer in [MIN_WINDOW, MAX_WINDOW] that counts
 # toward a rule's max window (for `lag` and `delta`, the lag). An "alpha"
-# literal is `ewma`'s smoothing factor, a real in (0, 1]. The parser, the
-# checker and the interpreter all read this table.
+# literal is `ewma`'s smoothing factor, a real in (0, 1]. The parser,
+# `RuleAst`, the interpreter and the offline sampler all read this table.
 BUILTINS: dict[str, tuple[int, int | None, str | None]] = {
     "abs": (1, None, None),
     "clip": (3, None, None),
@@ -99,13 +99,19 @@ class RuleAst:
     bindings: tuple[tuple[str, Expr], ...]
     result: Expr
     node_count: int = field(init=False)
-    # The names of the features the rule reads; derived, so not compared.
+    # The names of the features the rule reads, and its largest window: the
+    # largest window literal (a `Num`, by the parser) of any call, else 1.
+    # Derived, so not compared.
     features: frozenset[str] = field(init=False, compare=False, repr=False)
+    max_window: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         nodes = list(walk(*self.roots))
         object.__setattr__(self, "node_count", len(nodes))
         object.__setattr__(self, "features", frozenset(n.name for n in nodes if isinstance(n, FeatureRef)))
+        calls = [(n, *BUILTINS[n.name]) for n in nodes if isinstance(n, Call)]
+        windows = [call.args[at].value for call, _, at, kind in calls if kind == "window"]
+        object.__setattr__(self, "max_window", int(max(windows, default=1)))
 
     @property
     def roots(self) -> tuple[Expr, ...]:

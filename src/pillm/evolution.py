@@ -335,11 +335,12 @@ class EvolutionEngine:
         # Evaluation runs on the engine's thread only, so neither takes a lock.
         self._memo = EvalMemo(train_table)
         self._reports: dict[RuleAst, MetricReport | BudgetError] = {}
-        self._task_description = prompts.default_task_description()
-        self._feature_list = prompts.feature_list_text(train_table.features)
-        self._system_prompt = prompts.render(
-            "generator_system", {"task_description": self._task_description}, self._templates
-        )
+        # The slots every prompt shares; each template's bindings extend these.
+        self._shared_bindings = {
+            "task_description": prompts.default_task_description(),
+            "input_feature_list": prompts.feature_list_text(train_table.features),
+        }
+        self._system_prompt = prompts.render("generator_system", self._shared_bindings, self._templates)
 
     # ---- provider plumbing -------------------------------------------------
 
@@ -552,8 +553,7 @@ class EvolutionEngine:
         user_prompt = prompts.render(
             "init",
             {
-                "task_description": self._task_description,
-                "input_feature_list": self._feature_list,
+                **self._shared_bindings,
                 "seed_function": prompts.fence("rule", seed.code),
                 "context_template": prompts.fence("context", seed.context),
             },
@@ -609,8 +609,7 @@ class EvolutionEngine:
 
     def _pair_bindings(self, worse: RuleCandidate, better: RuleCandidate) -> dict[str, str]:
         return {
-            "task_description": self._task_description,
-            "input_feature_list": self._feature_list,
+            **self._shared_bindings,
             "worse_rules": prompts.fence("rule", worse.code),
             "worse_rules_physical_context": worse.context,
             "better_rules": prompts.fence("rule", better.code),
@@ -653,8 +652,7 @@ class EvolutionEngine:
         digest = long_term_reflection(self._reflections, self.config.long_term_window)
         latest_context = self._reflections[-1].context if self._reflections else NO_REFLECTIONS_YET
         bindings = {
-            "task_description": self._task_description,
-            "input_feature_list": self._feature_list,
+            **self._shared_bindings,
             "reflection_comments": digest,
             "reflection_context": latest_context,
             "elitist_code": prompts.fence("rule", elite.code),

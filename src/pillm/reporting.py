@@ -1,12 +1,12 @@
 """Run persistence and the three-part diagnostic report.
 
-`RunLog` is the only writer of a run directory. Its two streams, `run.jsonl`
-(one record per candidate) and `requests.log` (one tag per LLM request,
-written as the request is issued), are appended and fsync'd a line at a time,
-so an aborted or crashed run keeps every line written before it stopped. The
-report follows the identify / evidence / severity structure: quote the
-winning rule's physical hypothesis, back each detected incident with the most
-deviant referenced signals, then grade it.
+`RunLog` reserves each new run directory and is its only writer. Its two
+streams, `run.jsonl` (one record per candidate) and `requests.log` (one tag
+per LLM request, written as the request is issued), are appended and fsync'd
+a line at a time, so an aborted or crashed run keeps every line written
+before it stopped. The report follows the identify / evidence / severity
+structure: quote the winning rule's physical hypothesis, back each detected
+incident with the most deviant referenced signals, then grade it.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import textwrap
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -73,20 +74,36 @@ def _json_object(data: bytes, path: Path, line: int = 1) -> dict:
 
 
 class RunLog:
-    """Single writer of the run directory `runs/<run_id>/` and all its files."""
+    """Single writer of one run directory, `<out>/run-<date>-<time>-s<seed>/`, and all its files."""
 
-    def __init__(self, root: str | Path, run_id: str, config_snapshot: dict | None = None):
-        self.run_id = run_id
-        self.dir = Path(root) / run_id
-        self.dir.mkdir(parents=True, exist_ok=True)
+    def __init__(self, run_dir: str | Path):
+        """Open the run directory `run_dir`; this creates nothing."""
+        self.dir = Path(run_dir)
         self.path = self.dir / RUN_LOG_NAME
         # The ids appended through this writer; `append` rejects a repeat.
         self._seen: set[str] = set()
-        if config_snapshot is not None:
-            snapshot_path = self.dir / CONFIG_SNAPSHOT_NAME
-            snapshot_path.write_text(
-                json.dumps(config_snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+
+    @classmethod
+    def create(cls, out_root: str | Path, seed: int, config_snapshot: dict) -> RunLog:
+        """Reserve a new run directory under `out_root`, making `out_root` if needed.
+
+        The exclusive mkdir reserves the name, so two runs started in the same
+        second with the same seed get two directories (the second with `-2`).
+        The new directory holds `config_snapshot` before this returns.
+        """
+        base = f"run-{time.strftime('%Y%m%d-%H%M%S')}-s{seed}"
+        run_dir, counter = Path(out_root) / base, 2
+        while True:
+            try:
+                run_dir.mkdir(parents=True)
+                break
+            except FileExistsError:
+                run_dir = run_dir.with_name(f"{base}-{counter}")
+                counter += 1
+        (run_dir / CONFIG_SNAPSHOT_NAME).write_text(
+            json.dumps(config_snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        return cls(run_dir)
 
     def append(self, record: dict) -> None:
         """Append one candidate record, flushed to disk before returning."""

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 import pillm
 from pillm import transport
-from pillm.cli import EXIT_CODES, _unique_run_dir, main
+from pillm.cli import EXIT_CODES, main
 from pillm.dsl import MAX_DEPTH
 from pillm.prompts import TEMPLATE_IDS, format_response, load_templates
 from pillm.providers import CompletionError, SamplerProvider
@@ -308,12 +308,15 @@ class TestEvolve:
             ],
         )
 
-    def test_run_dirs_in_one_second_differ(self, tmp_path, monkeypatch):
+    def test_run_dirs_in_one_second_differ(self, tmp_path, runner, sim_corpus, monkeypatch):
         monkeypatch.setattr(time, "strftime", lambda fmt: "20260101-000000")
-        first = _unique_run_dir(tmp_path, 7)
-        second = _unique_run_dir(tmp_path, 7)
-        assert (first, second) == ("run-20260101-000000-s7", "run-20260101-000000-s7-2")
-        assert (tmp_path / first).is_dir() and (tmp_path / second).is_dir()
+        data, meta = sim_corpus
+        config = evolve_config(tmp_path, generations=0)
+        runs = [self.invoke_evolve(runner, data, meta, config, tmp_path / "runs") for _ in range(2)]
+        assert [run_dir_from(r.output) for r in runs] == [
+            tmp_path / "runs" / "run-20260101-000000-s11",
+            tmp_path / "runs" / "run-20260101-000000-s11-2",
+        ]
 
     def test_sampler_run_artifacts(self, tmp_path, runner, sim_corpus):
         data, meta = sim_corpus
@@ -776,7 +779,7 @@ class TestEvolve:
         )
         assert digests == self.GOLDEN[flags]
         # `report` picks its candidate again from run.jsonl; it must agree with evolve's.
-        best = best_record(RunLog(run_dir.parent, run_dir.name).records())
+        best = best_record(RunLog(run_dir).records())
         assert f"best_id={best['candidate_id']} " in result.output
 
 
@@ -1012,10 +1015,10 @@ class _Workdir:
         path.write_text(text, encoding="utf-8")
         return str(path)
 
-    def evolve(self, config_text: str, *extra: str) -> list[str]:
+    def evolve(self, config_text: str, *extra: str, data: str | None = None) -> list[str]:
         config = self.file("config.json", config_text)
         out = str(self.root / "runs")
-        return ["evolve", "--data", self.data, "--meta", self.meta, "--config", config, "--out", out, *extra]
+        return ["evolve", "--data", data or self.data, "--meta", self.meta, "--config", config, "--out", out, *extra]
 
     def report(self, run_dir: Path, *extra: str) -> list[str]:
         return ["report", "--run", str(run_dir), "--data", self.data, "--meta", self.meta, *extra]
@@ -1034,6 +1037,14 @@ class _Workdir:
         path = self.root / "empty"
         path.mkdir()
         return str(path)
+
+    def unlabeled_data(self) -> str:
+        """The corpus without its last column, the label."""
+        lines = Path(self.data).read_text(encoding="utf-8").splitlines()
+        return self.file("unlabeled.csv", "".join(line.rpartition(",")[0] + "\n" for line in lines))
+
+    def eval(self, data: str, meta: str) -> list[str]:
+        return ["eval", "--rule", self.file("ok.rule", RULE_OK), "--data", data, "--meta", meta]
 
 
 # One invocation per class in the exit-code table: (the most specific listed
@@ -1066,6 +1077,29 @@ EXIT_CODE_CASES = [
 ]
 
 
+# Exit paths besides the table's one case per class: (an id, the exit code,
+# the whole error line, the arguments).
+EXIT_PATH_CASES = [
+    ("config-not-object", 3, "config must be a JSON object", lambda w: w.evolve("[]", "--provider", "sampler")),
+    (
+        "evolve-unlabeled",
+        3,
+        "training data must be labeled",
+        lambda w: w.evolve("{}", "--provider", "sampler", data=w.unlabeled_data()),
+    ),
+    ("report-without-log", 1, "run log contains no valid candidate to report on", lambda w: w.report(Path(w.empty_dir()))),
+    (
+        "too-many-bindings",
+        1,
+        "33:1: too many bindings (cap 32)",
+        lambda w: ["check", "--rule", w.file("b.rule", "".join(f"v{i} = $zone_temp\n" for i in range(33)) + RULE_OK)],
+    ),
+    ("empty-csv", 3, "CSV is empty", lambda w: w.eval(w.file("empty.csv", ""), w.meta)),
+    ("meta-entry-not-object", 3, "metadata entry 0 must be an object", lambda w: w.eval(w.data, w.file("m.json", "[1]"))),
+    ("meta-no-feature", 3, "metadata must declare at least one feature", lambda w: w.eval(w.data, w.file("m.json", "[]"))),
+]
+
+
 class TestExitCodes:
     @pytest.fixture(scope="class")
     def finished_run(self, tmp_path_factory) -> tuple[Path, Path, Path]:
@@ -1094,6 +1128,14 @@ class TestExitCodes:
         errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
         assert len(errors) == 1, result.output
         assert message in errors[0], errors[0]
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("code,message,build", [c[1:] for c in EXIT_PATH_CASES], ids=[c[0] for c in EXIT_PATH_CASES])
+    def test_exit_path(self, tmp_path, runner, monkeypatch, finished_run, code, message, build):
+        result = runner.invoke(main, build(_Workdir(tmp_path, monkeypatch, *finished_run)))
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output.splitlines() == [f"error: {message}"]
         assert not (tmp_path / "runs").exists()
 
 

@@ -155,9 +155,9 @@ class TestBuiltinTable:
     @pytest.mark.parametrize("name", NAMES)
     def test_max_window_counts_window_literals_only(self, name):
         rule = compile_rule(f"return {call(name)} > 0", ["a"])
-        assert rule.max_window == (7 if BUILTINS[name][2] == "window" else 1)
+        assert rule.ast.max_window == (7 if BUILTINS[name][2] == "window" else 1)
         both = compile_rule(f"return {call(name)} + mean($a, 3) > 0", ["a"])
-        assert both.max_window == (7 if BUILTINS[name][2] == "window" else 3)
+        assert both.ast.max_window == (7 if BUILTINS[name][2] == "window" else 3)
 
 
 def nested(depth: int, opening: str, inner: str) -> str:

@@ -200,7 +200,7 @@ class TestTypecheck:
 
     def test_numeric_result_accepted(self):
         rule = typecheck(parse("return zscore($x, 8)"), {"x"})
-        assert rule.max_window == 8
+        assert rule.ast.max_window == 8
 
     def test_unknown_feature(self):
         with pytest.raises(DslTypeError, match="ghost"):
@@ -242,7 +242,7 @@ class TestTypecheck:
 
     def test_max_window_across_bindings(self):
         rule = typecheck(parse("a = mean($x, 4)\nreturn a - rmin($x, 100) > 0"), {"x"})
-        assert rule.max_window == 100
+        assert rule.ast.max_window == 100
 
 
 class TestFormat:

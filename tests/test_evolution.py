@@ -559,12 +559,28 @@ class TestRun:
         assert result.records[-1]["operator"] == "crossover"
         assert len(result.best_fitness_history) == 1
 
+    @staticmethod
+    def canned_tags(table, **overrides) -> Counter:
+        """The request tags of one generation whose three candidates score distinct fitness.
+
+        So `select_pairs` draws its pair, whatever the sampler would draw.
+        """
+        provider = CannedProvider(
+            {
+                "init": [RULE_HALF, RULE_GOOD],
+                "reflection": ["Hint.\n\nContext."],
+                "crossover": [RULE_PERFECT],
+                "mutation": [RULE_PERFECT, RULE_PERFECT],
+            }
+        )
+        run_evolution(base_config(generations=1, **overrides), table, provider, seed_rule=SEED_DUD)
+        return Counter(request.tag for request in provider.requests)
+
     def test_no_pir_suppresses_reflection_calls(self, small_table):
-        config = base_config(enable_pir=False, generations=3)
-        provider = SamplerProvider(seed=3, feature_names=small_table.feature_names)
-        result = run_evolution(config, small_table, provider, seed_rule=SEED_DUD)
-        assert "reflection" not in result.request_tags
-        assert "crossover" in result.request_tags
+        plain = self.canned_tags(small_table)
+        assert plain["reflection"] == plain["crossover"] == 1
+        tags = self.canned_tags(small_table, enable_pir=False)
+        assert tags == plain - Counter(reflection=1)
 
     def test_no_pir_crossover_uses_placeholder(self, small_table):
         config = base_config(enable_pir=False, generations=1)
@@ -581,13 +597,13 @@ class TestRun:
         assert all(NO_REFLECTION_TEXT in p for p in crossover_prompts)
 
     def test_no_pic_swaps_crossover_for_mutation(self, small_table):
-        config = base_config(enable_pic=False, generations=3)
-        provider = SamplerProvider(seed=3, feature_names=small_table.feature_names)
-        result = run_evolution(config, small_table, provider, seed_rule=SEED_DUD)
-        assert "crossover" not in result.request_tags
-        assert "mutation" in result.request_tags
-        # Reflections still run so the mutation digest has material.
-        assert "reflection" in result.request_tags
+        plain = self.canned_tags(small_table)
+        assert plain["crossover"] == plain["mutation"] == 1
+        tags = self.canned_tags(small_table, enable_pic=False)
+        # A mutation takes the crossover's place; reflections still run so
+        # the mutation digest has material.
+        assert tags == plain - Counter(crossover=1) + Counter(mutation=1)
+        assert tags["reflection"] == 1
 
     def test_sampler_run_is_deterministic(self, small_table):
         config = base_config(population_size=4, generations=2, elite_count=2)
@@ -604,7 +620,7 @@ class TestRun:
     def test_run_log_streams_match_result(self, small_table, tmp_path):
         config = base_config(population_size=4, generations=2, elite_count=2)
         provider = SamplerProvider(seed=9, feature_names=small_table.feature_names)
-        log = RunLog(tmp_path, "r")
+        log = RunLog(tmp_path)
         result = run_evolution(config, small_table, provider, log=log)
         tags = (log.dir / "requests.log").read_text(encoding="utf-8").splitlines()
         assert tags == list(result.request_tags)

@@ -117,7 +117,8 @@ def config(**overrides) -> EvolutionConfig:
 
 def evolve_to(tmp_path, name, provider, table, run_config):
     """Run `run_config` on `provider` into the run directory `name`; its files' bytes by name."""
-    log = RunLog(tmp_path, name)
+    (tmp_path / name).mkdir()
+    log = RunLog(tmp_path / name)
     result = run_evolution(run_config, table, provider, log=log)
     assert not result.aborted
     log.write_best(result.best.code, result.best.context)

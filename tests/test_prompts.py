@@ -5,6 +5,8 @@ import pytest
 
 from pillm import prompts
 from pillm.dsl import BUILTINS
+from pillm.dsl.interp import ZSCORE_EPS
+from pillm.dsl.nodes import BINARY_PREC
 from pillm.dsl.parser import MAX_WINDOW, MIN_WINDOW
 from pillm.evolution import EvolutionConfig, run_evolution
 from pillm.prompts import (
@@ -240,10 +242,28 @@ class TestParseReflection:
 
 
 class TestCheatsheet:
+    """The cheatsheet is the LLM's only description of the DSL; it must follow the DSL's tables."""
+
     def test_names_every_builtin_and_the_window_range(self):
         for name in BUILTINS:
             assert f"{name}(" in DSL_CHEATSHEET, name
         assert f"between {MIN_WINDOW} and {MAX_WINDOW}" in DSL_CHEATSHEET
+
+    def test_every_builtin_is_written_with_its_arity(self):
+        for name, (arity, _, _) in BUILTINS.items():
+            calls = re.findall(rf"\b{name}\(([^()]*)\)", DSL_CHEATSHEET)
+            assert calls, name
+            assert [len(args.split(",")) for args in calls] == [arity] * len(calls), (name, calls)
+
+    def test_states_the_literal_ranges_and_the_zscore_epsilon(self):
+        assert "ewma(x, a) with a in (0, 1]" in DSL_CHEATSHEET
+        zscore = re.search(r"\(std\(x, w\) \+ ([^)]+)\)", DSL_CHEATSHEET)
+        assert zscore and float(zscore.group(1)) == ZSCORE_EPS
+
+    def test_names_every_operator(self):
+        sentence = DSL_CHEATSHEET[DSL_CHEATSHEET.index("Operators:") :].split(".")[0]
+        named = set(re.findall(r"[-+*/<>=!]+|\b(?:and|or|not)\b", sentence))
+        assert named >= {*BINARY_PREC, "not"}
 
 
 class TestFeatureList:

@@ -49,35 +49,37 @@ def rule(code: str, context: str = "The zone runs hot under a stuck sensor.") ->
 
 class TestRunLog:
     def test_creates_directory_and_log(self, tmp_path):
-        log = RunLog(tmp_path, "run-a")
+        log = RunLog.create(tmp_path / "runs", 3, {})
+        assert log.dir.parent == tmp_path / "runs"
+        assert log.dir.name.startswith("run-") and log.dir.name.endswith("-s3")
         log.append(record("c0000", fitness=0.5))
-        assert (tmp_path / "run-a" / RUN_LOG_NAME).exists()
+        assert (log.dir / RUN_LOG_NAME).exists()
         assert [r["candidate_id"] for r in log.records()] == ["c0000"]
 
     def test_records_keep_append_order(self, tmp_path):
-        log = RunLog(tmp_path, "run-a")
+        log = RunLog(tmp_path)
         for i in range(5):
             log.append(record(f"c{i:04d}", fitness=i / 10))
         assert [r["candidate_id"] for r in log.records()] == [f"c{i:04d}" for i in range(5)]
 
     def test_each_record_is_one_json_line(self, tmp_path):
-        log = RunLog(tmp_path, "run-a")
+        log = RunLog(tmp_path)
         log.append(record("c0000", fitness=0.25))
         log.append(record("c0001"))
-        lines = (tmp_path / "run-a" / RUN_LOG_NAME).read_text().splitlines()
+        lines = (tmp_path / RUN_LOG_NAME).read_text().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0])["fitness"] == 0.25
         assert json.loads(lines[1])["fitness"] is None
 
     def test_missing_field_rejected(self, tmp_path):
-        log = RunLog(tmp_path, "run-a")
+        log = RunLog(tmp_path)
         bad = record("c0000")
         del bad["code_hash"]
         with pytest.raises(RunLogError, match="code_hash"):
             log.append(bad)
 
     def test_error_field_is_required(self, tmp_path):
-        log = RunLog(tmp_path, "run-a")
+        log = RunLog(tmp_path)
         slim = record("c0000")
         del slim["error"]
         with pytest.raises(RunLogError, match="error"):
@@ -87,19 +89,26 @@ class TestRunLog:
         assert log.records()[0]["candidate_id"] == "c0000"
 
     def test_duplicate_id_rejected(self, tmp_path):
-        log = RunLog(tmp_path, "run-a")
+        log = RunLog(tmp_path)
         log.append(record("c0000"))
         with pytest.raises(DuplicateRecordError):
             log.append(record("c0000"))
 
     def test_config_snapshot_round_trip(self, tmp_path):
         snapshot = {"population_size": 4, "provider": {"kind": "sampler", "seed": 3}}
-        log = RunLog(tmp_path, "run-a", config_snapshot=snapshot)
-        assert (tmp_path / "run-a" / CONFIG_SNAPSHOT_NAME).exists()
+        log = RunLog.create(tmp_path, 3, snapshot)
+        assert (log.dir / CONFIG_SNAPSHOT_NAME).exists()
         assert log.config_snapshot() == snapshot
 
+    def test_opening_a_missing_directory_creates_nothing(self, tmp_path):
+        log = RunLog(tmp_path / "runs" / "run-a")
+        assert log.records() == []
+        with pytest.raises(RunLogError, match="config.snapshot"):
+            log.config_snapshot()
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_snapshot_raises(self, tmp_path):
-        log = RunLog(tmp_path, "run-a")
+        log = RunLog(tmp_path)
         with pytest.raises(RunLogError, match="config.snapshot"):
             log.config_snapshot()
 
@@ -112,7 +121,7 @@ class TestRunLog:
         ],
     )
     def test_undecodable_files_name_the_line(self, tmp_path, tail, problem):
-        log = RunLog(tmp_path, "run-a")
+        log = RunLog(tmp_path)
         log.append(record("c0000"))
         log.path.write_bytes(log.path.read_bytes() + b"\n" + tail)
         with pytest.raises(RunLogError, match=f"{RUN_LOG_NAME} line 3 {problem}"):
@@ -122,18 +131,18 @@ class TestRunLog:
             log.config_snapshot()
 
     def test_write_best_keeps_code_and_context(self, tmp_path):
-        log = RunLog(tmp_path, "run-a")
+        log = RunLog(tmp_path)
         log.write_best("return $x > 1", "Two lines\nof context.")
-        body = (tmp_path / "run-a" / BEST_RULE_NAME).read_text()
+        body = (tmp_path / BEST_RULE_NAME).read_text()
         assert body.startswith("return $x > 1\n")
         assert "# context:" in body
         assert "# Two lines" in body
         assert "# of context." in body
 
     def test_write_report(self, tmp_path):
-        log = RunLog(tmp_path, "run-a")
+        log = RunLog(tmp_path)
         log.write_report("hello\n")
-        assert (tmp_path / "run-a" / REPORT_NAME).read_text() == "hello\n"
+        assert (tmp_path / REPORT_NAME).read_text() == "hello\n"
 
 
 class TestBestRecord:
