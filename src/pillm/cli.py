@@ -26,7 +26,7 @@ from .providers import (
     SamplerProvider,
     ScriptedProvider,
 )
-from .reporting import RunLog, RunLogError, best_record, generate_report, narrate_report
+from .reporting import RunDirError, RunLog, RunLogError, best_record, generate_report, narrate_report
 from .simulate import FAULT_KINDS, FaultSpec, SimConfig, SimulationError, generate_corpus
 from .timeseries import (
     TableError,
@@ -43,12 +43,13 @@ EXIT_ABORTED = 2
 EXIT_BAD_CONFIG = 3
 
 # The exit code of each error class a command lets through. A fault in a rule
-# or a run directory exits 1; any other unusable input exits 3. The most
-# specific class listed wins, so a ProviderConfigError exits 3 and any other
-# ProviderError 1.
+# or a run directory exits 1; any other unusable input, such as an `--out`
+# where no run directory can be made, exits 3. The most specific class listed
+# wins, so a ProviderConfigError exits 3 and any other ProviderError 1.
 EXIT_CODES = {
     DslError: 1,
     RunLogError: 1,
+    RunDirError: EXIT_BAD_CONFIG,
     ProviderError: 1,
     TableError: EXIT_BAD_CONFIG,
     ConfigError: EXIT_BAD_CONFIG,

@@ -153,13 +153,10 @@ class EvolutionConfig:
 @dataclass
 class RunResult:
     best: RuleCandidate | None
-    population: list[RuleCandidate]
     records: list[dict]
     generations_completed: int
     llm_calls: int
     aborted: bool
-    best_fitness_history: list[float]
-    request_tags: tuple[str, ...] = ()
 
 
 def default_seed_rule(metas: Sequence[FeatureMeta]) -> tuple[str, str]:
@@ -257,12 +254,13 @@ class _SlotSpec(NamedTuple):
     """One operator slot of a plan: the earlier slots it `reads`, by index, and its builder.
 
     `build` gets the committed results of `reads`, in that order, and
-    returns the call the pool runs for the slot, which yields a `Reflection`
-    or a `RuleCandidate`, or None.
+    returns the call the pool runs for the slot. The call gets the list its
+    requests' tags go to and yields a `Reflection` or a `RuleCandidate`, or
+    None.
     """
 
     reads: tuple[int, ...]
-    build: Callable[..., Callable[[], object]]
+    build: Callable[..., Callable[[list[str]], object]]
 
 
 class EvolutionEngine:
@@ -282,13 +280,14 @@ class EvolutionEngine:
     answers by call order needs. Reflections, candidate ids and records are
     committed in slot order, never in completion order.
 
-    The `llm_call_budget` check, the request's tag and `log.request(tag)`
-    happen together under one lock, so every request issued belongs to
-    exactly one slot. Once a slot finds the budget spent or an init request
-    fails, no further slot starts, and the run stops after the slots already
-    started have finished; those that issued a request are kept. A slot that
-    raises halts the run the same way, and its exception propagates once the
-    other slots' candidates are logged.
+    The `llm_call_budget` check and the count of a request happen together
+    under one lock, and the request's tag goes to the list `_run_plan` keeps
+    for its slot, so every request issued belongs to exactly one slot. Once
+    a slot finds the budget spent or an init request fails, no further slot
+    starts, and the run stops after the slots already started have finished;
+    those that issued a request are kept. A slot that raises halts the run
+    the same way, and its exception propagates once the other slots' tags
+    and candidates are logged.
 
     Candidates are evaluated on the engine's own thread. Each distinct rule
     (by `RuleAst`, which compares structurally) is scored once per run, and
@@ -298,9 +297,10 @@ class EvolutionEngine:
     its body, as `prompts.load_templates` reads them; the packaged set by
     default, read when the engine starts.
 
-    `log`, when given, receives `request(tag)` as each LLM request is issued,
-    in issue order, and `append(record)` as each candidate is evaluated, in
-    slot order (see `RunLog`). An engine runs once.
+    `log`, when given, receives `request(tag)` for each LLM request a slot
+    issued, when the slot is committed, and `append(record)` as each
+    candidate is evaluated; both in slot order, so at any width a run logs
+    what it logs at width 1 (see `RunLog`). An engine runs once.
     """
 
     def __init__(
@@ -323,7 +323,7 @@ class EvolutionEngine:
         self._next_index = 0
         self._next_ordinal = 0
         self._records: list[dict] = []
-        self._request_tags: list[str] = []
+        self.llm_calls = 0
         self._lock = threading.Lock()
         # Set when the budget is spent, an init request fails or a slot raises:
         # no further slot starts.
@@ -343,10 +343,6 @@ class EvolutionEngine:
         self._system_prompt = prompts.render("generator_system", self._shared_bindings, self._templates)
 
     # ---- provider plumbing -------------------------------------------------
-
-    @property
-    def llm_calls(self) -> int:
-        return len(self._request_tags)
 
     def _requests(self, tag: str, user: str, system: str | None = None) -> Iterator[CompletionRequest]:
         """The next slot's requests, one per attempt, each with its own seed.
@@ -371,32 +367,30 @@ class EvolutionEngine:
         )
 
     def _complete(self, request: CompletionRequest, issued: list[str]) -> str:
-        """Send `request` unless the call budget is spent; its tag goes to `issued`."""
+        """Send `request` unless the call budget is spent; its tag goes to its slot's `issued`."""
         with self._lock:
             if self.llm_calls >= self.config.llm_call_budget:
                 self._halt.set()
                 raise _CallBudgetExhausted()
-            self._request_tags.append(request.tag)
+            self.llm_calls += 1
             issued.append(request.tag)
-            if self.log is not None:
-                self.log.request(request.tag)
         return self.provider.complete(request).text
 
     def _slot(
         self,
         requests: Iterator[CompletionRequest],
         generation: int,
-        parents: tuple[str, ...] = (),
+        parents: tuple[str, ...],
+        issued: list[str],
     ) -> RuleCandidate | None:
         """Ask for a rule, retrying extraction/parse/typecheck failures with the next request.
 
-        Yields the slot's one candidate, whose `request_tags_used` holds one
-        tag per request the slot issued, or None when the call budget was
-        spent before the slot's first request. A provider failure makes the
-        candidate invalid with the provider's message, and during init also
-        aborts the run.
+        Yields the slot's one candidate, whose `request_tags_used` holds the
+        slot's `issued` tags, one per request, or None when the call budget
+        was spent before the slot's first request. A provider failure makes
+        the candidate invalid with the provider's message, and during init
+        also aborts the run.
         """
-        issued: list[str] = []
         parsed = rule = error = None
         try:
             for request in requests:
@@ -430,12 +424,12 @@ class EvolutionEngine:
             rule=rule,
         )
 
-    def _start(self, call: Callable[[], object]):
-        """Run `call`; None if the run has halted before it starts."""
+    def _start(self, call: Callable[[list[str]], object], issued: list[str]):
+        """Run `call(issued)`; None if the run has halted before it starts."""
         if self._halt.is_set():
             return None
         try:
-            return call()
+            return call(issued)
         except BaseException:
             # No further slot starts.
             self._halt.set()
@@ -462,17 +456,23 @@ class EvolutionEngine:
 
         Slots are submitted in slot order, each once every slot up to the
         last one it reads is committed. Builders run here, on the engine's
-        thread, so a slot's requests get their seeds in slot order. Results
-        are committed in slot order, and a committed reflection joins the
-        digest. A slot that raised has halted the run; its exception is
+        thread, so a slot's requests get their seeds in slot order. Each
+        slot's request tags go to its own list. Results are committed in
+        slot order: the slot's tags go to `log.request`, whether it returned,
+        raised or found the budget spent, and a committed reflection joins
+        the digest. A slot that raised has halted the run; its exception is
         re-raised once `head` and the other slots' candidates are logged.
         """
         tasks: list[Future] = []
+        issued: list[list[str]] = []
         results: list = []
 
         def commit(count: int) -> None:
-            for task in tasks[len(results) : count]:
+            for task, tags in zip(tasks[len(results) : count], issued[len(results) : count]):
                 result = task.result() if task.exception() is None else None
+                if self.log is not None:
+                    for tag in tags:
+                        self.log.request(tag)
                 if isinstance(result, Reflection):
                     self._reflections.append(result)
                 results.append(result)
@@ -480,7 +480,8 @@ class EvolutionEngine:
         for spec in plan:
             commit(max(spec.reads, default=-1) + 1)
             call = spec.build(*(results[i] for i in spec.reads))
-            tasks.append(pool.submit(self._start, call))
+            issued.append([])
+            tasks.append(pool.submit(self._start, call, issued[-1]))
         commit(len(tasks))
         population = [*head, *(r for r in results if isinstance(r, RuleCandidate))]
         self.evaluate_population(population)
@@ -603,7 +604,7 @@ class EvolutionEngine:
 
     def _rule_call(
         self, tag: str, user_prompt: str, generation: int, parents: tuple[str, ...] = ()
-    ) -> Callable[[], RuleCandidate | None]:
+    ) -> Callable[[list[str]], RuleCandidate | None]:
         """The call of the next slot that asks for a rule."""
         return partial(self._slot, self._requests(tag, user_prompt), generation, parents)
 
@@ -618,16 +619,16 @@ class EvolutionEngine:
 
     def _reflection_call(
         self, worse: RuleCandidate, better: RuleCandidate
-    ) -> Callable[[], Reflection | None]:
+    ) -> Callable[[list[str]], Reflection | None]:
         bindings = self._pair_bindings(worse, better)
         system = prompts.render("reflection_system", bindings, self._templates)
         user = "Respond now with your hints and the improved physical context."
         return partial(self._reflect, self._requests("reflection", user, system))
 
-    def _reflect(self, requests: Iterator[CompletionRequest]) -> Reflection | None:
+    def _reflect(self, requests: Iterator[CompletionRequest], issued: list[str]) -> Reflection | None:
         """Ask for hints about why the better rule wins; None drops the pair."""
         try:
-            text = self._complete(next(requests), [])
+            text = self._complete(next(requests), issued)
         except (ProviderError, _CallBudgetExhausted):
             return None
         return Reflection(*prompts.parse_reflection(text))
@@ -638,7 +639,7 @@ class EvolutionEngine:
         better: RuleCandidate,
         generation: int,
         reflection: Reflection | None = None,
-    ) -> Callable[[], RuleCandidate | None]:
+    ) -> Callable[[list[str]], RuleCandidate | None]:
         bindings = self._pair_bindings(worse, better)
         bindings["reflection_comments"] = reflection.comments if reflection else NO_REFLECTION_TEXT
         bindings["reflection_context"] = reflection.context if reflection else ""
@@ -647,7 +648,7 @@ class EvolutionEngine:
 
     def _mutation_call(
         self, elite: RuleCandidate, generation: int, *reflections: Reflection | None
-    ) -> Callable[[], RuleCandidate | None]:
+    ) -> Callable[[list[str]], RuleCandidate | None]:
         """The prompt reads the digest, which the committed `reflections` have joined."""
         digest = long_term_reflection(self._reflections, self.config.long_term_window)
         latest_context = self._reflections[-1].context if self._reflections else NO_REFLECTIONS_YET
@@ -674,7 +675,6 @@ class EvolutionEngine:
 
     def _run(self, pool: ThreadPoolExecutor, seed_rule: tuple[str, str] | None) -> RunResult:
         config = self.config
-        history: list[float] = []
         generations_completed = 0
         code, context = seed_rule or default_seed_rule(self.train_table.features)
         seed = RuleCandidate(
@@ -686,8 +686,6 @@ class EvolutionEngine:
             rule=compile_rule(code, self._feature_names),
         )
         population = self._run_plan(pool, self._init_plan(seed), head=(seed,))
-        if self._best_ever is not None:
-            history.append(self._best_ever.fitness)
 
         for generation in range(1, config.generations + 1):
             if self._halt.is_set():
@@ -699,17 +697,13 @@ class EvolutionEngine:
             ranked = sorted(elites + fresh, key=lambda c: rank_key(c.fitness, c.id))
             population = ranked[: config.population_size]
             generations_completed = generation
-            history.append(self._best_ever.fitness if self._best_ever else 0.0)
 
         return RunResult(
             best=self._best_ever,
-            population=population,
             records=self._records,
             generations_completed=generations_completed,
             llm_calls=self.llm_calls,
             aborted=self._aborted,
-            best_fitness_history=history,
-            request_tags=tuple(self._request_tags),
         )
 
 

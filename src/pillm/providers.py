@@ -10,9 +10,9 @@ runs reproducible with zero network access.
 The sampler draws its builtins, and each one's window or alpha literal, from
 `nodes.BUILTINS`, so every builtin of the DSL can appear in its rules. Each
 of its answers is a pure function of the sampler's seed and the request's
-`seed`, not of call order. It still takes one request at a time, because the
-engine writes `requests.log` in the order requests are issued, and that
-order varies when more than one is in flight.
+`seed`, not of call order. It still takes one request at a time: above one,
+which slots get the last calls of a spent `llm_call_budget` depends on
+thread timing, so a run that spends its budget would not repeat.
 """
 
 from __future__ import annotations
@@ -362,8 +362,9 @@ class SamplerProvider(Provider):
     the order of calls; a request without a seed is answered from the
     sampler seed alone. `narrate` requests echo the prompt.
 
-    Its width stays 1 although its answers would allow more: the engine
-    writes `requests.log` in issue order, which varies above width 1.
+    Its width stays 1 although its answers would allow more: above width 1,
+    which slots get the last calls of a spent `llm_call_budget` depends on
+    thread timing, so a run that spends its budget would not repeat.
     """
 
     max_in_flight = 1

@@ -2,11 +2,13 @@
 
 `RunLog` reserves each new run directory and is its only writer. Its two
 streams, `run.jsonl` (one record per candidate) and `requests.log` (one tag
-per LLM request, written as the request is issued), are appended and fsync'd
-a line at a time, so an aborted or crashed run keeps every line written
-before it stopped. The report follows the identify / evidence / severity
-structure: quote the winning rule's physical hypothesis, back each detected
-incident with the most deviant referenced signals, then grade it.
+per LLM request, written in slot order once the request's slot has
+finished), are appended and fsync'd a line at a time, so an aborted or
+crashed run keeps every line written before it stopped; a hard kill loses
+the tags of the slots still in flight, whose records were not written
+either. The report follows the identify / evidence / severity structure:
+quote the winning rule's physical hypothesis, back each detected incident
+with the most deviant referenced signals, then grade it.
 """
 
 from __future__ import annotations
@@ -52,6 +54,10 @@ class DuplicateRecordError(RunLogError):
     """A candidate_id was appended twice."""
 
 
+class RunDirError(RunLogError):
+    """No new run directory can be made under the given root."""
+
+
 def _json_object(data: bytes, path: Path, line: int = 1) -> dict:
     """The JSON object in `data`, read from `path` at 1-based `line`.
 
@@ -89,20 +95,25 @@ class RunLog:
 
         The exclusive mkdir reserves the name, so two runs started in the same
         second with the same seed get two directories (the second with `-2`).
-        The new directory holds `config_snapshot` before this returns.
+        The new directory holds `config_snapshot` before this returns. Any
+        other `OSError`, such as `out_root` lying under a regular file,
+        raises `RunDirError` naming `out_root`.
         """
         base = f"run-{time.strftime('%Y%m%d-%H%M%S')}-s{seed}"
         run_dir, counter = Path(out_root) / base, 2
-        while True:
-            try:
-                run_dir.mkdir(parents=True)
-                break
-            except FileExistsError:
-                run_dir = run_dir.with_name(f"{base}-{counter}")
-                counter += 1
-        (run_dir / CONFIG_SNAPSHOT_NAME).write_text(
-            json.dumps(config_snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        try:
+            while True:
+                try:
+                    run_dir.mkdir(parents=True)
+                    break
+                except FileExistsError:
+                    run_dir = run_dir.with_name(f"{base}-{counter}")
+                    counter += 1
+            (run_dir / CONFIG_SNAPSHOT_NAME).write_text(
+                json.dumps(config_snapshot, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            )
+        except OSError as exc:
+            raise RunDirError(f"cannot make a run directory under {out_root}: {exc.strerror}") from None
         return cls(run_dir)
 
     def append(self, record: dict) -> None:
@@ -117,7 +128,12 @@ class RunLog:
         self._seen.add(candidate_id)
 
     def request(self, tag: str) -> None:
-        """Append one LLM request tag, flushed to disk before the request is sent."""
+        """Append one LLM request tag, flushed to disk before returning.
+
+        The engine calls this for each slot's tags once the slot has
+        finished, in slot order, so the log does not depend on the order
+        replies arrive in.
+        """
         self._append_line(self.dir / REQUESTS_LOG_NAME, tag)
 
     @staticmethod
@@ -128,9 +144,9 @@ class RunLog:
             os.fsync(handle.fileno())
 
     def records(self) -> list[dict]:
-        """Every record in the log; `RunLogError` names the first line that is not one."""
+        """Every record in the log; `RunLogError` names the first line that is not one, or a missing log."""
         if not self.path.exists():
-            return []
+            raise RunLogError(f"missing {RUN_LOG_NAME} in {self.dir}")
         out = []
         with open(self.path, "rb") as handle:
             for number, line in enumerate(handle, 1):

@@ -1015,9 +1015,9 @@ class _Workdir:
         path.write_text(text, encoding="utf-8")
         return str(path)
 
-    def evolve(self, config_text: str, *extra: str, data: str | None = None) -> list[str]:
+    def evolve(self, config_text: str, *extra: str, data: str | None = None, out: str | None = None) -> list[str]:
         config = self.file("config.json", config_text)
-        out = str(self.root / "runs")
+        out = out or str(self.root / "runs")
         return ["evolve", "--data", data or self.data, "--meta", self.meta, "--config", config, "--out", out, *extra]
 
     def report(self, run_dir: Path, *extra: str) -> list[str]:
@@ -1052,6 +1052,12 @@ class _Workdir:
 EXIT_CODE_CASES = [
     ("DslError", 1, "1:20: expected an expression", lambda w: ["check", "--rule", w.file("bad.rule", "return $zone_temp >\n")]),
     ("RunLogError", 1, f"{os.sep}torn{os.sep}run.jsonl line 1 is not valid JSON", lambda w: w.report(w.torn_run())),
+    (
+        "RunDirError",
+        3,
+        f"{os.sep}afile{os.sep}runs: Not a directory",
+        lambda w: w.evolve("{}", "--provider", "sampler", out=os.path.join(w.file("afile", ""), "runs")),
+    ),
     ("ProviderError", 1, "[narrate] HTTP 400: bad request", lambda w: w.failed_narration()),
     (
         "TableError",
@@ -1078,7 +1084,7 @@ EXIT_CODE_CASES = [
 
 
 # Exit paths besides the table's one case per class: (an id, the exit code,
-# the whole error line, the arguments).
+# the whole error line, with `{root}` for the test's directory, the arguments).
 EXIT_PATH_CASES = [
     ("config-not-object", 3, "config must be a JSON object", lambda w: w.evolve("[]", "--provider", "sampler")),
     (
@@ -1087,7 +1093,7 @@ EXIT_PATH_CASES = [
         "training data must be labeled",
         lambda w: w.evolve("{}", "--provider", "sampler", data=w.unlabeled_data()),
     ),
-    ("report-without-log", 1, "run log contains no valid candidate to report on", lambda w: w.report(Path(w.empty_dir()))),
+    ("report-without-log", 1, f"missing run.jsonl in {{root}}{os.sep}empty", lambda w: w.report(Path(w.empty_dir()))),
     (
         "too-many-bindings",
         1,
@@ -1135,7 +1141,7 @@ class TestExitCodes:
         result = runner.invoke(main, build(_Workdir(tmp_path, monkeypatch, *finished_run)))
         assert result.exit_code == code, result.output
         assert isinstance(result.exception, SystemExit), result.exception
-        assert result.output.splitlines() == [f"error: {message}"]
+        assert result.output.splitlines() == [f"error: {message.format(root=tmp_path)}"]
         assert not (tmp_path / "runs").exists()
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import sys
 import threading
@@ -70,6 +71,15 @@ class ListSink(list):
 
     def request(self, tag: str) -> None:
         self.tags.append(tag)
+
+
+def best_so_far(records) -> list[float]:
+    """The best valid fitness up to each generation of `records`: a running maximum."""
+    per_generation = [
+        max((r["fitness"] for r in records if r["generation"] == g and r["fitness"] is not None), default=0.0)
+        for g in range(1 + max(r["generation"] for r in records))
+    ]
+    return list(itertools.accumulate(per_generation, max))
 
 
 class FailingProvider:
@@ -268,10 +278,10 @@ class TestEngine:
         result = run_evolution(
             base_config(generations=0), small_table, provider, seed_rule=SEED_DUD
         )
-        population = result.population
-        assert [c.operator for c in population] == ["seed", "init", "init"]
-        assert population[0].code == SEED_DUD[0]
-        assert population[1].code == "return $x > 0.5"
+        records = result.records
+        assert [r["operator"] for r in records] == ["seed", "init", "init"]
+        assert records[0]["code"] == SEED_DUD[0]
+        assert records[1]["code"] == "return $x > 0.5"
 
     def test_extraction_failure_consumes_retry(self, small_table):
         provider = scripted(("init", "my apologies, no code today"), ("init", RULE_HALF))
@@ -281,9 +291,9 @@ class TestEngine:
             provider,
             seed_rule=SEED_DUD,
         )
-        child = result.population[1]
-        assert child.error is None
-        assert child.request_tags_used == ("init", "init")
+        child = result.records[1]
+        assert child["error"] is None
+        assert child["request_tags_used"] == ["init", "init"]
         assert result.llm_calls == 2
 
     def test_typecheck_failure_consumes_retry(self, small_table):
@@ -295,8 +305,8 @@ class TestEngine:
             provider,
             seed_rule=SEED_DUD,
         )
-        assert result.population[1].code == "return $x > 1.5"
-        assert result.population[1].request_tags_used == ("init", "init")
+        assert result.records[1]["code"] == "return $x > 1.5"
+        assert result.records[1]["request_tags_used"] == ["init", "init"]
 
     def test_exhausted_retries_mark_invalid(self, small_table):
         provider = scripted(("init", "nope"), ("init", "still nope"))
@@ -306,11 +316,10 @@ class TestEngine:
             provider,
             seed_rule=SEED_DUD,
         )
-        child = result.population[1]
-        assert child.error is not None
-        assert child.rule is None
-        assert child.fitness is None
-        assert not child.is_valid
+        child = result.records[1]
+        assert child["error"] is not None
+        assert child["fitness"] is None
+        assert result.best.id == "c0000"
 
     def test_evaluate_logs_each_candidate_once(self, small_table):
         sink = ListSink()
@@ -352,8 +361,8 @@ class TestEngine:
     def one_generation(small_table, reflection="Hint.\n\nContext.", fail_tags=None):
         """One generation of `base_config()`: a reflection, a crossover and a mutation.
 
-        Returns the result and the user prompt of each tag. With `fail_tags`,
-        requests with those tags fail and get no prompt.
+        Returns what the run logged and the user prompt of each tag. With
+        `fail_tags`, requests with those tags fail and get no prompt.
         """
         canned = CannedProvider(
             {
@@ -364,10 +373,9 @@ class TestEngine:
             }
         )
         provider = canned if fail_tags is None else FailingProvider(fail_tags, fallback=canned)
-        result = run_evolution(
-            base_config(generations=1), small_table, provider, seed_rule=SEED_DUD
-        )
-        return result, {request.tag: request.user_prompt for request in canned.requests}
+        sink = ListSink()
+        run_evolution(base_config(generations=1), small_table, provider, log=sink, seed_rule=SEED_DUD)
+        return sink, {request.tag: request.user_prompt for request in canned.requests}
 
     def test_reflection_paragraph_split(self, small_table):
         text = "First hint.\n\nSecond hint.\n\nThe coil leaks heat when idle."
@@ -385,18 +393,18 @@ class TestEngine:
         assert "[Reflection]\nOnly one thought.\n(none provided)\n\n" in prompt["crossover"]
 
     def test_reflection_provider_failure_drops_pair(self, small_table):
-        result, prompt = self.one_generation(small_table, fail_tags={"reflection"})
-        assert result.request_tags.count("reflection") == 1
+        sink, prompt = self.one_generation(small_table, fail_tags={"reflection"})
+        assert sink.tags.count("reflection") == 1
         assert NO_REFLECTION_TEXT in prompt["crossover"]
         empty_digest = f"[Prior Reflection]\n{NO_REFLECTIONS_YET}\n{NO_REFLECTIONS_YET}\n"
         assert empty_digest in prompt["mutation"]
 
     def test_crossover_lineage_and_prompt(self, small_table):
         reflection = "Use a tighter threshold.\n\nSetpoint drift."
-        result, prompt = self.one_generation(small_table, reflection=reflection)
-        (child,) = [r for r in result.records if r["operator"] == "crossover"]
+        records, prompt = self.one_generation(small_table, reflection=reflection)
+        (child,) = [r for r in records if r["operator"] == "crossover"]
         assert child["generation"] == 1
-        by_id = {r["candidate_id"]: r for r in result.records}
+        by_id = {r["candidate_id"]: r for r in records}
         worse, better = (by_id[parent] for parent in child["parent_ids"])
         assert worse["fitness"] < better["fitness"]
         assert f"[Worse Rules]\n```rule\n{worse['code']}\n```" in prompt["crossover"]
@@ -404,9 +412,9 @@ class TestEngine:
         assert "Use a tighter threshold." in prompt["crossover"]
 
     def test_mutation_lineage(self, small_table):
-        result, prompt = self.one_generation(small_table)
-        (child,) = [r for r in result.records if r["operator"] == "mutation"]
-        elite = max((r for r in result.records if r["generation"] == 0), key=lambda r: r["fitness"])
+        records, prompt = self.one_generation(small_table)
+        (child,) = [r for r in records if r["operator"] == "mutation"]
+        elite = max((r for r in records if r["generation"] == 0), key=lambda r: r["fitness"])
         assert child["generation"] == 1
         assert child["parent_ids"] == [elite["candidate_id"]]
         assert f"[Code]\n```rule\n{elite['code']}\n```" in prompt["mutation"]
@@ -417,11 +425,10 @@ class TestEngine:
         assert "- Watch the damper. Stuck actuator." in prompt["mutation"]
 
     def test_offspring_provider_failure_marks_invalid(self, small_table):
-        result, _ = self.one_generation(small_table, fail_tags={"crossover"})
-        # Three survivors of three: the elite and both offspring.
-        (child,) = [c for c in result.population if c.operator == "crossover"]
-        assert child.error is not None
-        assert child.rule is None
+        records, _ = self.one_generation(small_table, fail_tags={"crossover"})
+        (child,) = [r for r in records if r["operator"] == "crossover"]
+        assert child["error"] == "synthetic failure for crossover"
+        assert child["fitness"] is None
 
 
 class TestRun:
@@ -446,15 +453,15 @@ class TestRun:
         assert result.llm_calls == 8
         assert len(result.records) == 7
         assert result.best.fitness == pytest.approx(1.0)
-        assert result.best_fitness_history == pytest.approx([2 / 3, 1.0, 1.0])
-        assert len(result.population) == 3
+        assert best_so_far(result.records) == pytest.approx([2 / 3, 1.0, 1.0])
 
     def test_history_non_decreasing_and_ids_unique(self, small_table):
         result = run_evolution(
             base_config(), small_table, self.scripted_run_provider(), seed_rule=SEED_DUD
         )
-        history = result.best_fitness_history
+        history = best_so_far(result.records)
         assert all(a <= b for a, b in zip(history, history[1:]))
+        assert result.best.fitness == history[-1]
         ids = [r["candidate_id"] for r in result.records]
         assert len(ids) == len(set(ids))
 
@@ -469,11 +476,12 @@ class TestRun:
             enable_pir=enable_pir, enable_pic=enable_pic, retry_budget=0
         )
         provider = KeyedProvider(max_in_flight=1, delay=0)
-        result = run_evolution(config, small_table, provider)
+        sink = ListSink()
+        result = run_evolution(config, small_table, provider, log=sink)
         tag = {"R": "reflection", "C": "crossover", "M": "mutation"}
-        per_generation = tuple(tag[letter] for letter in generation_tags)
+        per_generation = [tag[letter] for letter in generation_tags]
         assert result.generations_completed == 3
-        assert result.request_tags == ("init",) * 5 + per_generation * 3
+        assert sink.tags == ["init"] * 5 + per_generation * 3
 
     def test_abort_when_provider_dies_during_init(self, small_table):
         result = run_evolution(base_config(), small_table, FailingProvider(), seed_rule=SEED_DUD)
@@ -483,10 +491,11 @@ class TestRun:
         assert result.generations_completed == 0
 
     @staticmethod
-    def assert_every_request_logged(result):
-        """Each request is a reflection or belongs to exactly one candidate record."""
+    def assert_every_request_logged(result, sink):
+        """Each request is logged, and is a reflection or belongs to exactly one candidate record."""
+        assert len(sink.tags) == result.llm_calls
         slot_requests = sum(len(r["request_tags_used"]) for r in result.records)
-        assert slot_requests + result.request_tags.count("reflection") == result.llm_calls
+        assert slot_requests + sink.tags.count("reflection") == result.llm_calls
 
     def test_provider_failure_on_retry_counts_both_requests(self, small_table):
         provider = CannedProvider(
@@ -497,11 +506,12 @@ class TestRun:
                 "mutation": [RULE_PERFECT],
             }
         )
+        sink = ListSink()
         result = run_evolution(
-            base_config(generations=1, retry_budget=1), small_table, provider, seed_rule=SEED_DUD
+            base_config(generations=1, retry_budget=1), small_table, provider, log=sink, seed_rule=SEED_DUD
         )
         assert not result.aborted
-        self.assert_every_request_logged(result)
+        self.assert_every_request_logged(result, sink)
         (child,) = [r for r in result.records if r["operator"] == "crossover"]
         assert child["request_tags_used"] == ["crossover", "crossover"]
         assert child["error"] == "no canned text for 'crossover'"
@@ -516,15 +526,17 @@ class TestRun:
                 "mutation": [RULE_PERFECT],
             }
         )
+        sink = ListSink()
         result = run_evolution(
             base_config(generations=3, retry_budget=1, llm_call_budget=4),
             small_table,
             provider,
+            log=sink,
             seed_rule=SEED_DUD,
         )
         assert result.llm_calls == 4
         assert result.generations_completed == 0
-        self.assert_every_request_logged(result)
+        self.assert_every_request_logged(result, sink)
         child = result.records[-1]
         assert child["operator"] == "crossover"
         assert child["request_tags_used"] == ["crossover"]
@@ -532,17 +544,18 @@ class TestRun:
 
     def test_provider_failure_on_second_init_logs_generation_zero(self, small_table):
         provider = CannedProvider({"init": [RULE_HALF]})
-        result = run_evolution(base_config(), small_table, provider, seed_rule=SEED_DUD)
+        sink = ListSink()
+        result = run_evolution(base_config(), small_table, provider, log=sink, seed_rule=SEED_DUD)
         assert result.aborted
         assert result.generations_completed == 0
-        self.assert_every_request_logged(result)
+        self.assert_every_request_logged(result, sink)
         assert [r["operator"] for r in result.records] == ["seed", "init", "init"]
         assert result.records[1]["fitness"] == pytest.approx(0.5)
         failed = result.records[2]
         assert failed["request_tags_used"] == ["init"]
         assert failed["error"] == "no canned text for 'init'"
         assert result.best.id == "c0001"
-        assert result.best_fitness_history == pytest.approx([0.5])
+        assert best_so_far(result.records) == pytest.approx([0.5])
 
     def test_call_budget_stops_mid_generation(self, small_table):
         result = run_evolution(
@@ -557,7 +570,6 @@ class TestRun:
         # Init population plus the one crossover child that fit in the budget.
         assert len(result.records) == 4
         assert result.records[-1]["operator"] == "crossover"
-        assert len(result.best_fitness_history) == 1
 
     @staticmethod
     def canned_tags(table, **overrides) -> Counter:
@@ -610,12 +622,13 @@ class TestRun:
 
         def go():
             provider = SamplerProvider(seed=9, feature_names=small_table.feature_names)
-            return run_evolution(config, small_table, provider)
+            sink = ListSink()
+            return run_evolution(config, small_table, provider, log=sink), sink.tags
 
-        first, second = go(), go()
+        (first, first_tags), (second, second_tags) = go(), go()
         assert first.records == second.records
         assert first.best.code == second.best.code
-        assert first.request_tags == second.request_tags
+        assert first_tags == second_tags
 
     def test_run_log_streams_match_result(self, small_table, tmp_path):
         config = base_config(population_size=4, generations=2, elite_count=2)
@@ -623,8 +636,10 @@ class TestRun:
         log = RunLog(tmp_path)
         result = run_evolution(config, small_table, provider, log=log)
         tags = (log.dir / "requests.log").read_text(encoding="utf-8").splitlines()
-        assert tags == list(result.request_tags)
         assert len(tags) == result.llm_calls
+        # The rule slots' tags, in slot order, are their records' tags in record order.
+        slot_tags = [tag for record in result.records for tag in record["request_tags_used"]]
+        assert [tag for tag in tags if tag != "reflection"] == slot_tags
         assert log.records() == result.records
 
     def test_temperatures_split_by_phase(self, small_table):
@@ -708,32 +723,33 @@ class KeyedProvider:
 
 
 class GatedProvider(KeyedProvider):
-    """Holds one request, `gate` = (request, occurrence), until a crossover arrives.
+    """Holds one request, `gate` = (request, occurrence), until one tagged `until` arrives.
 
     `released` tells whether one arrived within `timeout` seconds, so an
-    engine that never issues a crossover while `gate` is in flight fails
+    engine that never issues such a request while `gate` is in flight fails
     the test instead of hanging it. With `crash`, the held request then
     raises it.
     """
 
-    def __init__(self, gate, timeout=5.0, crash=None, **kwargs) -> None:
+    def __init__(self, gate, until="crossover", timeout=5.0, crash=None, **kwargs) -> None:
         super().__init__(**kwargs)
         self._gate = gate
+        self._until = until
         self._timeout = timeout
         self._crash = crash
-        self._crossover_issued = threading.Event()
+        self._until_issued = threading.Event()
         self._gate_seen = 0
         self.released = None
 
     def complete(self, request) -> CompletionResult:
-        if request.tag == "crossover":
-            self._crossover_issued.set()
+        if request.tag == self._until:
+            self._until_issued.set()
         elif request == self._gate[0]:
             with self._lock:
                 occurrence = self._gate_seen
                 self._gate_seen += 1
             if occurrence == self._gate[1]:
-                self.released = self._crossover_issued.wait(self._timeout)
+                self.released = self._until_issued.wait(self._timeout)
                 if self._crash is not None:
                     raise self._crash
         return super().complete(request)
@@ -776,7 +792,8 @@ class TestConcurrentWaves:
     def test_width_four_logs_what_width_one_logs(self, small_table, enable_pir, enable_pic):
         # Seed 2: the first two init slots retry.
         config = self.config(enable_pir=enable_pir, enable_pic=enable_pic, seed=2)
-        serial = run_evolution(config, small_table, KeyedProvider(max_in_flight=1, delay=0))
+        serial_sink = ListSink()
+        serial = run_evolution(config, small_table, KeyedProvider(max_in_flight=1, delay=0), log=serial_sink)
         inits = [r for r in serial.records if r["operator"] == "init"]
         assert [len(r["request_tags_used"]) for r in inits] == [2, 2, 1, 1, 1]
         provider = KeyedProvider(max_in_flight=4)
@@ -786,10 +803,8 @@ class TestConcurrentWaves:
         assert concurrent.generations_completed == serial.generations_completed == 3
         assert concurrent.records == serial.records
         assert list(sink) == serial.records
-        assert sorted(concurrent.request_tags) == sorted(serial.request_tags)
-        assert sink.tags == list(concurrent.request_tags)
-        assert concurrent.best_fitness_history == serial.best_fitness_history
-        TestRun.assert_every_request_logged(concurrent)
+        assert sink.tags == serial_sink.tags
+        TestRun.assert_every_request_logged(concurrent, sink)
 
     @pytest.mark.parametrize("enable_pic", [True, False], ids=["default", "no-pic"])
     @pytest.mark.parametrize("width", [1, 4])
@@ -858,8 +873,9 @@ class TestConcurrentWaves:
 
     def test_init_slots_overlap(self, small_table):
         provider = KeyedProvider(max_in_flight=4)
-        result = run_evolution(self.config(generations=0), small_table, provider)
-        assert set(result.request_tags) == {"init"}
+        sink = ListSink()
+        run_evolution(self.config(generations=0), small_table, provider, log=sink)
+        assert set(sink.tags) == {"init"}
         assert provider.most_in_flight >= 2
 
     def test_crossover_starts_before_the_last_reflection_returns(self, small_table):
@@ -876,9 +892,18 @@ class TestConcurrentWaves:
         assert concurrent.records == serial.records
 
         # Mutations wait for the whole digest: each mutation prompt carries
-        # every reflection of its own generation.
+        # every reflection of its own generation. The sink logs requests in
+        # slot order; a request's seed gives its slot and attempt.
+        slot_order = {
+            request_seed(config, ordinal, attempt): (ordinal, attempt)
+            for ordinal in range(len(provider.issued))
+            for attempt in range(1 + config.retry_budget)
+        }
+        in_slot_order = sorted(provider.issued, key=lambda issued: slot_order[issued[0].seed])
+        generations = sink.request_generations()
+        assert len(generations) == len(in_slot_order)
         by_generation: dict[int, list] = {}
-        for generation, issued in zip(sink.request_generations(), provider.issued):
+        for generation, issued in zip(generations, in_slot_order):
             by_generation.setdefault(generation, []).append(issued)
         assert sorted(by_generation) == [0, 1, 2, 3]
         for generation in (1, 2, 3):
@@ -892,6 +917,33 @@ class TestConcurrentWaves:
             assert texts and mutations
             for mutation in mutations:
                 assert all(text in mutation.user_prompt for text in texts)
+
+    def test_a_retry_sent_after_later_slots_is_logged_in_slot_order(self, small_table, tmp_path):
+        # A crossover whose first answer has no rule block is held until a
+        # mutation of its generation has been issued, so its retry goes out
+        # after later slots' requests. The run directory still reads as the
+        # width-1 run's.
+        config = self.config()
+        serial_provider = KeyedProvider(max_in_flight=1, delay=0)
+        logs = [RunLog(tmp_path / name) for name in ("serial", "held")]
+        for log in logs:
+            log.dir.mkdir()
+        run_evolution(config, small_table, serial_provider, log=logs[0])
+        gate = next(
+            issued
+            for issued in serial_provider.issued
+            if issued[0].tag == "crossover" and "```rule" not in KeyedProvider.answer(*issued)
+        )
+        provider = GatedProvider(gate, until="mutation", max_in_flight=4)
+        run_evolution(config, small_table, provider, log=logs[1])
+        assert provider.released is True
+        # The held slot's retry went out after a mutation.
+        ordinal = next(k for k in range(len(provider.issued)) if request_seed(config, k, 0) == gate[0].seed)
+        seeds = [request.seed for request, _ in provider.issued]
+        between = provider.issued[seeds.index(gate[0].seed) : seeds.index(request_seed(config, ordinal, 1))]
+        assert "mutation" in [request.tag for request, _ in between]
+        for name in ("requests.log", "run.jsonl"):
+            assert (logs[1].dir / name).read_bytes() == (logs[0].dir / name).read_bytes(), name
 
     def test_reflection_crash_still_logs_issued_crossovers(self, small_table):
         config = self.config()
@@ -923,28 +975,29 @@ class TestConcurrentWaves:
         # 1's three reflections.
         inits = self.init_requests(small_table)
         config = self.config(llm_call_budget=inits + reflections)
-        serial = run_evolution(config, small_table, KeyedProvider(max_in_flight=1, delay=0))
-        assert serial.request_tags.count("reflection") == reflections
+        serial_sink = ListSink()
+        serial = run_evolution(config, small_table, KeyedProvider(max_in_flight=1, delay=0), log=serial_sink)
+        assert serial_sink.tags.count("reflection") == reflections
         provider = KeyedProvider(max_in_flight=4)
         sink = ListSink()
         concurrent = run_evolution(config, small_table, provider, log=sink)
         assert concurrent.generations_completed == serial.generations_completed == 0
         assert concurrent.records == serial.records
         assert list(sink) == serial.records
-        assert concurrent.request_tags == serial.request_tags
-        assert sink.tags == list(concurrent.request_tags)
+        assert sink.tags == serial_sink.tags
         assert concurrent.llm_calls == len(provider.issued) == inits + reflections
-        TestRun.assert_every_request_logged(concurrent)
+        TestRun.assert_every_request_logged(concurrent, sink)
 
     def test_call_budget_mid_wave(self, small_table):
         # The init requests and three reflections come first. Generation 1's
         # crossovers and mutations are five slots; two of them get a request.
         budget = self.init_requests(small_table) + 3 + 2
         provider = KeyedProvider(max_in_flight=4)
-        result = run_evolution(self.config(llm_call_budget=budget), small_table, provider)
+        sink = ListSink()
+        result = run_evolution(self.config(llm_call_budget=budget), small_table, provider, log=sink)
         assert result.llm_calls == len(provider.issued) == budget
         assert result.generations_completed == 0
-        TestRun.assert_every_request_logged(result)
+        TestRun.assert_every_request_logged(result, sink)
         offspring = [r for r in result.records if r["generation"] == 1]
         assert len(offspring) == 2
         assert [r["candidate_id"] for r in result.records] == [f"c{i:04d}" for i in range(8)]
@@ -963,7 +1016,7 @@ class TestConcurrentWaves:
                 sink = ListSink()
                 result = run_evolution(config, small_table, provider, log=sink)
                 assert result.llm_calls == len(provider.issued) == len(sink.tags) == 60
-                TestRun.assert_every_request_logged(result)
+                TestRun.assert_every_request_logged(result, sink)
                 ids = [r["candidate_id"] for r in result.records]
                 assert ids == [f"c{i:04d}" for i in range(len(ids))]
         finally:
@@ -976,7 +1029,8 @@ class TestConcurrentWaves:
         provider = KeyedProvider(
             max_in_flight=4, delay=0.05, fail_seeds={request_seed(config, 1, 0)}
         )
-        result = run_evolution(config, small_table, provider)
+        sink = ListSink()
+        result = run_evolution(config, small_table, provider, log=sink)
         assert result.aborted
         assert result.generations_completed == 0
         assert result.llm_calls == 4
@@ -986,7 +1040,7 @@ class TestConcurrentWaves:
         for ordinal in (0, 2, 3):
             request = by_seed[request_seed(config, ordinal, 0)]
             assert result.records[1 + ordinal]["code"] == KeyedProvider.rule_code(request)
-        TestRun.assert_every_request_logged(result)
+        TestRun.assert_every_request_logged(result, sink)
 
     def test_init_crash_still_logs_the_other_init_slots(self, small_table):
         # As above, but the second init slot raises.

@@ -9,9 +9,9 @@ often the server asked the client to slow down.
 import hashlib
 import json
 import random
+import os
 import threading
 import time
-from collections import Counter
 from email.message import Message
 
 import pytest
@@ -22,6 +22,8 @@ from pillm.providers import API_KEY_ENV, HttpProvider, sample_rule
 from pillm.reporting import RunLog
 from pillm.timeseries import split
 from pillm.transport import Response
+
+from .test_providers import Loopback, ok_body
 
 REFLECTION_PROMPT = "Respond now with your hints"
 
@@ -91,6 +93,18 @@ class SeedSession:
                 self.in_flight -= 1
 
 
+class SeedLoopback(Loopback):
+    """A server on 127.0.0.1 that answers each post as `session` would, at once."""
+
+    def __init__(self, session: SeedSession):
+        super().__init__()
+        self.session = session
+
+    def record(self, seen):
+        text = self.session.answer(json.loads(seen.body))
+        return 200, {}, json.dumps(ok_body(text)).encode(), 0.0
+
+
 @pytest.fixture
 def train_table(bias_corpus):
     return split(bias_corpus, 0.7)[0]
@@ -147,10 +161,32 @@ class TestHttpRuns:
         assert session.most_in_flight > 4
         assert any(len(r["request_tags_used"]) > 1 for r in result.records)  # some slots retried
         for cap in (4, 16):
-            for name in ("run.jsonl", "best.rule"):
+            for name in ("run.jsonl", "requests.log", "best.rule"):
                 assert runs[cap][name] == runs[1][name], (cap, name)
-            tags = runs[cap]["requests.log"].splitlines()
-            assert Counter(tags) == Counter(runs[1]["requests.log"].splitlines())
+
+    # sha256 of run.jsonl and requests.log of `config()` run over a loopback
+    # socket, 16 requests in flight, against a server that answers by request.
+    # They are the digests of the same run one request at a time.
+    LOOPBACK_GOLDEN = (
+        "4cd01c0fe9af1477e8ea2522fe3a449825247728247a92d5dfbbd620b04ac638",
+        "e2ddde885ddb990e76a0c2da7019121a29905f31268565a90d735dcfd831efb1",
+    )
+
+    def test_a_loopback_run_is_pinned(self, train_table, tmp_path, monkeypatch):
+        monkeypatch.setenv(API_KEY_ENV, "test-key")
+        for name in list(os.environ):
+            if name.lower().endswith("_proxy"):
+                monkeypatch.delenv(name)
+        server = SeedLoopback(SeedSession(train_table.feature_names))
+        provider = HttpProvider(endpoint=server.url, model="m")
+        try:
+            result, files = evolve_to(tmp_path, "loopback", provider, train_table, config())
+        finally:
+            provider.close()
+            server.stop()
+        assert any(len(r["request_tags_used"]) > 1 for r in result.records)  # some slots retried
+        digests = tuple(hashlib.sha256(files[name]).hexdigest() for name in ("run.jsonl", "requests.log"))
+        assert digests == self.LOOPBACK_GOLDEN
 
     def test_budget_verdicts_do_not_depend_on_width(self, http, train_table, tmp_path, monkeypatch):
         # With every window that is not constant summed exactly, this budget

@@ -102,7 +102,8 @@ class TestRunLog:
 
     def test_opening_a_missing_directory_creates_nothing(self, tmp_path):
         log = RunLog(tmp_path / "runs" / "run-a")
-        assert log.records() == []
+        with pytest.raises(RunLogError, match=f"missing {RUN_LOG_NAME} in "):
+            log.records()
         with pytest.raises(RunLogError, match="config.snapshot"):
             log.config_snapshot()
         assert list(tmp_path.iterdir()) == []
