@@ -252,9 +252,10 @@ def evolve(
     finally:
         provider.close()
     click.echo(f"generations={result.generations_completed} llm_calls={result.llm_calls}")
-    if result.best is not None:
-        log.write_best(result.best.code, result.best.context)
-        click.echo(f"best_id={result.best.id} best_fitness={result.best.fitness:.6f}")
+    best = best_record(result.records)
+    if best is not None:
+        log.write_best(best["code"], best["context"])
+        click.echo(f"best_id={best['candidate_id']} best_fitness={best['fitness']:.6f}")
     else:
         click.echo("best_id=none")
     if result.aborted:

@@ -5,7 +5,8 @@ hints), crosses pairs over into offspring guided by those hints, and mutates
 the elites under a rolling digest of recent reflections. Which LLM requests
 a generation makes, and which replies each waits for, is its plan; see
 `EvolutionEngine._generation_plan`. Survivor selection is mu+lambda
-truncation with explicit elitism, so best-ever fitness never decreases.
+truncation with explicit elitism, so the population's best fitness never
+decreases.
 Fitness is the event-level point-adjusted F1 on the training split. Both
 reflection and crossover can be disabled independently for ablation runs.
 """
@@ -42,12 +43,13 @@ class ConfigError(ValueError):
 
 @dataclass
 class RuleCandidate:
-    """One rule in the population, with lineage and evaluation results.
+    """One rule in the population, with lineage and its fitness.
 
     `fitness is None` is the INVALID sentinel: the candidate failed response
     extraction, parsing, typechecking, or blew the evaluation budget. Such
     candidates stay in the log but never act as parents. The engine gives a
-    candidate its `id` when it logs it; until then `id` is empty.
+    candidate its `id` when it logs it, from the number of records logged
+    before it; until then `id` is empty.
     """
 
     id: str
@@ -57,7 +59,6 @@ class RuleCandidate:
     generation: int
     parent_ids: tuple[str, ...] = ()
     fitness: float | None = None
-    metrics: MetricReport | None = None
     request_tags_used: tuple[str, ...] = ()
     error: str | None = None
     rule: TypedRule | None = field(default=None, repr=False, compare=False)
@@ -140,11 +141,7 @@ class EvolutionConfig:
         unknown = set(doc) - known - {"provider"}
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        kwargs = {k: v for k, v in doc.items() if k in known}
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from None
+        return cls(**{k: v for k, v in doc.items() if k in known})
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -152,7 +149,6 @@ class EvolutionConfig:
 
 @dataclass
 class RunResult:
-    best: RuleCandidate | None
     records: list[dict]
     generations_completed: int
     llm_calls: int
@@ -222,9 +218,9 @@ def request_seed(config: EvolutionConfig, ordinal: int, attempt: int) -> int:
 def rank_key(fitness: float | None, candidate_id: str) -> tuple:
     """Sort key of a candidate: invalid ones last, then higher fitness, then creation order.
 
-    Creation order puts `c9999` before `c10000`. The engine's survivors,
-    elites and best-ever candidate, and the record `report` describes, are
-    all chosen by this key.
+    Creation order puts `c9999` before `c10000`. The engine's survivors and
+    elites, and the record `evolve` writes to `best.rule` and `report`
+    describes (`reporting.best_record`), are all chosen by this key.
     """
     return (fitness is None, -(fitness or 0.0), len(candidate_id), candidate_id)
 
@@ -277,8 +273,9 @@ class EvolutionEngine:
     request answers the same way whatever order they arrive in; a retry gets
     a new seed, so a provider that honours seeds does not repeat a bad
     reply. At width 1 every slot runs in slot order, as a provider that
-    answers by call order needs. Reflections, candidate ids and records are
-    committed in slot order, never in completion order.
+    answers by call order needs. Reflections and records are committed in
+    slot order, never in completion order, and a candidate's id is the
+    number of records logged before it (`c0000`, `c0001`, ...).
 
     The `llm_call_budget` check and the count of a request happen together
     under one lock, and the request's tag goes to the list `_run_plan` keeps
@@ -320,7 +317,6 @@ class EvolutionEngine:
         # Every template the engine renders, read once, now.
         self._templates = dict(templates) if templates is not None else prompts.load_templates()
         self._rng = random.Random(config.seed)
-        self._next_index = 0
         self._next_ordinal = 0
         self._records: list[dict] = []
         self.llm_calls = 0
@@ -328,7 +324,6 @@ class EvolutionEngine:
         # Set when the budget is spent, an init request fails or a slot raises:
         # no further slot starts.
         self._halt = threading.Event()
-        self._best_ever: RuleCandidate | None = None
         self._aborted = False
         self._reflections: list[Reflection] = []
         self._feature_names = tuple(train_table.feature_names)
@@ -439,11 +434,6 @@ class EvolutionEngine:
         """A pool as wide as the provider allows; it starts tasks in submission order."""
         return ThreadPoolExecutor(self.provider.max_in_flight, thread_name_prefix="pillm-operator")
 
-    def _new_id(self) -> str:
-        candidate_id = f"c{self._next_index:04d}"
-        self._next_index += 1
-        return candidate_id
-
     # ---- the scheduler -----------------------------------------------------
 
     def _run_plan(
@@ -490,17 +480,17 @@ class EvolutionEngine:
         return population
 
     def evaluate_population(self, population: Sequence[RuleCandidate]) -> None:
-        """Fill fitness for pending candidates, then give each its id and log it once."""
+        """Score each candidate that has no error yet, then give it its id and log it once."""
         for candidate in population:
-            if candidate.fitness is None and candidate.error is None:
+            report = None
+            if candidate.error is None:
                 report = self._score(candidate.rule)
                 if isinstance(report, BudgetError):
                     candidate.error = str(report)
-                    candidate.rule = None
+                    report = None
                 else:
                     candidate.fitness = report.f1
-                    candidate.metrics = report
-            self._log_candidate(candidate)
+            self._log_candidate(candidate, report)
 
     def _score(self, rule: TypedRule) -> MetricReport | BudgetError:
         """`rule`'s report on the training split, or the `BudgetError` its evaluation raised.
@@ -519,15 +509,8 @@ class EvolutionEngine:
             self._reports[rule.ast] = report
         return report
 
-    def _log_candidate(self, candidate: RuleCandidate) -> None:
-        candidate.id = self._new_id()
-        # Best-ever considers every logged candidate, not just survivors.
-        best = self._best_ever
-        if candidate.fitness is not None and (
-            best is None or rank_key(candidate.fitness, candidate.id) < rank_key(best.fitness, best.id)
-        ):
-            self._best_ever = candidate
-        metrics = candidate.metrics
+    def _log_candidate(self, candidate: RuleCandidate, metrics: MetricReport | None) -> None:
+        candidate.id = f"c{len(self._records):04d}"
         values = (
             candidate.generation,
             candidate.id,
@@ -699,7 +682,6 @@ class EvolutionEngine:
             generations_completed = generation
 
         return RunResult(
-            best=self._best_ever,
             records=self._records,
             generations_completed=generations_completed,
             llm_calls=self.llm_calls,

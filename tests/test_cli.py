@@ -13,7 +13,7 @@ from click.testing import CliRunner
 import pillm
 from pillm import transport
 from pillm.cli import EXIT_CODES, main
-from pillm.dsl import MAX_DEPTH
+from pillm.dsl import MAX_DEPTH, interp
 from pillm.prompts import TEMPLATE_IDS, format_response, load_templates
 from pillm.providers import CompletionError, SamplerProvider
 from pillm.reporting import RunLog, best_record
@@ -336,6 +336,18 @@ class TestEvolve:
             assert (run_dir / name).exists(), name
         assert "best_fitness=" in result.output
         assert "llm_calls=" in result.output
+
+    def test_run_without_a_valid_candidate_writes_no_best(self, tmp_path, runner, sim_corpus, monkeypatch):
+        # Every rule costs at least one value per row, so each evaluation blows this budget.
+        monkeypatch.setattr(interp, "EVAL_BUDGET", 1)
+        data, meta = sim_corpus
+        result = self.invoke_evolve(runner, data, meta, evolve_config(tmp_path), tmp_path / "runs")
+        assert result.exit_code == 0, result.output
+        assert "best_id=none" in result.output.splitlines()
+        run_dir = run_dir_from(result.output)
+        assert not (run_dir / "best.rule").exists()
+        records = RunLog(run_dir).records()
+        assert records and all(record["fitness"] is None for record in records)
 
     def test_run_log_records_are_wellformed(self, tmp_path, runner, sim_corpus):
         data, meta = sim_corpus
@@ -884,6 +896,20 @@ class TestReport:
         )
         assert not (run_dir / "report.txt").exists()
 
+    def test_run_without_a_valid_candidate_exits_1(self, tmp_path, runner, sim_corpus):
+        run_dir = self.finished_run(tmp_path, runner, sim_corpus)
+        path = run_dir / "run.jsonl"
+        records = [{**record, "fitness": None} for record in RunLog(run_dir).records()]
+        path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+        result = runner.invoke(
+            main,
+            ["report", "--run", str(run_dir), "--data", str(run_dir / "test.csv"), "--meta", str(run_dir / "meta.json")],
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == "error: run log contains no valid candidate to report on\n"
+        assert not (run_dir / "report.txt").exists()
+
     def test_narrate_is_identity_offline(self, tmp_path, runner, sim_corpus):
         run_dir = self.finished_run(tmp_path, runner, sim_corpus)
         args = [
@@ -940,6 +966,7 @@ class TestReport:
         [
             ("threshold", "high", False, "threshold must be of type float, got 'high'"),
             ("provider", "sampler", True, "config key 'provider' must be an object"),
+            ("provider", {"type": "bogus"}, True, "unknown provider 'bogus'"),
         ],
     )
     def test_bad_snapshot_field_exits_3(self, tmp_path, runner, sim_corpus, field, value, narrate, message):

@@ -185,6 +185,15 @@ class TestParseErrors:
         with pytest.raises(DslSyntaxError, match="binding"):
             parse("\n".join(lines))
 
+    def test_binding_cap_is_exact(self):
+        def program(count: int) -> str:
+            return "".join(f"v{i} = {i}\n" for i in range(count)) + "return v0 > 0"
+
+        assert len(parse(program(MAX_BINDINGS)).bindings) == MAX_BINDINGS == 32
+        with pytest.raises(DslSyntaxError) as exc:
+            parse(program(MAX_BINDINGS + 1))
+        assert str(exc.value) == "33:1: too many bindings (cap 32)"
+
     def test_diagnostics_carry_line_and_column(self):
         with pytest.raises(DslSyntaxError) as exc:
             parse("a = 1\nreturn a >\n")

@@ -1,10 +1,14 @@
+import dataclasses
 import hashlib
 import itertools
+import json
 import random
+import re
 import sys
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -32,7 +36,7 @@ from pillm.providers import (
     ScriptedProvider,
     ScriptExhaustedError,
 )
-from pillm.reporting import RunLog
+from pillm.reporting import RunLog, best_record
 from pillm.timeseries import FeatureMeta
 
 RULE_HALF = "```rule\nreturn $x > 0.5\n```\n\n```context\nWide net.\n```"
@@ -142,6 +146,16 @@ class TestConfig:
     def test_from_dict_ignores_provider_block(self):
         config = EvolutionConfig.from_dict({"population_size": 3, "provider": {"kind": "sampler"}})
         assert config.population_size == 3
+
+    def test_readme_table_lists_every_field_with_its_default(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("\n## Configuration\n") :].split("\n## ", 2)[1]
+        rows = re.findall(r"^\| `(\w+)` \| `([^`]+)` \|", section, re.MULTILINE)
+        # pairs_per_gen's None stands for the half population that __post_init__ fills in.
+        assert rows == [
+            (f.name, "population_size // 2" if f.default is None else json.dumps(f.default))
+            for f in dataclasses.fields(EvolutionConfig)
+        ]
 
 
 class TestSelectPairs:
@@ -319,7 +333,7 @@ class TestEngine:
         child = result.records[1]
         assert child["error"] is not None
         assert child["fitness"] is None
-        assert result.best.id == "c0000"
+        assert best_record(result.records)["candidate_id"] == "c0000"
 
     def test_evaluate_logs_each_candidate_once(self, small_table):
         sink = ListSink()
@@ -452,7 +466,7 @@ class TestRun:
         assert result.generations_completed == 2
         assert result.llm_calls == 8
         assert len(result.records) == 7
-        assert result.best.fitness == pytest.approx(1.0)
+        assert best_record(result.records)["fitness"] == pytest.approx(1.0)
         assert best_so_far(result.records) == pytest.approx([2 / 3, 1.0, 1.0])
 
     def test_history_non_decreasing_and_ids_unique(self, small_table):
@@ -461,7 +475,7 @@ class TestRun:
         )
         history = best_so_far(result.records)
         assert all(a <= b for a, b in zip(history, history[1:]))
-        assert result.best.fitness == history[-1]
+        assert best_record(result.records)["fitness"] == history[-1]
         ids = [r["candidate_id"] for r in result.records]
         assert len(ids) == len(set(ids))
 
@@ -486,7 +500,7 @@ class TestRun:
     def test_abort_when_provider_dies_during_init(self, small_table):
         result = run_evolution(base_config(), small_table, FailingProvider(), seed_rule=SEED_DUD)
         assert result.aborted
-        assert result.best.id == "c0000"
+        assert best_record(result.records)["candidate_id"] == "c0000"
         assert [r["operator"] for r in result.records] == ["seed", "init"]
         assert result.generations_completed == 0
 
@@ -554,7 +568,7 @@ class TestRun:
         failed = result.records[2]
         assert failed["request_tags_used"] == ["init"]
         assert failed["error"] == "no canned text for 'init'"
-        assert result.best.id == "c0001"
+        assert best_record(result.records)["candidate_id"] == "c0001"
         assert best_so_far(result.records) == pytest.approx([0.5])
 
     def test_call_budget_stops_mid_generation(self, small_table):
@@ -627,7 +641,7 @@ class TestRun:
 
         (first, first_tags), (second, second_tags) = go(), go()
         assert first.records == second.records
-        assert first.best.code == second.best.code
+        assert best_record(first.records)["code"] == best_record(second.records)["code"]
         assert first_tags == second_tags
 
     def test_run_log_streams_match_result(self, small_table, tmp_path):

@@ -19,7 +19,7 @@ import pytest
 from pillm.dsl import interp
 from pillm.evolution import EvolutionConfig, run_evolution
 from pillm.providers import API_KEY_ENV, HttpProvider, sample_rule
-from pillm.reporting import RunLog
+from pillm.reporting import RunLog, best_record
 from pillm.timeseries import split
 from pillm.transport import Response
 
@@ -135,7 +135,8 @@ def evolve_to(tmp_path, name, provider, table, run_config):
     log = RunLog(tmp_path / name)
     result = run_evolution(run_config, table, provider, log=log)
     assert not result.aborted
-    log.write_best(result.best.code, result.best.context)
+    best = best_record(result.records)
+    log.write_best(best["code"], best["context"])
     files = {path.name: path.read_bytes() for path in log.dir.iterdir()}
     return result, files
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import statistics
 import time
@@ -113,6 +114,36 @@ class TestTableInvariants:
         )
         assert clone == small_table
 
+    def test_values_must_be_2d(self):
+        with pytest.raises(SchemaError, match="^values must be a 2-D"):
+            TimeSeriesTable(features=META[:1], values=np.zeros(2), timestamps=np.arange(2))
+
+    def test_needs_a_row(self):
+        with pytest.raises(SchemaError, match="^table must contain at least one row$"):
+            TimeSeriesTable(features=META, values=np.zeros((0, 2)), timestamps=np.arange(0))
+
+    def test_timestamps_one_per_row(self):
+        with pytest.raises(SchemaError, match="^timestamps must have one entry per row$"):
+            TimeSeriesTable(features=META, values=np.zeros((2, 2)), timestamps=np.arange(3))
+
+    def test_labels_one_per_row(self):
+        with pytest.raises(SchemaError, match="^labels must have one entry per row$"):
+            TimeSeriesTable(features=META, values=np.zeros((2, 2)), timestamps=np.arange(2), labels=np.array([0, 1, 0]))
+
+    def test_slice_rows_rejects_bad_spans(self, small_table):
+        for start, stop in ((2, 2), (0, small_table.num_rows + 1)):
+            with pytest.raises(SplitRangeError, match=f"^invalid row span {start}:{stop}$"):
+                small_table.slice_rows(start, stop)
+
+    def test_equality_needs_same_features_and_labels(self, small_table):
+        assert small_table.__eq__("table") is NotImplemented
+        assert small_table != "table"
+        features = (dataclasses.replace(small_table.features[0], description="another signal"), small_table.features[1])
+        assert small_table != TimeSeriesTable(features, small_table.values, small_table.timestamps, small_table.labels)
+        unlabeled = TimeSeriesTable(small_table.features, small_table.values, small_table.timestamps)
+        assert small_table != unlabeled
+        assert unlabeled != small_table
+
 
 def _spans_to_labels(spans, n: int) -> np.ndarray:
     """The 0/1 label vector of `n` rows whose incidents are `spans`."""
@@ -131,6 +162,10 @@ class TestIncidents:
         assert tuple(incidents_from_labels([1, 1, 1])) == ((0, 2),)
         assert tuple(incidents_from_labels([0, 0])) == ()
         assert tuple(incidents_from_labels([1, 0, 1])) == ((0, 0), (2, 2))
+
+    def test_labels_must_be_1d(self):
+        with pytest.raises(ValueError, match="^labels must be 1-D$"):
+            incidents_from_labels([[0, 1], [1, 0]])
 
     def test_to_labels_round_trip(self):
         labels = np.array([0, 1, 1, 0, 1, 0, 0, 1], dtype=np.uint8)
@@ -154,6 +189,10 @@ class TestCsv:
         assert table.has_labels
         assert table.column("temp")[2] == 19.25
         assert list(table.labels) == [0, 1, 0]
+
+    def test_metadata_must_declare_a_feature(self):
+        with pytest.raises(SchemaError, match="^feature metadata must declare at least one feature$"):
+            load_csv(CSV, ())
 
     def test_label_column_optional(self):
         table = load_csv("timestamp,temp,cmd\n0,1,0\n1,2,1\n", META)
