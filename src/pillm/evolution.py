@@ -17,7 +17,7 @@ import hashlib
 import math
 import random
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -130,8 +130,8 @@ class EvolutionConfig:
             raise ConfigError("train_fraction must be in (0, 1)")
         if not math.isfinite(self.threshold):
             raise ConfigError("threshold must be finite")
-        if not (self.init_temperature >= 0 and self.refine_temperature >= 0):
-            raise ConfigError("init_temperature and refine_temperature must be >= 0")
+        if not all(math.isfinite(t) and t >= 0 for t in (self.init_temperature, self.refine_temperature)):
+            raise ConfigError("init_temperature and refine_temperature must be finite and >= 0")
         if self.max_tokens < 1:
             raise ConfigError("max_tokens must be >= 1")
 
@@ -252,11 +252,13 @@ class _SlotSpec(NamedTuple):
     `build` gets the committed results of `reads`, in that order, and
     returns the call the pool runs for the slot. The call gets the list its
     requests' tags go to and yields a `Reflection` or a `RuleCandidate`, or
-    None.
+    None. `calls` is the most requests the slot can send: 1 for a
+    reflection, 1 + `retry_budget` for a slot that asks for a rule.
     """
 
     reads: tuple[int, ...]
     build: Callable[..., Callable[[list[str]], object]]
+    calls: int
 
 
 class EvolutionEngine:
@@ -284,7 +286,12 @@ class EvolutionEngine:
     starts, and the run stops after the slots already started have finished;
     those that issued a request are kept. A slot that raises halts the run
     the same way, and its exception propagates once the other slots' tags
-    and candidates are logged.
+    and candidates are logged. Before a slot starts, the calls made so far,
+    those the running slots can still send and the slot's own most are
+    added up; if they could pass the budget, the slot waits until the
+    running slots are done. So far from the budget no slot waits, and near
+    it slots run one at a time in slot order, each after as many calls as
+    at width 1: a run that spends its budget logs what it logs at width 1.
 
     Candidates are evaluated on the engine's own thread. Each distinct rule
     (by `RuleAst`, which compares structurally) is scored once per run, and
@@ -450,7 +457,9 @@ class EvolutionEngine:
         slot's request tags go to its own list. Results are committed in
         slot order: the slot's tags go to `log.request`, whether it returned,
         raised or found the budget spent, and a committed reflection joins
-        the digest. A slot that raised has halted the run; its exception is
+        the digest. A slot whose `calls`, with those the running slots can
+        still send, could pass the call budget is submitted once they are
+        done. A slot that raised has halted the run; its exception is
         re-raised once `head` and the other slots' candidates are logged.
         """
         tasks: list[Future] = []
@@ -470,6 +479,13 @@ class EvolutionEngine:
         for spec in plan:
             commit(max(spec.reads, default=-1) + 1)
             call = spec.build(*(results[i] for i in spec.reads))
+            # The most calls the run can have made once this slot and those
+            # still running are done; past the budget, the slot waits for them.
+            with self._lock:
+                running = [k for k, task in enumerate(tasks) if not task.done()]
+                most = self.llm_calls + spec.calls + sum(plan[k].calls - len(issued[k]) for k in running)
+            if most > self.config.llm_call_budget:
+                wait([tasks[k] for k in running])
             issued.append([])
             tasks.append(pool.submit(self._start, call, issued[-1]))
         commit(len(tasks))
@@ -544,7 +560,7 @@ class EvolutionEngine:
             self._templates,
         )
         build = partial(self._rule_call, "init", user_prompt, 0)
-        return [_SlotSpec((), build)] * (self.config.population_size - 1)
+        return [_SlotSpec((), build, 1 + self.config.retry_budget)] * (self.config.population_size - 1)
 
     def _generation_plan(
         self, population: Sequence[RuleCandidate], generation: int
@@ -566,21 +582,22 @@ class EvolutionEngine:
         config = self.config
         pairs = select_pairs(population, self._rng, config.pairs_per_gen)
         ranked = sorted((c for c in population if c.is_valid), key=lambda c: rank_key(c.fitness, c.id))
+        calls = 1 + config.retry_budget
         plan = []
         if config.enable_pir:
-            plan += [_SlotSpec((), partial(self._reflection_call, *pair)) for pair in pairs]
+            plan += [_SlotSpec((), partial(self._reflection_call, *pair), 1) for pair in pairs]
         reflections = tuple(range(len(plan)))
         elites = ranked[: config.elite_count]
         if config.enable_pic:
             # Crossover i reads reflection i, when there are reflections.
             plan += [
-                _SlotSpec(reflections[i : i + 1], partial(self._crossover_call, *pair, generation))
+                _SlotSpec(reflections[i : i + 1], partial(self._crossover_call, *pair, generation), calls)
                 for i, pair in enumerate(pairs)
             ]
         else:
             elites = ranked[:1] * len(pairs) + elites
         plan += [
-            _SlotSpec(reflections, partial(self._mutation_call, elite, generation))
+            _SlotSpec(reflections, partial(self._mutation_call, elite, generation), calls)
             for elite in elites
         ]
         return plan

@@ -10,9 +10,8 @@ runs reproducible with zero network access.
 The sampler draws its builtins, and each one's window or alpha literal, from
 `nodes.BUILTINS`, so every builtin of the DSL can appear in its rules. Each
 of its answers is a pure function of the sampler's seed and the request's
-`seed`, not of call order. It still takes one request at a time: above one,
-which slots get the last calls of a spent `llm_call_budget` depends on
-thread timing, so a run that spends its budget would not repeat.
+`seed`, not of call order, so it takes as many requests at once as the
+HTTP provider does.
 """
 
 from __future__ import annotations
@@ -361,13 +360,9 @@ class SamplerProvider(Provider):
     a pure function of (sampler seed, request seed), so it does not depend on
     the order of calls; a request without a seed is answered from the
     sampler seed alone. `narrate` requests echo the prompt.
-
-    Its width stays 1 although its answers would allow more: above width 1,
-    which slots get the last calls of a spent `llm_call_budget` depends on
-    thread timing, so a run that spends its budget would not repeat.
     """
 
-    max_in_flight = 1
+    max_in_flight = 16
 
     def __init__(self, seed: int, feature_names: Sequence[str]) -> None:
         if not feature_names:

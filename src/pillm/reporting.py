@@ -14,6 +14,7 @@ with the most deviant referenced signals, then grade it.
 from __future__ import annotations
 
 import json
+import math
 import os
 import textwrap
 import time
@@ -77,6 +78,19 @@ def _json_object(data: bytes, path: Path, line: int = 1) -> dict:
             return doc
         problem = "is not a JSON object"
     raise RunLogError(f"{path} line {line} {problem}")
+
+
+def _reported_value(key: str, value) -> bool:
+    """Whether `value` can be the record field `key` that `report` reads.
+
+    `fitness` is null or a finite number, not a bool; the others are strings.
+    """
+    if key != "fitness":
+        return isinstance(value, str)
+    try:
+        return value is None or (type(value) in (int, float) and math.isfinite(value))
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 class RunLog:
@@ -157,6 +171,9 @@ class RunLog:
                         raise RunLogError(
                             f"{self.path} line {number} is missing fields: {', '.join(missing)}"
                         )
+                    bad = next((key for key in _REPORTED_FIELDS if not _reported_value(key, record[key])), None)
+                    if bad is not None:
+                        raise RunLogError(f"{self.path} line {number} has a bad {bad}: {record[bad]!r}")
                     out.append(record)
         return out
 

@@ -395,6 +395,22 @@ class TestEvolve:
             assert result.exit_code == 3, (bad, result.output)
             assert list(out.iterdir()) == []
 
+    def test_non_finite_temperature_exits_3_before_run_dir(self, tmp_path, runner, sim_corpus, monkeypatch):
+        # JSON reads 1e999 as infinity, which no request could carry.
+        monkeypatch.setenv("PILLM_API_KEY", "test-key")
+        data, meta = sim_corpus
+        out = tmp_path / "runs"
+        out.mkdir()
+        http = '"provider": {"endpoint": "http://127.0.0.1:9/v1/chat/completions", "model": "m"}, '
+        for field, provider, block in (("init_temperature", "http", http), ("refine_temperature", "sampler", "")):
+            config = tmp_path / "config.json"
+            config.write_text(f'{{{block}"population_size": 4, "{field}": 1e999}}')
+            args = ["evolve", "--data", str(data), "--meta", str(meta), "--config", str(config)]
+            result = runner.invoke(main, [*args, "--provider", provider, "--out", str(out)])
+            assert result.exit_code == 3, (field, result.output)
+            assert "error: init_temperature and refine_temperature must be finite" in result.output
+            assert list(out.iterdir()) == []
+
     def test_bad_http_provider_block_exits_3_before_run_dir(
         self, tmp_path, runner, sim_corpus, monkeypatch
     ):
@@ -894,6 +910,33 @@ class TestReport:
         assert result.output == (
             f"error: {path} line {line} is missing fields: candidate_id, fitness, code, context\n"
         )
+        assert not (run_dir / "report.txt").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("fitness", "0.9"),
+            ("fitness", True),
+            ("fitness", float("nan")),
+            ("candidate_id", 7),
+            ("code", None),
+            ("fitness", 10**400),
+        ],
+        ids=["str-fitness", "bool-fitness", "nan-fitness", "int-id", "null-code", "huge-int-fitness"],
+    )
+    def test_record_with_a_bad_field_fails_cleanly(self, tmp_path, runner, sim_corpus, field, value):
+        run_dir = self.finished_run(tmp_path, runner, sim_corpus)
+        path = run_dir / "run.jsonl"
+        records = RunLog(run_dir).records()
+        records[1][field] = value
+        path.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+        result = runner.invoke(
+            main,
+            ["report", "--run", str(run_dir), "--data", str(run_dir / "test.csv"), "--meta", str(run_dir / "meta.json")],
+        )
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.output == f"error: {path} line 2 has a bad {field}: {value!r}\n"
         assert not (run_dir / "report.txt").exists()
 
     def test_run_without_a_valid_candidate_exits_1(self, tmp_path, runner, sim_corpus):

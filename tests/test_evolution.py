@@ -129,6 +129,8 @@ class TestConfig:
             {"max_tokens": 0},
             {"init_temperature": -0.1},
             {"refine_temperature": -0.1},
+            {"init_temperature": float("inf")},
+            {"refine_temperature": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -1006,15 +1008,115 @@ class TestConcurrentWaves:
         # The init requests and three reflections come first. Generation 1's
         # crossovers and mutations are five slots; two of them get a request.
         budget = self.init_requests(small_table) + 3 + 2
+        config = self.config(llm_call_budget=budget)
+        serial_sink = ListSink()
+        serial = run_evolution(config, small_table, KeyedProvider(max_in_flight=1, delay=0), log=serial_sink)
         provider = KeyedProvider(max_in_flight=4)
         sink = ListSink()
-        result = run_evolution(self.config(llm_call_budget=budget), small_table, provider, log=sink)
+        result = run_evolution(config, small_table, provider, log=sink)
         assert result.llm_calls == len(provider.issued) == budget
         assert result.generations_completed == 0
         TestRun.assert_every_request_logged(result, sink)
         offspring = [r for r in result.records if r["generation"] == 1]
         assert len(offspring) == 2
         assert [r["candidate_id"] for r in result.records] == [f"c{i:04d}" for i in range(8)]
+        assert result.records == serial.records
+        assert list(sink) == serial.records
+        assert sink.tags == serial_sink.tags
+
+    def test_far_from_the_budget_the_sampler_runs_as_wide_as_its_waves(self, small_table, monkeypatch):
+        # Pop 10 x gen 2: the 9 init requests, then per generation its
+        # reflections, then its crossovers and mutations together. Each wave
+        # is sized from the width-1 run, since `select_pairs` draws fewer
+        # than 5 pairs when fitnesses tie; a request waits on its wave's
+        # barrier, which a narrower engine leaves short.
+        config = EvolutionConfig(population_size=10, generations=2, seed=3)
+
+        class Serial(SamplerProvider):
+            max_in_flight = 1
+
+        serial_sink = ListSink()
+        serial = run_evolution(config, small_table, Serial(1, small_table.feature_names), log=serial_sink)
+        assert serial.generations_completed == 2
+        waves = [len(list(run)) for _, run in itertools.groupby(serial_sink.tags, lambda tag: tag == "reflection")]
+        assert len(waves) == 5 and waves[0] == 9
+
+        class Waves(SamplerProvider):
+            def __init__(self, *args) -> None:
+                super().__init__(*args)
+                self._barriers = [threading.Barrier(size, timeout=5.0) for size in waves]
+                self._lock = threading.Lock()
+                self._posts = 0
+
+            def complete(self, request):
+                with self._lock:
+                    index = self._posts
+                    self._posts += 1
+                for barrier in self._barriers:
+                    if index < barrier.parties:
+                        barrier.wait()
+                        break
+                    index -= barrier.parties
+                return super().complete(request)
+
+        waits = []
+        monkeypatch.setattr(evolution, "wait", lambda *args, **kwargs: waits.append(args))
+        sink = ListSink()
+        result = run_evolution(config, small_table, Waves(1, small_table.feature_names), log=sink)
+        assert waits == []
+        assert result.records == serial.records
+        assert sink.tags == serial_sink.tags
+
+    @staticmethod
+    def phase_budget(tags: list[str], phase: str, rng: random.Random) -> int:
+        """A call budget that runs out inside `phase` of the width-1 run that issued `tags`.
+
+        The phases are the init requests, generation 1's reflections and its
+        crossovers and mutations; the budget leaves at least one call of the
+        phase issued and at least one not.
+        """
+        first_reflection = tags.index("reflection")
+        wave = next(i for i in range(first_reflection, len(tags)) if tags[i] != "reflection")
+        end = next((i for i in range(wave, len(tags)) if tags[i] == "reflection"), len(tags))
+        phases = {"init": (0, first_reflection), "reflections": (first_reflection, wave), "wave": (wave, end)}
+        start, stop = phases[phase]
+        assert stop - start >= 2, (phase, tags)
+        return rng.randrange(start + 1, stop)
+
+    @pytest.mark.parametrize("retry_budget", [0, 1, 2])
+    def test_a_run_that_spends_its_budget_does_not_depend_on_its_width(
+        self, small_table, monkeypatch, retry_budget
+    ):
+        # Nine budgets per retry budget, three in each phase, at widths 2, 4
+        # and 16. Each slot starts up to 3 ms late, so were slots not held
+        # back near the budget, which of those running got the last calls
+        # would depend on the delays.
+        rng = random.Random(retry_budget)
+        start = EvolutionEngine._start
+
+        def late_start(engine, call, issued):
+            time.sleep(rng.uniform(0, 0.003))
+            return start(engine, call, issued)
+
+        monkeypatch.setattr(EvolutionEngine, "_start", late_start)
+        for seed, phase in itertools.product(range(3), ("init", "reflections", "wave")):
+            unbounded = ListSink()
+            run_evolution(
+                self.config(seed=seed, retry_budget=retry_budget), small_table,
+                KeyedProvider(max_in_flight=1, delay=0), log=unbounded,
+            )
+            budget = self.phase_budget(unbounded.tags, phase, rng)
+            config = self.config(seed=seed, retry_budget=retry_budget, llm_call_budget=budget)
+            serial_sink = ListSink()
+            serial = run_evolution(config, small_table, KeyedProvider(max_in_flight=1, delay=0), log=serial_sink)
+            assert serial.llm_calls == budget
+            for width in (2, 4, 16):
+                sink = ListSink()
+                result = run_evolution(config, small_table, KeyedProvider(max_in_flight=width, delay=0), log=sink)
+                case = (phase, budget, width)
+                assert result.records == serial.records, case
+                assert sink.tags == serial_sink.tags, case
+                assert result.llm_calls == serial.llm_calls, case
 
     def test_call_budget_under_thread_switching(self, small_table):
         # More workers than cores and frequent thread switches: a lost update

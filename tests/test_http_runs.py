@@ -129,6 +129,13 @@ def config(**overrides) -> EvolutionConfig:
     return EvolutionConfig(**{"population_size": 10, "generations": 2, "seed": 3, **overrides})
 
 
+# `config()` answered by a `SeedSession` that misses one rule in five sends 11
+# init and 5 reflection requests, then generation 1's crossovers and
+# mutations. This budget runs out among those: it leaves 5 crossover
+# requests and the first mutation's first one, whose answer needs a retry.
+SPENT_BUDGET = 22
+
+
 def evolve_to(tmp_path, name, provider, table, run_config):
     """Run `run_config` on `provider` into the run directory `name`; its files' bytes by name."""
     (tmp_path / name).mkdir()
@@ -154,16 +161,24 @@ class TestHttpRuns:
         assert all(record["error"] is None for record in result.records)
 
     def test_a_run_does_not_depend_on_its_width(self, http, train_table, tmp_path):
-        runs = {}
-        for cap in (1, 4, 16):
-            session = SeedSession(train_table.feature_names, delay=0.02)
-            result, runs[cap] = evolve_to(tmp_path, f"cap{cap}", http(session, cap), train_table, config())
-            assert session.most_in_flight <= cap
-        assert session.most_in_flight > 4
-        assert any(len(r["request_tags_used"]) > 1 for r in result.records)  # some slots retried
-        for cap in (4, 16):
-            for name in ("run.jsonl", "requests.log", "best.rule"):
-                assert runs[cap][name] == runs[1][name], (cap, name)
+        for budget in (config().llm_call_budget, SPENT_BUDGET):
+            runs = {}
+            for cap in (1, 4, 16):
+                session = SeedSession(train_table.feature_names, delay=0.02)
+                provider = http(session, cap)
+                run_config = config(llm_call_budget=budget)
+                result, runs[cap] = evolve_to(tmp_path, f"cap{cap}-{budget}", provider, train_table, run_config)
+                assert session.most_in_flight <= cap
+            assert session.most_in_flight > 4
+            assert any(len(r["request_tags_used"]) > 1 for r in result.records)  # some slots retried
+            for cap in (4, 16):
+                for name in ("run.jsonl", "requests.log", "best.rule"):
+                    assert runs[cap][name] == runs[1][name], (budget, cap, name)
+        # The spent budget's run ends in generation 1's second wave.
+        assert result.llm_calls == session.posts == SPENT_BUDGET
+        assert result.generations_completed == 0
+        assert [r["operator"] for r in result.records if r["generation"] == 1] == ["crossover"] * 5 + ["mutation"]
+        assert runs[16]["requests.log"].decode().split()[-7:] == ["reflection"] + ["crossover"] * 5 + ["mutation"]
 
     # sha256 of run.jsonl and requests.log of `config()` run over a loopback
     # socket, 16 requests in flight, against a server that answers by request.
@@ -188,6 +203,30 @@ class TestHttpRuns:
         assert any(len(r["request_tags_used"]) > 1 for r in result.records)  # some slots retried
         digests = tuple(hashlib.sha256(files[name]).hexdigest() for name in ("run.jsonl", "requests.log"))
         assert digests == self.LOOPBACK_GOLDEN
+
+    # The same digests of a `config(llm_call_budget=SPENT_BUDGET)` run, taken
+    # one request at a time.
+    SPENT_BUDGET_GOLDEN = (
+        "f01573bdca50bdd2e15ed07a33fddb0eead0533aa329109185a3d5b319324057",
+        "d6980eafab9fd775d41c2212251d603d8901804477e5350d2b5309ad6468f701",
+    )
+
+    def test_a_loopback_run_that_spends_its_budget_is_pinned(self, train_table, tmp_path, monkeypatch):
+        monkeypatch.setenv(API_KEY_ENV, "test-key")
+        for name in list(os.environ):
+            if name.lower().endswith("_proxy"):
+                monkeypatch.delenv(name)
+        server = SeedLoopback(SeedSession(train_table.feature_names))
+        provider = HttpProvider(endpoint=server.url, model="m")
+        try:
+            run_config = config(llm_call_budget=SPENT_BUDGET)
+            result, files = evolve_to(tmp_path, "loopback", provider, train_table, run_config)
+        finally:
+            provider.close()
+            server.stop()
+        assert result.llm_calls == len(files["requests.log"].splitlines()) == SPENT_BUDGET
+        digests = tuple(hashlib.sha256(files[name]).hexdigest() for name in ("run.jsonl", "requests.log"))
+        assert digests == self.SPENT_BUDGET_GOLDEN
 
     def test_budget_verdicts_do_not_depend_on_width(self, http, train_table, tmp_path, monkeypatch):
         # With every window that is not constant summed exactly, this budget

@@ -689,9 +689,9 @@ class TestScriptedProvider:
         with pytest.raises(ProviderConfigError, match=r"binary\.jsonl' is not valid UTF-8: byte 0xff at offset 0"):
             ScriptedProvider.from_path(binary)
 
-    def test_offline_providers_take_one_request_at_a_time(self):
+    def test_takes_one_request_at_a_time(self):
+        # It answers by call order.
         assert ScriptedProvider([]).max_in_flight == 1
-        assert SamplerProvider(1, FEATURES).max_in_flight == 1
 
     def test_from_path_bad_json(self, tmp_path):
         script = tmp_path / "bad.jsonl"
@@ -707,6 +707,10 @@ class TestScriptedProvider:
 
 
 class TestSamplerProvider:
+    def test_takes_as_many_requests_at_once_as_http(self):
+        # It answers by request, as a server that honours seeds does.
+        assert SamplerProvider(1, FEATURES).max_in_flight == HttpProvider.max_in_flight == 16
+
     def test_deterministic_sequence(self):
         first = [SamplerProvider(9, FEATURES).complete(req(seed=0)).text for _ in range(1)]
         a = SamplerProvider(9, FEATURES)
