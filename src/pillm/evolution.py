@@ -304,7 +304,9 @@ class EvolutionEngine:
     `log`, when given, receives `request(tag)` for each LLM request a slot
     issued, when the slot is committed, and `append(record)` as each
     candidate is evaluated; both in slot order, so at any width a run logs
-    what it logs at width 1 (see `RunLog`). An engine runs once.
+    what it logs at width 1 (see `RunLog`). It receives `sync()` once at the
+    end of each plan, the initial population or one generation, however the
+    plan ends. An engine runs once.
     """
 
     def __init__(
@@ -461,6 +463,8 @@ class EvolutionEngine:
         still send, could pass the call budget is submitted once they are
         done. A slot that raised has halted the run; its exception is
         re-raised once `head` and the other slots' candidates are logged.
+        However the plan ends, what it logged is synced before it returns
+        or raises, so before the next plan's first request.
         """
         tasks: list[Future] = []
         issued: list[list[str]] = []
@@ -476,24 +480,28 @@ class EvolutionEngine:
                     self._reflections.append(result)
                 results.append(result)
 
-        for spec in plan:
-            commit(max(spec.reads, default=-1) + 1)
-            call = spec.build(*(results[i] for i in spec.reads))
-            # The most calls the run can have made once this slot and those
-            # still running are done; past the budget, the slot waits for them.
-            with self._lock:
-                running = [k for k, task in enumerate(tasks) if not task.done()]
-                most = self.llm_calls + spec.calls + sum(plan[k].calls - len(issued[k]) for k in running)
-            if most > self.config.llm_call_budget:
-                wait([tasks[k] for k in running])
-            issued.append([])
-            tasks.append(pool.submit(self._start, call, issued[-1]))
-        commit(len(tasks))
-        population = [*head, *(r for r in results if isinstance(r, RuleCandidate))]
-        self.evaluate_population(population)
-        for task in tasks:
-            task.result()
-        return population
+        try:
+            for spec in plan:
+                commit(max(spec.reads, default=-1) + 1)
+                call = spec.build(*(results[i] for i in spec.reads))
+                # The most calls the run can have made once this slot and those
+                # still running are done; past the budget, the slot waits for them.
+                with self._lock:
+                    running = [k for k, task in enumerate(tasks) if not task.done()]
+                    most = self.llm_calls + spec.calls + sum(plan[k].calls - len(issued[k]) for k in running)
+                if most > self.config.llm_call_budget:
+                    wait([tasks[k] for k in running])
+                issued.append([])
+                tasks.append(pool.submit(self._start, call, issued[-1]))
+            commit(len(tasks))
+            population = [*head, *(r for r in results if isinstance(r, RuleCandidate))]
+            self.evaluate_population(population)
+            for task in tasks:
+                task.result()
+            return population
+        finally:
+            if self.log is not None:
+                self.log.sync()
 
     def evaluate_population(self, population: Sequence[RuleCandidate]) -> None:
         """Score each candidate that has no error yet, then give it its id and log it once."""

@@ -3,12 +3,15 @@
 `RunLog` reserves each new run directory and is its only writer. Its two
 streams, `run.jsonl` (one record per candidate) and `requests.log` (one tag
 per LLM request, written in slot order once the request's slot has
-finished), are appended and fsync'd a line at a time, so an aborted or
-crashed run keeps every line written before it stopped; a hard kill loses
-the tags of the slots still in flight, whose records were not written
-either. The report follows the identify / evidence / severity structure:
-quote the winning rule's physical hypothesis, back each detected incident
-with the most deviant referenced signals, then grade it.
+finished), are appended a line at a time, each line as it is due, so a run
+that aborts, crashes or is killed keeps every line written before it
+stopped; a hard kill loses the tags of the slots still in flight, whose
+records were not written either. `sync` fsyncs the streams; the engine
+calls it at the end of each plan, so an OS crash or a power loss can lose
+at most the lines of the plan in progress. The report follows the
+identify / evidence / severity structure: quote the winning rule's physical
+hypothesis, back each detected incident with the most deviant referenced
+signals, measured against normal training rows, then grade it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import math
 import os
 import textwrap
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -102,6 +106,8 @@ class RunLog:
         self.path = self.dir / RUN_LOG_NAME
         # The ids appended through this writer; `append` rejects a repeat.
         self._seen: set[str] = set()
+        # The streams written since the last `sync`, in the order first written.
+        self._unsynced: dict[Path, None] = {}
 
     @classmethod
     def create(cls, out_root: str | Path, seed: int, config_snapshot: dict) -> RunLog:
@@ -131,7 +137,7 @@ class RunLog:
         return cls(run_dir)
 
     def append(self, record: dict) -> None:
-        """Append one candidate record, flushed to disk before returning."""
+        """Append one candidate record; `sync` makes it durable."""
         missing = [key for key in RECORD_FIELDS if key not in record]
         if missing:
             raise RunLogError(f"record is missing fields: {', '.join(missing)}")
@@ -142,7 +148,7 @@ class RunLog:
         self._seen.add(candidate_id)
 
     def request(self, tag: str) -> None:
-        """Append one LLM request tag, flushed to disk before returning.
+        """Append one LLM request tag; `sync` makes it durable.
 
         The engine calls this for each slot's tags once the slot has
         finished, in slot order, so the log does not depend on the order
@@ -150,12 +156,43 @@ class RunLog:
         """
         self._append_line(self.dir / REQUESTS_LOG_NAME, tag)
 
-    @staticmethod
-    def _append_line(path: Path, line: str) -> None:
-        with open(path, "a", encoding="utf-8") as handle:
+    def sync(self) -> None:
+        """fsync each stream written since the last call; none when nothing was written.
+
+        Each line reaches the file when it is appended, so a process that
+        dies keeps it either way; this guards it against an OS crash or a
+        power loss, and reports a write the kernel could not complete.
+        """
+        unsynced, self._unsynced = self._unsynced, {}
+        for path in unsynced:
+            with self._writing(path):
+                fd = os.open(path, os.O_WRONLY)
+                try:
+                    os.fsync(fd)
+                finally:
+                    os.close(fd)
+
+    def _append_line(self, path: Path, line: str) -> None:
+        with self._writing(path), open(path, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        self._unsynced[path] = None
+
+    @contextmanager
+    def _writing(self, path: Path):
+        """Turn an `OSError` raised while writing `path` into a `RunLogError` naming it."""
+        try:
+            yield
+        except OSError as exc:
+            raise RunLogError(f"cannot write {path.name} in {self.dir}: {exc.strerror}") from None
+
+    def _write(self, name: str, data: str | bytes) -> None:
+        """Write the run directory's file `name` whole."""
+        path = self.dir / name
+        with self._writing(path):
+            if isinstance(data, bytes):
+                path.write_bytes(data)
+            else:
+                path.write_text(data, encoding="utf-8")
 
     def records(self) -> list[dict]:
         """Every record in the log; `RunLogError` names the first line that is not one, or a missing log."""
@@ -185,9 +222,9 @@ class RunLog:
 
     def write_split(self, train_csv: bytes, test_csv: bytes, meta_json: str) -> None:
         """Archive the train/test split the run was evolved and reported on."""
-        (self.dir / TRAIN_CSV_NAME).write_bytes(train_csv)
-        (self.dir / TEST_CSV_NAME).write_bytes(test_csv)
-        (self.dir / META_NAME).write_text(meta_json, encoding="utf-8")
+        self._write(TRAIN_CSV_NAME, train_csv)
+        self._write(TEST_CSV_NAME, test_csv)
+        self._write(META_NAME, meta_json)
 
     def train_csv(self) -> bytes:
         path = self.dir / TRAIN_CSV_NAME
@@ -200,10 +237,10 @@ class RunLog:
     def write_best(self, code: str, context: str) -> None:
         body = code.rstrip("\n") + "\n\n# context:\n"
         body += "".join(f"# {line}\n" for line in context.splitlines() or [""])
-        (self.dir / BEST_RULE_NAME).write_text(body, encoding="utf-8")
+        self._write(BEST_RULE_NAME, body)
 
     def write_report(self, text: str) -> None:
-        (self.dir / REPORT_NAME).write_text(text, encoding="utf-8")
+        self._write(REPORT_NAME, text)
 
 
 def best_record(records: Sequence[dict]) -> dict | None:
@@ -235,6 +272,8 @@ class DiagnosticReport:
     rule_context: str
     test_metrics: MetricReport | None
     num_rows: int
+    # The training rows the evidence z-scores are measured against, in words.
+    baseline: str
 
     def render(self) -> str:
         lines: list[str] = []
@@ -263,6 +302,8 @@ class DiagnosticReport:
         lines.append("================")
         if not self.incidents:
             lines.append("No flagged rows, so there is no evidence to present.")
+        else:
+            lines.append(f"Z-scores are measured against {self.baseline}.")
         for i, finding in enumerate(self.incidents, start=1):
             start, end = finding.span
             lines.append(
@@ -313,17 +354,25 @@ def generate_report(
 
     The report quotes `context`, the rule's physical hypothesis. Evidence is
     computed per incident at the peak-score row: the rule's referenced
-    features, ranked by |z-score| against the training split's mean and
-    standard deviation, top three kept.
+    features, ranked by |z-score| against the mean and standard deviation of
+    the training split's normal rows (labelled 0), or of all its rows when it
+    has no labels or no normal row, top three kept.
     """
     rule = compile_rule(code, test_table.feature_names)
     scores = evaluate(rule, test_table)
     flags = to_flags(scores, threshold)
     incidents = incidents_from_labels(flags)
 
+    rows = slice(None)
+    baseline = f"all {train_table.num_rows} training rows"
+    if train_table.has_labels:
+        normal = train_table.labels == 0
+        if normal.any():
+            rows = normal
+            baseline = f"the {int(normal.sum())} training rows labelled normal"
     train_stats = {}
     for name in sorted(rule.ast.features):
-        column = train_table.column(name)
+        column = train_table.column(name)[rows]
         train_stats[name] = (float(np.mean(column)), float(np.std(column)))
 
     findings = []
@@ -354,6 +403,7 @@ def generate_report(
         rule_context=context,
         test_metrics=metrics,
         num_rows=test_table.num_rows,
+        baseline=baseline,
     )
 
 

@@ -1,8 +1,13 @@
+import errno
 import hashlib
 import json
 import os
+import re
+import shutil
+import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -11,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 import pillm
-from pillm import transport
+from pillm import reporting, transport
 from pillm.cli import EXIT_CODES, main
 from pillm.dsl import MAX_DEPTH, interp
 from pillm.prompts import TEMPLATE_IDS, format_response, load_templates
@@ -649,6 +654,73 @@ class TestEvolve:
         assert records == [r for r in full_records if json.loads(r)["generation"] == 0]
         assert len(records) == 4
 
+    @staticmethod
+    def expect_write_error(result, name: str) -> None:
+        """Exit 1 with one `error:` line naming `name` in the run directory, and no traceback."""
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit), result.exception
+        errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1, result.output
+        assert errors[0].startswith(f"error: cannot write {name} in {run_dir_from(result.output)}: "), errors[0]
+        assert "Traceback" not in result.output
+
+    def test_removed_run_directory_is_an_error_line(self, tmp_path, runner, sim_corpus, monkeypatch):
+        data, meta = sim_corpus
+        out = tmp_path / "runs"
+        original = SamplerProvider.complete
+        lock, calls = threading.Lock(), []
+
+        def removing(self, request):
+            with lock:
+                calls.append(request.tag)
+                if len(calls) == 3:
+                    shutil.rmtree(next(out.iterdir()))
+            return original(self, request)
+
+        monkeypatch.setattr(SamplerProvider, "complete", removing)
+        result = self.invoke_evolve(runner, data, meta, evolve_config(tmp_path), out)
+        self.expect_write_error(result, "requests.log")
+        assert result.output.endswith(": No such file or directory\n")
+
+    def test_failed_fsync_is_an_error_line(self, tmp_path, runner, sim_corpus, monkeypatch):
+        data, meta = sim_corpus
+
+        def failing(fd: int) -> None:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(reporting.os, "fsync", failing)
+        result = self.invoke_evolve(runner, data, meta, evolve_config(tmp_path), tmp_path / "runs")
+        self.expect_write_error(result, "requests.log")
+        assert result.output.endswith(f": {os.strerror(errno.EIO)}\n")
+
+    def test_sigkill_keeps_every_line_written(self, tmp_path, sim_corpus):
+        # The README quick start, run whole and killed at generation 2's first request.
+        data, meta = sim_corpus
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"population_size": 6, "generations": 3, "seed": 11}))
+        runs = {}
+        for mode in ("kill", "full"):
+            out = tmp_path / mode
+            args = ["evolve", "--data", str(data), "--meta", str(meta), "--config", str(config)]
+            proc = run_python(KILL_SCRIPT, mode, *args, "--provider", "sampler", "--out", str(out))
+            (run_dir,) = out.iterdir()
+            runs[mode] = proc, run_dir
+        (killed, killed_dir), (full, full_dir) = runs["kill"], runs["full"]
+        assert killed.returncode == -signal.SIGKILL, killed.stderr
+        assert full.returncode == 0, full.stderr
+        streams = {}
+        for name in ("run.jsonl", "requests.log"):
+            streams[name] = (killed_dir / name).read_bytes()
+            assert (full_dir / name).read_bytes().startswith(streams[name]), name
+        # Every record of generations 0 and 1, and the tag of every request sent before the kill.
+        records = streams["run.jsonl"].decode("utf-8").splitlines()
+        full_records = (full_dir / "run.jsonl").read_text(encoding="utf-8").splitlines()
+        assert records == [line for line in full_records if json.loads(line)["generation"] <= 1]
+        assert {json.loads(line)["generation"] for line in records} == {0, 1}
+        sent = int(re.search(r"^killed after (\d+) requests$", killed.stdout, re.M).group(1))
+        assert len(streams["requests.log"].splitlines()) == sent
+        assert not (killed_dir / "best.rule").exists()
+
     def test_no_pir_leaves_no_reflection_requests(self, tmp_path, runner, sim_corpus):
         data, meta = sim_corpus
         config = evolve_config(tmp_path)
@@ -809,6 +881,46 @@ class TestEvolve:
         # `report` picks its candidate again from run.jsonl; it must agree with evolve's.
         best = best_record(RunLog(run_dir).records())
         assert f"best_id={best['candidate_id']} " in result.output
+
+
+# `python -c KILL_SCRIPT MODE ARGS...` runs `pillm ARGS...` with the sampler's
+# `complete` patched. With MODE `kill`, the first request of generation 2
+# prints `killed after N requests`, N being those sent before it, and sends
+# the process SIGKILL.
+KILL_SCRIPT = """
+import os, signal, sys, threading
+from pillm import cli, evolution, providers
+
+kill, args = sys.argv[1] == "kill", sys.argv[2:]
+lock, state = threading.Lock(), {"generation": 0, "calls": 0}
+plan, complete = evolution.EvolutionEngine._generation_plan, providers.SamplerProvider.complete
+
+def generation_plan(self, population, generation):
+    state["generation"] = generation
+    return plan(self, population, generation)
+
+def killing(self, request):
+    with lock:
+        if kill and state["generation"] == 2:
+            print(f"killed after {state['calls']} requests", flush=True)
+            os.kill(os.getpid(), signal.SIGKILL)
+        state["calls"] += 1
+    return complete(self, request)
+
+evolution.EvolutionEngine._generation_plan = generation_plan
+providers.SamplerProvider.complete = killing
+cli.main(args)
+"""
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """`python -c code args...` on this checkout."""
+    src = str(Path(pillm.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
 
 
 def fail_narration(monkeypatch) -> None:

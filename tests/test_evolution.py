@@ -37,7 +37,9 @@ from pillm.providers import (
     ScriptExhaustedError,
 )
 from pillm.reporting import RunLog, best_record
-from pillm.timeseries import FeatureMeta
+from pillm.timeseries import FeatureMeta, split
+
+from .test_reporting import synced_files
 
 RULE_HALF = "```rule\nreturn $x > 0.5\n```\n\n```context\nWide net.\n```"
 RULE_GOOD = "```rule\nreturn $x > 1.5\n```\n\n```context\nTighter net.\n```"
@@ -75,6 +77,9 @@ class ListSink(list):
 
     def request(self, tag: str) -> None:
         self.tags.append(tag)
+
+    def sync(self) -> None:
+        pass
 
 
 def best_so_far(records) -> list[float]:
@@ -776,12 +781,17 @@ class EventSink:
 
     def __init__(self) -> None:
         self.events: list[tuple[str, object]] = []
+        # How many events each `sync` came after.
+        self.syncs: list[int] = []
 
     def request(self, tag: str) -> None:
         self.events.append(("request", tag))
 
     def append(self, record: dict) -> None:
         self.events.append(("record", record["generation"]))
+
+    def sync(self) -> None:
+        self.syncs.append(len(self.events))
 
     def request_generations(self) -> list[int]:
         """The generation of each request, in issue order: that of the next record logged."""
@@ -1187,3 +1197,54 @@ class TestConcurrentWaves:
         else:
             run_evolution(self.config(retry_budget=0), small_table, provider)
         assert set(threading.enumerate()) == before
+
+
+class TestPlanSync:
+    """The log is synced once at the end of each plan: the initial population or one generation."""
+
+    def test_a_sampler_run_fsyncs_each_stream_once_per_plan(self, bias_corpus, tmp_path, monkeypatch):
+        config = EvolutionConfig(population_size=10, generations=10, seed=1)
+        train_table, _ = split(bias_corpus, config.train_fraction)
+        provider = SamplerProvider(seed=config.seed, feature_names=train_table.feature_names)
+        calls = synced_files(monkeypatch)
+        result = run_evolution(config, train_table, provider, log=RunLog(tmp_path))
+        assert result.generations_completed == 10
+        assert len(calls) == 2 * (1 + config.generations) == 22
+
+    def test_an_aborted_init_run_fsyncs_each_stream_once(self, small_table, tmp_path, monkeypatch):
+        calls = synced_files(monkeypatch)
+        result = run_evolution(base_config(), small_table, FailingProvider(), log=RunLog(tmp_path), seed_rule=SEED_DUD)
+        assert result.aborted
+        assert len(calls) == 2
+
+    @staticmethod
+    def assert_one_sync_per_plan(sink: EventSink) -> int:
+        """Each plan's tags, then its records, then one sync; the number of plans."""
+        assert sink.syncs and sink.syncs[-1] == len(sink.events)
+        for generation, (start, end) in enumerate(zip([0, *sink.syncs], sink.syncs)):
+            plan = sink.events[start:end]
+            kinds = [kind for kind, _ in plan]
+            assert kinds == sorted(kinds, key=("request", "record").index)
+            assert {value for kind, value in plan if kind == "record"} == {generation}
+        return len(sink.syncs)
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_each_plan_is_synced_before_the_next_plan_requests(self, small_table, width):
+        sink = EventSink()
+        provider = KeyedProvider(max_in_flight=width, delay=0)
+        result = run_evolution(TestConcurrentWaves.config(), small_table, provider, log=sink)
+        assert self.assert_one_sync_per_plan(sink) == 1 + result.generations_completed == 4
+
+    def test_a_plan_that_raises_is_synced(self, small_table):
+        # The tenth call, a crossover of generation 1, raises.
+        provider = KeyedProvider(fail_at={9}, error=RuntimeError("provider crashed"))
+        sink = EventSink()
+        with pytest.raises(RuntimeError, match="provider crashed"):
+            run_evolution(TestConcurrentWaves.config(retry_budget=0), small_table, provider, log=sink)
+        assert self.assert_one_sync_per_plan(sink) == 2
+
+    def test_an_aborted_init_plan_is_synced(self, small_table):
+        sink = EventSink()
+        result = run_evolution(base_config(), small_table, FailingProvider(), log=sink, seed_rule=SEED_DUD)
+        assert result.aborted
+        assert self.assert_one_sync_per_plan(sink) == 1

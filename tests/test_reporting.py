@@ -1,14 +1,19 @@
+import errno
 import json
+import os
 
 import numpy as np
 import pytest
 
+from pillm import reporting
 from pillm.providers import ScriptedProvider
 from pillm.reporting import (
     BEST_RULE_NAME,
     CONFIG_SNAPSHOT_NAME,
     REPORT_NAME,
+    REQUESTS_LOG_NAME,
     RUN_LOG_NAME,
+    TRAIN_CSV_NAME,
     DiagnosticReport,
     DuplicateRecordError,
     RunLog,
@@ -146,6 +151,86 @@ class TestRunLog:
         assert (tmp_path / REPORT_NAME).read_text() == "hello\n"
 
 
+def synced_files(monkeypatch) -> list[os.stat_result]:
+    """The status of each file `RunLog.sync` fsyncs from now on, in call order."""
+    synced = []
+
+    def recording(fd: int) -> None:
+        synced.append(os.fstat(fd))
+
+    monkeypatch.setattr(reporting.os, "fsync", recording)
+    return synced
+
+
+def names(synced: list[os.stat_result], run_dir) -> list[str]:
+    return [next(p.name for p in run_dir.iterdir() if os.path.samestat(st, p.stat())) for st in synced]
+
+
+class TestSync:
+    def test_nothing_written_makes_no_fsync(self, tmp_path, monkeypatch):
+        synced = synced_files(monkeypatch)
+        RunLog(tmp_path).sync()
+        assert synced == []
+
+    def test_requests_only_fsyncs_requests_log_alone(self, tmp_path, monkeypatch):
+        synced = synced_files(monkeypatch)
+        log = RunLog(tmp_path)
+        log.request("init")
+        log.request("init")
+        log.sync()
+        assert names(synced, tmp_path) == [REQUESTS_LOG_NAME]
+
+    def test_each_written_stream_once_then_none(self, tmp_path, monkeypatch):
+        synced = synced_files(monkeypatch)
+        log = RunLog(tmp_path)
+        log.request("init")
+        log.append(record("c0000"))
+        log.append(record("c0001"))
+        log.sync()
+        assert names(synced, tmp_path) == [REQUESTS_LOG_NAME, RUN_LOG_NAME]
+        log.sync()
+        assert len(synced) == 2
+
+    def test_lines_reach_the_file_before_sync(self, tmp_path, monkeypatch):
+        synced_files(monkeypatch)
+        log = RunLog(tmp_path)
+        log.request("init")
+        log.append(record("c0000"))
+        assert (tmp_path / REQUESTS_LOG_NAME).read_text(encoding="utf-8") == "init\n"
+        assert [r["candidate_id"] for r in log.records()] == ["c0000"]
+
+
+class TestWriteErrors:
+    """An `OSError` while writing a run file is a `RunLogError` naming the file and the directory."""
+
+    @pytest.mark.parametrize(
+        "name, write",
+        [
+            (REQUESTS_LOG_NAME, lambda log: log.request("init")),
+            (RUN_LOG_NAME, lambda log: log.append(record("c0000"))),
+            (TRAIN_CSV_NAME, lambda log: log.write_split(b"a\n", b"a\n", "[]")),
+            (BEST_RULE_NAME, lambda log: log.write_best("return $x > 1", "ctx")),
+            (REPORT_NAME, lambda log: log.write_report("hello\n")),
+        ],
+        ids=["request", "append", "split", "best", "report"],
+    )
+    def test_missing_directory(self, tmp_path, name, write):
+        log = RunLog(tmp_path / "gone")
+        with pytest.raises(RunLogError) as info:
+            write(log)
+        assert str(info.value) == f"cannot write {name} in {tmp_path / 'gone'}: No such file or directory"
+
+    def test_failed_fsync(self, tmp_path, monkeypatch):
+        def failing(fd: int) -> None:
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(reporting.os, "fsync", failing)
+        log = RunLog(tmp_path)
+        log.append(record("c0000"))
+        with pytest.raises(RunLogError, match=f"^cannot write {RUN_LOG_NAME} in .*: {os.strerror(errno.EIO)}$"):
+            log.sync()
+
+
 class TestBestRecord:
     def test_empty_and_all_invalid(self):
         assert best_record([]) is None
@@ -193,6 +278,24 @@ class TestGenerateReport:
         assert finding.evidence[0].value == pytest.approx(5.0)
         assert finding.evidence[0].z_score == pytest.approx((5.0 - 0.5) / 0.5, rel=1e-6)
         assert report.test_metrics.f1 == pytest.approx(1.0)
+
+    def test_labelled_train_split_measures_against_normal_rows(self):
+        test_table, _ = spike_tables()
+        # Two fault rows far from the four normal ones.
+        train_x = np.array([0.0, 1.0, 0.0, 1.0, 9.0, 9.0])
+        labels = np.array([0, 0, 0, 0, 1, 1], dtype=np.uint8)
+        train_table = make_table({"x": train_x, "y": np.zeros(6)}, labels=labels)
+        report = generate_report(*rule("return $x > 2.5"), test_table, 0.5, train_table)
+        assert report.incidents[0].evidence[0].z_score == pytest.approx((5.0 - 0.5) / 0.5, rel=1e-6)
+        assert "Z-scores are measured against the 4 training rows labelled normal.\n" in report.render()
+
+    @pytest.mark.parametrize("labels", [None, np.ones(4, dtype=np.uint8)], ids=["unlabelled", "no-normal-row"])
+    def test_train_split_without_normal_rows_measures_against_all_rows(self, labels):
+        test_table, _ = spike_tables()
+        train_table = make_table({"x": np.array([0.0, 1.0, 0.0, 1.0]), "y": np.zeros(4)}, labels=labels)
+        report = generate_report(*rule("return $x > 2.5"), test_table, 0.5, train_table)
+        assert report.incidents[0].evidence[0].z_score == pytest.approx((5.0 - 0.5) / 0.5, rel=1e-6)
+        assert "Z-scores are measured against all 4 training rows.\n" in report.render()
 
     def test_evidence_limited_to_top_three_rule_features(self):
         num_rows = 8
