@@ -213,6 +213,8 @@ def evolve(
     prompts_dir: str | None,
 ) -> None:
     """Run the evolutionary loop and persist the run directory."""
+    if script_path is not None and provider_kind != "scripted":
+        _fail("--script has no effect without --provider scripted", EXIT_BAD_CONFIG)
     doc = json.loads(read_text(config_path, "config", TableError))
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")

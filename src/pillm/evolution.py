@@ -4,9 +4,11 @@ Each generation reflects on worse/better rule pairs (physical-context-aware
 hints), crosses pairs over into offspring guided by those hints, and mutates
 the elites under a rolling digest of recent reflections. Which LLM requests
 a generation makes, and which replies each waits for, is its plan; see
-`EvolutionEngine._generation_plan`. Survivor selection is mu+lambda
-truncation with explicit elitism, so the population's best fitness never
-decreases.
+`EvolutionEngine._generation_plan`. The survivors are the `elite_count`
+best of the old population and the generation's offspring, ranked and cut
+to `population_size`, so the population's best fitness never decreases. At
+the defaults that is 2 elites and 7 offspring: a population of 9, not 10,
+enters each later generation.
 Fitness is the event-level point-adjusted F1 on the training split. Both
 reflection and crossover can be disabled independently for ablation runs.
 """
@@ -247,18 +249,20 @@ class _CallBudgetExhausted(Exception):
 
 
 class _SlotSpec(NamedTuple):
-    """One operator slot of a plan: the earlier slots it `reads`, by index, and its builder.
+    """One operator slot of a plan, as data.
 
-    `build` gets the committed results of `reads`, in that order, and
-    returns the call the pool runs for the slot. The call gets the list its
-    requests' tags go to and yields a `Reflection` or a `RuleCandidate`, or
-    None. `calls` is the most requests the slot can send: 1 for a
-    reflection, 1 + `retry_budget` for a slot that asks for a rule.
+    `tag` is the operator: "init", "reflection", "crossover" or "mutation".
+    `reads` are the earlier slots, by index, whose committed results
+    `prompt` gets, in that order; it returns the slot's user prompt and its
+    system prompt, or None for the shared one. `parents` are the ids of the
+    candidates the slot's rule is bred from. `_run_plan` builds the slot's
+    requests and its call from these.
     """
 
+    tag: str
     reads: tuple[int, ...]
-    build: Callable[..., Callable[[list[str]], object]]
-    calls: int
+    prompt: Callable[..., tuple[str, str | None]]
+    parents: tuple[str, ...] = ()
 
 
 class EvolutionEngine:
@@ -267,7 +271,9 @@ class EvolutionEngine:
     Every LLM request belongs to one operator slot: an init, a reflection, a
     crossover or a mutation. The initial population (`_init_plan`) and each
     generation (`_generation_plan`, which gives the schedule) are plans:
-    lists of slots, each naming the earlier slots it reads. `_run_plan` runs
+    lists of slots, each a `_SlotSpec` naming its operator, the earlier
+    slots it reads, its prompt and its parents. `_run_plan` builds each
+    slot's requests, as many as `_attempts` allows its operator, and runs
     each plan on a thread pool `provider.max_in_flight` wide, which `run`
     owns. Each request carries a seed, `request_seed(config, ordinal,
     attempt)`, from the slot's ordinal in submission order and its attempt,
@@ -348,6 +354,10 @@ class EvolutionEngine:
 
     # ---- provider plumbing -------------------------------------------------
 
+    def _attempts(self, tag: str) -> int:
+        """The most requests a slot of operator `tag` sends: one reflection, or a rule and its retries."""
+        return 1 if tag == "reflection" else 1 + self.config.retry_budget
+
     def _requests(self, tag: str, user: str, system: str | None = None) -> Iterator[CompletionRequest]:
         """The next slot's requests, one per attempt, each with its own seed.
 
@@ -367,7 +377,7 @@ class EvolutionEngine:
                 max_tokens=config.max_tokens,
                 seed=request_seed(config, ordinal, attempt),
             )
-            for attempt in range(1 + config.retry_budget)
+            for attempt in range(self._attempts(tag))
         )
 
     def _complete(self, request: CompletionRequest, issued: list[str]) -> str:
@@ -449,23 +459,27 @@ class EvolutionEngine:
         self,
         pool: ThreadPoolExecutor,
         plan: Sequence[_SlotSpec],
+        generation: int,
         head: Sequence[RuleCandidate] = (),
     ) -> list[RuleCandidate]:
         """Run `plan`'s slots on `pool`; `head` and the slots' candidates, evaluated and logged.
 
         Slots are submitted in slot order, each once every slot up to the
-        last one it reads is committed. Builders run here, on the engine's
-        thread, so a slot's requests get their seeds in slot order. Each
-        slot's request tags go to its own list. Results are committed in
-        slot order: the slot's tags go to `log.request`, whether it returned,
-        raised or found the budget spent, and a committed reflection joins
-        the digest. A slot whose `calls`, with those the running slots can
-        still send, could pass the call budget is submitted once they are
-        done. A slot that raised has halted the run; its exception is
-        re-raised once `head` and the other slots' candidates are logged.
-        However the plan ends, what it logged is synced before it returns
-        or raises, so before the next plan's first request.
+        last one it reads is committed. Prompts and requests are built here,
+        on the engine's thread, so a slot's requests get their seeds in slot
+        order. A reflection slot's call is `_reflect`; any other asks `_slot`
+        for a rule of `generation`. Each slot's request tags go to its own
+        list. Results are committed in slot order: the slot's tags go to
+        `log.request`, whether it returned, raised or found the budget
+        spent, and a committed reflection joins the digest. A slot whose
+        `_attempts`, with those the running slots can still send, could pass
+        the call budget is submitted once they are done. A slot that raised
+        has halted the run; its exception is re-raised once `head` and the
+        other slots' candidates are logged. However the plan ends, what it
+        logged is synced before it returns or raises, so before the next
+        plan's first request.
         """
+        attempts = [self._attempts(spec.tag) for spec in plan]
         tasks: list[Future] = []
         issued: list[list[str]] = []
         results: list = []
@@ -481,14 +495,18 @@ class EvolutionEngine:
                 results.append(result)
 
         try:
-            for spec in plan:
+            for slot, spec in enumerate(plan):
                 commit(max(spec.reads, default=-1) + 1)
-                call = spec.build(*(results[i] for i in spec.reads))
+                requests = self._requests(spec.tag, *spec.prompt(*(results[i] for i in spec.reads)))
+                if spec.tag == "reflection":
+                    call = partial(self._reflect, requests)
+                else:
+                    call = partial(self._slot, requests, generation, spec.parents)
                 # The most calls the run can have made once this slot and those
                 # still running are done; past the budget, the slot waits for them.
                 with self._lock:
                     running = [k for k, task in enumerate(tasks) if not task.done()]
-                    most = self.llm_calls + spec.calls + sum(plan[k].calls - len(issued[k]) for k in running)
+                    most = self.llm_calls + attempts[slot] + sum(attempts[k] - len(issued[k]) for k in running)
                 if most > self.config.llm_call_budget:
                     wait([tasks[k] for k in running])
                 issued.append([])
@@ -567,8 +585,7 @@ class EvolutionEngine:
             },
             self._templates,
         )
-        build = partial(self._rule_call, "init", user_prompt, 0)
-        return [_SlotSpec((), build, 1 + self.config.retry_budget)] * (self.config.population_size - 1)
+        return [_SlotSpec("init", (), lambda: (user_prompt, None))] * (self.config.population_size - 1)
 
     def _generation_plan(
         self, population: Sequence[RuleCandidate], generation: int
@@ -590,31 +607,21 @@ class EvolutionEngine:
         config = self.config
         pairs = select_pairs(population, self._rng, config.pairs_per_gen)
         ranked = sorted((c for c in population if c.is_valid), key=lambda c: rank_key(c.fitness, c.id))
-        calls = 1 + config.retry_budget
         plan = []
         if config.enable_pir:
-            plan += [_SlotSpec((), partial(self._reflection_call, *pair), 1) for pair in pairs]
+            plan += [_SlotSpec("reflection", (), partial(self._reflection_prompt, *pair)) for pair in pairs]
         reflections = tuple(range(len(plan)))
         elites = ranked[: config.elite_count]
         if config.enable_pic:
             # Crossover i reads reflection i, when there are reflections.
-            plan += [
-                _SlotSpec(reflections[i : i + 1], partial(self._crossover_call, *pair, generation), calls)
-                for i, pair in enumerate(pairs)
-            ]
+            for i, (worse, better) in enumerate(pairs):
+                prompt = partial(self._crossover_prompt, worse, better)
+                plan.append(_SlotSpec("crossover", reflections[i : i + 1], prompt, (worse.id, better.id)))
         else:
             elites = ranked[:1] * len(pairs) + elites
-        plan += [
-            _SlotSpec(reflections, partial(self._mutation_call, elite, generation), calls)
-            for elite in elites
-        ]
+        for elite in elites:
+            plan.append(_SlotSpec("mutation", reflections, partial(self._mutation_prompt, elite), (elite.id,)))
         return plan
-
-    def _rule_call(
-        self, tag: str, user_prompt: str, generation: int, parents: tuple[str, ...] = ()
-    ) -> Callable[[list[str]], RuleCandidate | None]:
-        """The call of the next slot that asks for a rule."""
-        return partial(self._slot, self._requests(tag, user_prompt), generation, parents)
 
     def _pair_bindings(self, worse: RuleCandidate, better: RuleCandidate) -> dict[str, str]:
         return {
@@ -625,13 +632,10 @@ class EvolutionEngine:
             "better_rules_physical_context": better.context,
         }
 
-    def _reflection_call(
-        self, worse: RuleCandidate, better: RuleCandidate
-    ) -> Callable[[list[str]], Reflection | None]:
+    def _reflection_prompt(self, worse: RuleCandidate, better: RuleCandidate) -> tuple[str, str]:
         bindings = self._pair_bindings(worse, better)
         system = prompts.render("reflection_system", bindings, self._templates)
-        user = "Respond now with your hints and the improved physical context."
-        return partial(self._reflect, self._requests("reflection", user, system))
+        return "Respond now with your hints and the improved physical context.", system
 
     def _reflect(self, requests: Iterator[CompletionRequest], issued: list[str]) -> Reflection | None:
         """Ask for hints about why the better rule wins; None drops the pair."""
@@ -641,22 +645,15 @@ class EvolutionEngine:
             return None
         return Reflection(*prompts.parse_reflection(text))
 
-    def _crossover_call(
-        self,
-        worse: RuleCandidate,
-        better: RuleCandidate,
-        generation: int,
-        reflection: Reflection | None = None,
-    ) -> Callable[[list[str]], RuleCandidate | None]:
+    def _crossover_prompt(
+        self, worse: RuleCandidate, better: RuleCandidate, reflection: Reflection | None = None
+    ) -> tuple[str, None]:
         bindings = self._pair_bindings(worse, better)
         bindings["reflection_comments"] = reflection.comments if reflection else NO_REFLECTION_TEXT
         bindings["reflection_context"] = reflection.context if reflection else ""
-        user_prompt = prompts.render("crossover", bindings, self._templates)
-        return self._rule_call("crossover", user_prompt, generation, (worse.id, better.id))
+        return prompts.render("crossover", bindings, self._templates), None
 
-    def _mutation_call(
-        self, elite: RuleCandidate, generation: int, *reflections: Reflection | None
-    ) -> Callable[[list[str]], RuleCandidate | None]:
+    def _mutation_prompt(self, elite: RuleCandidate, *reflections: Reflection | None) -> tuple[str, None]:
         """The prompt reads the digest, which the committed `reflections` have joined."""
         digest = long_term_reflection(self._reflections, self.config.long_term_window)
         latest_context = self._reflections[-1].context if self._reflections else NO_REFLECTIONS_YET
@@ -666,8 +663,7 @@ class EvolutionEngine:
             "reflection_context": latest_context,
             "elitist_code": prompts.fence("rule", elite.code),
         }
-        user_prompt = prompts.render("elitist_mutation", bindings, self._templates)
-        return self._rule_call("mutation", user_prompt, generation, (elite.id,))
+        return prompts.render("elitist_mutation", bindings, self._templates), None
 
     # ---- the loop ----------------------------------------------------------
 
@@ -693,12 +689,12 @@ class EvolutionEngine:
             generation=0,
             rule=compile_rule(code, self._feature_names),
         )
-        population = self._run_plan(pool, self._init_plan(seed), head=(seed,))
+        population = self._run_plan(pool, self._init_plan(seed), 0, head=(seed,))
 
         for generation in range(1, config.generations + 1):
             if self._halt.is_set():
                 break
-            fresh = self._run_plan(pool, self._generation_plan(population, generation))
+            fresh = self._run_plan(pool, self._generation_plan(population, generation), generation)
             if self._halt.is_set():
                 break
             elites = sorted(population, key=lambda c: rank_key(c.fitness, c.id))[: config.elite_count]

@@ -251,9 +251,17 @@ def best_record(records: Sequence[dict]) -> dict | None:
 
 @dataclass(frozen=True)
 class EvidenceItem:
+    """A referenced feature at an incident's peak row.
+
+    `baseline` is set, and `z_score` is infinite, when every baseline row
+    reads that one value and the peak row does not: there is no spread to
+    measure the distance in.
+    """
+
     feature: str
     value: float
     z_score: float
+    baseline: float | None = None
 
 
 @dataclass(frozen=True)
@@ -311,10 +319,11 @@ class DiagnosticReport:
                 f"peak score {finding.peak_score:.4f} at row {finding.peak_row}."
             )
             for item in finding.evidence:
-                lines.append(
-                    f"  - {item.feature} = {item.value:.4f} at the peak row, "
-                    f"{item.z_score:+.2f} standard deviations from its training mean"
-                )
+                if item.baseline is not None:
+                    detail = f"; every baseline row reads {item.baseline:.4f}"
+                else:
+                    detail = f", {item.z_score:+.2f} standard deviations from its training mean"
+                lines.append(f"  - {item.feature} = {item.value:.4f} at the peak row{detail}")
         lines.append("")
 
         lines.append("Assess Severity")
@@ -356,7 +365,9 @@ def generate_report(
     computed per incident at the peak-score row: the rule's referenced
     features, ranked by |z-score| against the mean and standard deviation of
     the training split's normal rows (labelled 0), or of all its rows when it
-    has no labels or no normal row, top three kept.
+    has no labels or no normal row, top three kept. A feature whose
+    baseline rows all read one value has a z-score of 0 at a peak row that
+    reads it too, and ranks first at one that does not.
     """
     rule = compile_rule(code, test_table.feature_names)
     scores = evaluate(rule, test_table)
@@ -373,16 +384,22 @@ def generate_report(
     train_stats = {}
     for name in sorted(rule.ast.features):
         column = train_table.column(name)[rows]
-        train_stats[name] = (float(np.mean(column)), float(np.std(column)))
+        constant = float(column[0]) if column.min() == column.max() else None
+        train_stats[name] = (float(np.mean(column)), float(np.std(column)), constant)
 
     findings = []
     for start, end in incidents:
         window = scores[start : end + 1]
         peak_row = start + int(np.argmax(window))
         evidence = []
-        for name, (mu, sd) in train_stats.items():
+        for name, (mu, sd, constant) in train_stats.items():
             value = float(test_table.column(name)[peak_row])
-            evidence.append(EvidenceItem(name, value, (value - mu) / (sd + ZSCORE_EPS)))
+            if constant is None:
+                evidence.append(EvidenceItem(name, value, (value - mu) / (sd + ZSCORE_EPS)))
+            elif value == constant:
+                evidence.append(EvidenceItem(name, value, 0.0))
+            else:
+                evidence.append(EvidenceItem(name, value, math.copysign(math.inf, value - constant), constant))
         evidence.sort(key=lambda item: (-abs(item.z_score), item.feature))
         findings.append(
             IncidentFinding(

@@ -671,9 +671,10 @@ class TestEvolve:
         lock, calls = threading.Lock(), []
 
         def removing(self, request):
+            # At the first reflection the engine is waiting on it and writes nothing.
             with lock:
                 calls.append(request.tag)
-                if len(calls) == 3:
+                if request.tag == "reflection" and calls.count("reflection") == 1:
                     shutil.rmtree(next(out.iterdir()))
             return original(self, request)
 
@@ -1285,6 +1286,18 @@ EXIT_PATH_CASES = [
     ("empty-csv", 3, "CSV is empty", lambda w: w.eval(w.file("empty.csv", ""), w.meta)),
     ("meta-entry-not-object", 3, "metadata entry 0 must be an object", lambda w: w.eval(w.data, w.file("m.json", "[1]"))),
     ("meta-no-feature", 3, "metadata must declare at least one feature", lambda w: w.eval(w.data, w.file("m.json", "[]"))),
+    (
+        "script-with-sampler",
+        3,
+        "--script has no effect without --provider scripted",
+        lambda w: w.evolve("{}", "--provider", "sampler", "--script", w.file("script.jsonl", "")),
+    ),
+    (
+        "script-with-http",
+        3,
+        "--script has no effect without --provider scripted",
+        lambda w: w.evolve("{}", "--provider", "http", "--script", w.file("script.jsonl", "")),
+    ),
 ]
 
 

@@ -24,6 +24,7 @@ from pillm.evolution import (
     RuleCandidate,
     default_seed_rule,
     long_term_reflection,
+    rank_key,
     request_seed,
     run_evolution,
     select_pairs,
@@ -503,6 +504,44 @@ class TestRun:
         per_generation = [tag[letter] for letter in generation_tags]
         assert result.generations_completed == 3
         assert sink.tags == ["init"] * 5 + per_generation * 3
+
+    @pytest.mark.parametrize(
+        "enable_pir, enable_pic, generation_tags",
+        [(True, True, "RRRCCCMM"), (True, False, "RRRMMMMM"), (False, True, "CCCMM")],
+        ids=["default", "no-pic", "no-pir"],
+    )
+    def test_generation_plan_is_data(self, small_table, monkeypatch, enable_pir, enable_pic, generation_tags):
+        # Each generation's slots, read as data: their tags, the slots they read and their parents.
+        config = TestConcurrentWaves.config(enable_pir=enable_pir, enable_pic=enable_pic, retry_budget=0)
+        select, plan = evolution.select_pairs, EvolutionEngine._generation_plan
+        drawn, plans = [], []
+
+        def selecting(*args):
+            drawn.append(select(*args))
+            return drawn[-1]
+
+        def planning(engine, population, generation):
+            plans.append((list(population), plan(engine, population, generation)))
+            return plans[-1][1]
+
+        monkeypatch.setattr(evolution, "select_pairs", selecting)
+        monkeypatch.setattr(EvolutionEngine, "_generation_plan", planning)
+        run_evolution(config, small_table, KeyedProvider(max_in_flight=1, delay=0))
+        tag = {"R": "reflection", "C": "crossover", "M": "mutation"}
+        assert len(plans) == len(drawn) == 3
+        for (population, slots), pairs in zip(plans, drawn):
+            assert [spec.tag for spec in slots] == [tag[letter] for letter in generation_tags]
+            reflections = tuple(range(len(pairs))) if enable_pir else ()
+            assert [spec.reads for spec in slots if spec.tag == "reflection"] == [()] * len(reflections)
+            crossovers = [(spec.reads, spec.parents) for spec in slots if spec.tag == "crossover"]
+            paired = [((i,) if enable_pir else (), (worse.id, better.id)) for i, (worse, better) in enumerate(pairs)]
+            assert crossovers == (paired if enable_pic else [])
+            ranked = sorted((c for c in population if c.is_valid), key=lambda c: rank_key(c.fitness, c.id))
+            elites = ranked[:2] if enable_pic else ranked[:1] * len(pairs) + ranked[:2]
+            mutations = [(spec.reads, spec.parents) for spec in slots if spec.tag == "mutation"]
+            assert mutations == [(reflections, (elite.id,)) for elite in elites]
+            if not enable_pir:
+                assert all(spec.reads == () for spec in slots)
 
     def test_abort_when_provider_dies_during_init(self, small_table):
         result = run_evolution(base_config(), small_table, FailingProvider(), seed_rule=SEED_DUD)

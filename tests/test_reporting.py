@@ -330,6 +330,30 @@ class TestGenerateReport:
         )
         assert [item.feature for item in report.incidents[0].evidence] == ["k", "m"]
 
+    def test_feature_off_a_constant_baseline_ranks_first(self):
+        # y reads 0 on every baseline row and 1 at the peak: no spread to divide by.
+        test_table, train_table = spike_tables()
+        test_table = make_table(
+            {"x": test_table.column("x"), "y": test_table.column("x") / 5}, labels=test_table.labels
+        )
+        train_table = make_table({"x": train_table.column("x"), "y": np.zeros(4)})
+        report = generate_report(*rule("return $x > 2.5 and $y > 0.5"), test_table, 0.5, train_table)
+        y, x = report.incidents[0].evidence
+        assert (y.feature, y.value, y.z_score, y.baseline) == ("y", 1.0, float("inf"), 0.0)
+        assert x.z_score == pytest.approx((5.0 - 0.5) / 0.5, rel=1e-6) and x.baseline is None
+        text = report.render()
+        assert "  - y = 1.0000 at the peak row; every baseline row reads 0.0000\n" in text
+        assert "  - x = 5.0000 at the peak row, +9.00 standard deviations from its training mean\n" in text
+
+    def test_feature_on_its_constant_baseline_has_z_score_zero(self):
+        test_table, train_table = spike_tables()
+        train_table = make_table({"x": train_table.column("x"), "y": np.full(4, 0.1)})
+        test_table = make_table({"x": test_table.column("x"), "y": np.full(6, 0.1)})
+        report = generate_report(*rule("return $x > 2.5 and $y < 0.5"), test_table, 0.5, train_table)
+        x, y = report.incidents[0].evidence
+        assert (y.feature, y.z_score, y.baseline) == ("y", 0.0, None)
+        assert "  - y = 0.1000 at the peak row, +0.00 standard deviations from its training mean\n" in report.render()
+
     def test_severity_severe_for_wide_strong_incident(self):
         test_table, train_table = spike_tables()
         report = generate_report(*rule("return $x > 2.5"), test_table, 0.5, train_table)
