@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 # Each exported name and the submodule that defines it.
 _EXPORTS = {
-    "EvolutionConfig": "evolution",
+    "EvolutionConfig": "config",
     "RuleCandidate": "evolution",
     "RunResult": "evolution",
     "run_evolution": "evolution",

@@ -1,12 +1,20 @@
-"""Command-line front end: data generation, rule checking, scoring, evolution, reporting."""
+"""Command-line front end: data generation, rule checking, scoring, evolution, reporting.
+
+Each command imports what it runs. Only `evolve` loads the engine and the
+prompts, and only `evolve` and `report --narrate` load the providers (which
+read the prompts' reply format). The `pillm` program starts in `run`, which
+freezes the objects alive at start-up out of the garbage collector's passes.
+"""
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
@@ -14,18 +22,11 @@ import click
 # this must run before numpy is first imported. A value already set is kept.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import __version__, prompts
+from . import __version__
+from .config import ConfigError, EvolutionConfig
 from .dsl import DslError, compile_rule, evaluate, parse, to_flags, typecheck
-from .evolution import ConfigError, EvolutionConfig, run_evolution
+from .errors import PromptError, ProviderConfigError, ProviderError
 from .metrics import event_f1_pa, point_adjusted_report, pointwise_report
-from .providers import (
-    HttpProvider,
-    Provider,
-    ProviderConfigError,
-    ProviderError,
-    SamplerProvider,
-    ScriptedProvider,
-)
 from .reporting import RunDirError, RunLog, RunLogError, best_record, generate_report, narrate_report
 from .simulate import FAULT_KINDS, FaultSpec, SimConfig, SimulationError, generate_corpus
 from .timeseries import (
@@ -38,6 +39,10 @@ from .timeseries import (
     save_meta,
     split,
 )
+
+if TYPE_CHECKING:
+    from .evolution import RunResult
+    from .providers import Provider
 
 EXIT_ABORTED = 2
 EXIT_BAD_CONFIG = 3
@@ -55,7 +60,7 @@ EXIT_CODES = {
     ConfigError: EXIT_BAD_CONFIG,
     json.JSONDecodeError: EXIT_BAD_CONFIG,
     ProviderConfigError: EXIT_BAD_CONFIG,
-    prompts.PromptError: EXIT_BAD_CONFIG,
+    PromptError: EXIT_BAD_CONFIG,
     SimulationError: EXIT_BAD_CONFIG,
 }
 
@@ -167,6 +172,8 @@ def eval_cmd(rule_path: str, data_path: str, meta_path: str, metric: str, thresh
 
 
 def _build_provider(kind: str, provider_block: dict, script: str | None, config: EvolutionConfig, feature_names) -> Provider:
+    from .providers import HttpProvider, SamplerProvider, ScriptedProvider
+
     if kind == "scripted":
         if script is None:
             script = provider_block.get("script")
@@ -184,6 +191,13 @@ def _build_provider(kind: str, provider_block: dict, script: str | None, config:
             timeout_secs=provider_block.get("timeout_secs", 60.0),
         )
     raise ProviderConfigError(f"unknown provider {kind!r}")
+
+
+def run_evolution(*args, **kwargs) -> RunResult:
+    """`evolution.run_evolution`; the engine is imported on the first call."""
+    from .evolution import run_evolution
+
+    return run_evolution(*args, **kwargs)
 
 
 @main.command("evolve")
@@ -213,6 +227,8 @@ def evolve(
     prompts_dir: str | None,
 ) -> None:
     """Run the evolutionary loop and persist the run directory."""
+    from . import prompts
+
     if script_path is not None and provider_kind != "scripted":
         _fail("--script has no effect without --provider scripted", EXIT_BAD_CONFIG)
     doc = json.loads(read_text(config_path, "config", TableError))
@@ -278,7 +294,9 @@ def report(run_dir: str, data_path: str, meta_path: str, narrate: bool) -> None:
         _fail("run log contains no valid candidate to report on")
     snapshot = log.config_snapshot()
     table, metas = _load_table(data_path, meta_path)
-    train_table = load_csv(log.train_csv(), metas)
+    # The evidence baseline reads only the rule's features, so only those train columns are parsed.
+    features = parse(best["code"]).features
+    train_table = load_csv(log.train_csv(), [m for m in metas if m.name in features] or metas)
 
     provider_block = _provider_block(snapshot)
     config = EvolutionConfig.from_dict(
@@ -298,5 +316,17 @@ def report(run_dir: str, data_path: str, meta_path: str, narrate: bool) -> None:
     click.echo(text, nl=False)
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The `pillm` program: `main`, with every object alive at start-up frozen.
+
+    Modules, classes and functions live until exit anyway, so the collector
+    need not walk them in any pass, the one at exit included. Importing this
+    module freezes nothing, so a process that imports it and calls `main`
+    keeps all of its objects collectable.
+    """
+    gc.freeze()
     main()
+
+
+if __name__ == "__main__":
+    run()

@@ -16,18 +16,19 @@ reflection and crossover can be disabled independently for ablation runs.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import prompts
+from .config import ConfigError, EvolutionConfig  # noqa: F401 (re-exported)
 from .dsl import BudgetError, DslError, EvalMemo, RuleAst, TypedRule, compile_rule, evaluate, to_flags
 from .metrics import MetricReport, event_f1_pa
 from .providers import CompletionRequest, Provider, ProviderError
+from .reporting import RECORD_FIELDS, rank_key
 from .timeseries import FeatureMeta, TimeSeriesTable
 
 NO_REFLECTION_TEXT = "No reflection available."
@@ -37,10 +38,6 @@ NO_REFLECTIONS_YET = "(no reflections yet)"
 # seed once before any repeats.
 _SEED_MODULUS = 2**31
 _SEED_STRIDE = 0x9E3779B1
-
-
-class ConfigError(ValueError):
-    """The evolution configuration is structurally invalid."""
 
 
 @dataclass
@@ -78,75 +75,6 @@ class RuleCandidate:
 class Reflection:
     comments: str
     context: str
-
-
-@dataclass
-class EvolutionConfig:
-    population_size: int = 10
-    generations: int = 10
-    elite_count: int = 2
-    pairs_per_gen: int | None = None
-    threshold: float = 0.5
-    seed: int = 0
-    enable_pir: bool = True
-    enable_pic: bool = True
-    retry_budget: int = 2
-    long_term_window: int = 5
-    llm_call_budget: int = 200
-    train_fraction: float = 0.7
-    init_temperature: float = 0.7
-    refine_temperature: float = 0.2
-    max_tokens: int = 1024
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # Annotations are strings under `from __future__ import annotations`.
-            if value is None and f.type.endswith(" | None"):
-                continue
-            kind = f.type.removesuffix(" | None")
-            if kind == "bool":
-                ok = isinstance(value, bool)
-            else:
-                allowed = (int, float) if kind == "float" else int
-                ok = isinstance(value, allowed) and not isinstance(value, bool)
-            if not ok:
-                raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
-        if self.pairs_per_gen is None:
-            self.pairs_per_gen = max(1, self.population_size // 2)
-        if self.population_size < 2:
-            raise ConfigError("population_size must be >= 2")
-        if not 0 <= self.elite_count < self.population_size:
-            raise ConfigError("elite_count must satisfy 0 <= elite_count < population_size")
-        if self.pairs_per_gen < 1:
-            raise ConfigError("pairs_per_gen must be >= 1")
-        if self.generations < 0:
-            raise ConfigError("generations must be >= 0")
-        if self.retry_budget < 0:
-            raise ConfigError("retry_budget must be >= 0")
-        if self.long_term_window < 1:
-            raise ConfigError("long_term_window must be >= 1")
-        if self.llm_call_budget < 1:
-            raise ConfigError("llm_call_budget must be >= 1")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError("train_fraction must be in (0, 1)")
-        if not math.isfinite(self.threshold):
-            raise ConfigError("threshold must be finite")
-        if not all(math.isfinite(t) and t >= 0 for t in (self.init_temperature, self.refine_temperature)):
-            raise ConfigError("init_temperature and refine_temperature must be finite and >= 0")
-        if self.max_tokens < 1:
-            raise ConfigError("max_tokens must be >= 1")
-
-    @classmethod
-    def from_dict(cls, doc: Mapping) -> "EvolutionConfig":
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416
-        unknown = set(doc) - known - {"provider"}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        return cls(**{k: v for k, v in doc.items() if k in known})
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -215,33 +143,6 @@ def request_seed(config: EvolutionConfig, ordinal: int, attempt: int) -> int:
     base = int.from_bytes(hashlib.sha256(b"%d" % config.seed).digest()[:4], "big")
     index = ordinal * (1 + config.retry_budget) + attempt
     return (base + index * _SEED_STRIDE) % _SEED_MODULUS
-
-
-def rank_key(fitness: float | None, candidate_id: str) -> tuple:
-    """Sort key of a candidate: invalid ones last, then higher fitness, then creation order.
-
-    Creation order puts `c9999` before `c10000`. The engine's survivors and
-    elites, and the record `evolve` writes to `best.rule` and `report`
-    describes (`reporting.best_record`), are all chosen by this key.
-    """
-    return (fitness is None, -(fitness or 0.0), len(candidate_id), candidate_id)
-
-
-# The keys of a candidate's `run.jsonl` record, in the order `_log_candidate` writes them.
-RECORD_FIELDS = (
-    "generation",
-    "candidate_id",
-    "parent_ids",
-    "operator",
-    "code",
-    "context",
-    "code_hash",
-    "fitness",
-    "precision",
-    "recall",
-    "request_tags_used",
-    "error",
-)
 
 
 class _CallBudgetExhausted(Exception):

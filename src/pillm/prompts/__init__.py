@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .. import timeseries
+from ..errors import PromptError
 
 logger = logging.getLogger(__name__)
 
@@ -74,10 +75,6 @@ Operators: + - * /, comparisons > < >= <= == !=, and boolean and/or/not.
 The rule must return either a boolean per row (flag) or a numeric anomaly
 score per row; scores above the detection threshold are flagged. There are
 no loops, no if statements, and no user-defined functions."""
-
-
-class PromptError(Exception):
-    """Base class for template and response-handling failures."""
 
 
 class MissingBindingError(PromptError):

@@ -32,6 +32,7 @@ from urllib.parse import urlsplit
 from .dsl.formatter import format_rule
 from .dsl.nodes import BUILTINS, BinOp, Call, Expr, FeatureRef, Num, RuleAst, Unary, VarRef
 from .dsl.parser import MAX_BINDINGS, MAX_NODES
+from .errors import ProviderConfigError, ProviderError
 from .prompts import format_response
 from .timeseries import read_text
 
@@ -53,14 +54,6 @@ RETRY_AFTER_MAX_SECONDS = RETRY_BASE_SECONDS * RETRY_FACTOR ** (RETRY_MAX_ATTEMP
 MAX_TIMEOUT_SECONDS = 86_400.0
 # Replies that make an `AdaptiveGate` halve its limit.
 OVERLOAD_STATUSES = (429, 503)
-
-
-class ProviderError(Exception):
-    """Base class for completion failures."""
-
-
-class ProviderConfigError(ProviderError):
-    """The provider is not usable as configured (e.g. missing API key)."""
 
 
 class CompletionError(ProviderError):

@@ -24,16 +24,17 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .dsl import compile_rule, evaluate, to_flags
 from .dsl.interp import ZSCORE_EPS
-from .evolution import RECORD_FIELDS, rank_key
 from .metrics import MetricReport, event_f1_pa
-from .providers import CompletionRequest, Provider
 from .timeseries import TimeSeriesTable, incidents_from_labels
+
+if TYPE_CHECKING:
+    from .providers import Provider
 
 RUN_LOG_NAME = "run.jsonl"
 REQUESTS_LOG_NAME = "requests.log"
@@ -43,6 +44,33 @@ TEST_CSV_NAME = "test.csv"
 META_NAME = "meta.json"
 BEST_RULE_NAME = "best.rule"
 REPORT_NAME = "report.txt"
+
+
+def rank_key(fitness: float | None, candidate_id: str) -> tuple:
+    """Sort key of a candidate: invalid ones last, then higher fitness, then creation order.
+
+    Creation order puts `c9999` before `c10000`. The engine's survivors and
+    elites, and the record `evolve` writes to `best.rule` and `report`
+    describes (`best_record`), are all chosen by this key.
+    """
+    return (fitness is None, -(fitness or 0.0), len(candidate_id), candidate_id)
+
+
+# The keys of a candidate's `run.jsonl` record, in the order the engine's `_log_candidate` writes them.
+RECORD_FIELDS = (
+    "generation",
+    "candidate_id",
+    "parent_ids",
+    "operator",
+    "code",
+    "context",
+    "code_hash",
+    "fitness",
+    "precision",
+    "recall",
+    "request_tags_used",
+    "error",
+)
 
 # The record fields `report` reads; every run log has carried them from the first.
 _REPORTED_FIELDS = ("candidate_id", "fitness", "code", "context")
@@ -173,8 +201,15 @@ class RunLog:
                     os.close(fd)
 
     def _append_line(self, path: Path, line: str) -> None:
-        with self._writing(path), open(path, "a", encoding="utf-8") as handle:
-            handle.write(line + "\n")
+        """Append `line` to `path` with three system calls, not through Python's text I/O."""
+        data = memoryview((line + "\n").encode("utf-8"))
+        with self._writing(path):
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                while data:  # a short write leaves the rest to write
+                    data = data[os.write(fd, data) :]
+            finally:
+                os.close(fd)
         self._unsynced[path] = None
 
     @contextmanager
@@ -430,6 +465,8 @@ def narrate_report(report_text: str, provider: Provider) -> str:
     Offline providers echo the skeleton unchanged, so narration is a no-op
     without a live endpoint.
     """
+    from .providers import CompletionRequest
+
     request = CompletionRequest(
         system_prompt=(
             "You are an expert in the domain of building energy. Rewrite the "

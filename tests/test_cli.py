@@ -18,10 +18,10 @@ from click.testing import CliRunner
 import pillm
 from pillm import reporting, transport
 from pillm.cli import EXIT_CODES, main
-from pillm.dsl import MAX_DEPTH, interp
+from pillm.dsl import MAX_DEPTH, interp, parse
 from pillm.prompts import TEMPLATE_IDS, format_response, load_templates
 from pillm.providers import CompletionError, SamplerProvider
-from pillm.reporting import RunLog, best_record
+from pillm.reporting import RunLog, best_record, generate_report
 from pillm.timeseries import load_csv, load_meta, save_csv, save_meta
 
 from .conftest import make_table
@@ -1139,6 +1139,68 @@ class TestReport:
         assert not (run_dir / "report.txt").exists()
 
 
+    @pytest.mark.parametrize(
+        "code, parsed",
+        [
+            ("return $zone_temp > {cut} and $fan_speed >= 0\n", ("zone_temp", "fan_speed")),
+            # A rule that reads no feature still gets its baseline's rows and labels.
+            ("return 1 > 0\n", None),
+        ],
+        ids=["two-features", "no-feature"],
+    )
+    def test_report_parses_only_the_train_columns_its_rule_reads(
+        self, tmp_path, runner, sim_corpus, monkeypatch, code, parsed
+    ):
+        run_dir = self.finished_run(tmp_path, runner, sim_corpus)
+        metas = load_meta((run_dir / "meta.json").read_bytes())
+        test_table = load_csv((run_dir / "test.csv").read_bytes(), metas)
+        # The best record now carries `code`; the two-feature rule flags the test split's warmest rows.
+        code = code.format(cut=round(float(np.quantile(test_table.column("zone_temp"), 0.99)), 3))
+        records = RunLog(run_dir).records()
+        best = best_record(records)
+        best["code"] = code
+        (run_dir / "run.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+        train_tables = []
+
+        def recording(*args):
+            train_tables.append(args[-1])
+            return generate_report(*args)
+
+        monkeypatch.setattr("pillm.cli.generate_report", recording)
+        args = ["report", "--run", str(run_dir), "--data", str(run_dir / "test.csv"), "--meta", str(run_dir / "meta.json")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        whole = load_csv((run_dir / "train.csv").read_bytes(), metas)
+        assert [t.feature_names for t in train_tables] == [parsed or whole.feature_names]
+
+        # The whole train table gives the same bytes: the evidence reads no other column.
+        threshold = json.loads((run_dir / "config.snapshot").read_text(encoding="utf-8"))["threshold"]
+        text = generate_report(code, best["context"], test_table, threshold, whole).render()
+        assert (run_dir / "report.txt").read_text(encoding="utf-8") == text == result.output
+        assert "Incident 1: rows " in text
+        assert f"Z-scores are measured against the {int((whole.labels == 0).sum())} training rows labelled normal.\n" in text
+        assert [name for name in whole.feature_names if f"  - {name} = " in text] == list(parsed or ())
+
+    def test_report_skips_a_bad_cell_in_a_train_column_the_rule_does_not_read(self, tmp_path, runner, sim_corpus):
+        run_dir = self.finished_run(tmp_path, runner, sim_corpus)
+        args = ["report", "--run", str(run_dir), "--data", str(run_dir / "test.csv"), "--meta", str(run_dir / "meta.json")]
+        assert runner.invoke(main, args).exit_code == 0
+        before = (run_dir / "report.txt").read_bytes()
+        features = parse(best_record(RunLog(run_dir).records())["code"]).features
+        header, *rows = (run_dir / "train.csv").read_text(encoding="utf-8").splitlines()
+        names = header.split(",")
+        metas = load_meta((run_dir / "meta.json").read_bytes())
+        unread = names.index(next(m.name for m in metas if m.name not in features))
+        cells = rows[5].split(",")
+        cells[unread] = "not-a-number"
+        rows[5] = ",".join(cells)
+        (run_dir / "train.csv").write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert (run_dir / "report.txt").read_bytes() == before
+
+
 class TestHttpConnectionsAreClosed:
     """`evolve` and `report --narrate` close the connections their http provider opened."""
 
@@ -1559,6 +1621,55 @@ def test_cli_import_does_not_load_the_http_stack():
     modules = ("requests", "http.client", "ssl", "urllib.request")
     code = f"import pillm.cli, sys; print([m for m in {modules!r} if m in sys.modules])"
     assert python_output(code) == "[]"
+
+
+# `python -c COMMAND_IMPORTS_SCRIPT ARGS...` runs `pillm ARGS...` through the
+# program's entry function and prints, last, the freeze count after `import
+# pillm.cli`, whether the entry froze anything, and which of `ENGINE_MODULES`
+# the command loaded.
+ENGINE_MODULES = ("pillm.evolution", "pillm.providers", "pillm.prompts", "pillm.transport", "concurrent.futures")
+COMMAND_IMPORTS_SCRIPT = f"""
+import gc, sys
+import pillm.cli
+frozen_at_import = gc.get_freeze_count()
+sys.argv = ["pillm", *sys.argv[1:]]
+try:
+    pillm.cli.run()
+except SystemExit:
+    pass
+print(frozen_at_import, gc.get_freeze_count() > 0, [m for m in {ENGINE_MODULES!r} if m in sys.modules])
+"""
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path, runner, sim_corpus):
+    data, meta = sim_corpus
+    evolve = ["evolve", "--data", str(data), "--meta", str(meta), "--config", str(evolve_config(tmp_path))]
+    evolve += ["--provider", "sampler"]
+    result = runner.invoke(main, [*evolve, "--out", str(tmp_path / "runs")])
+    assert result.exit_code == 0, result.output
+    run_dir = run_dir_from(result.output)
+    no_valid = tmp_path / "no_valid"
+    shutil.copytree(run_dir, no_valid)
+    records = [{**record, "fitness": None} for record in RunLog(no_valid).records()]
+    (no_valid / "run.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    rule = tmp_path / "ok.rule"
+    rule.write_text("return zscore($zone_temp, 60) > 3\n", encoding="utf-8")
+    commands = {
+        "report": ["report", "--run", str(run_dir), "--data", str(run_dir / "test.csv"), "--meta", str(meta)],
+        "report-no-valid": ["report", "--run", str(no_valid), "--data", str(data), "--meta", str(meta)],
+        "check": ["check", "--rule", str(rule), "--meta", str(meta)],
+        "eval": ["eval", "--rule", str(rule), "--data", str(data), "--meta", str(meta)],
+        "gen-data": ["gen-data", "--out", str(tmp_path / "corpus2"), "--length", "200"],
+        "version": ["--version"],
+        "evolve": [*evolve, "--out", str(tmp_path / "runs2")],
+    }
+    loaded = {}
+    for name, args in commands.items():
+        proc = run_python(COMMAND_IMPORTS_SCRIPT, *args)
+        assert proc.returncode == 0, proc.stderr
+        loaded[name] = proc.stdout.splitlines()[-1]
+    engine = [m for m in ENGINE_MODULES if m != "pillm.transport"]
+    assert loaded == {name: f"0 True {engine if name == 'evolve' else []}" for name in commands}
 
 
 def test_package_import_loads_nothing():

@@ -199,6 +199,15 @@ class TestSync:
         assert (tmp_path / REQUESTS_LOG_NAME).read_text(encoding="utf-8") == "init\n"
         assert [r["candidate_id"] for r in log.records()] == ["c0000"]
 
+    def test_a_short_write_leaves_no_byte_out(self, tmp_path, monkeypatch):
+        write = os.write
+        monkeypatch.setattr(reporting.os, "write", lambda fd, data: write(fd, data[:3]))
+        log = RunLog(tmp_path)
+        log.request("crossover")
+        log.append({**record("c0000"), "context": "zone at 30 °C, ΔT rising"})
+        assert (tmp_path / REQUESTS_LOG_NAME).read_bytes() == b"crossover\n"
+        assert [r["context"] for r in log.records()] == ["zone at 30 °C, ΔT rising"]
+
 
 class TestWriteErrors:
     """An `OSError` while writing a run file is a `RunLogError` naming the file and the directory."""
@@ -219,6 +228,14 @@ class TestWriteErrors:
         with pytest.raises(RunLogError) as info:
             write(log)
         assert str(info.value) == f"cannot write {name} in {tmp_path / 'gone'}: No such file or directory"
+
+    def test_failed_write(self, tmp_path, monkeypatch):
+        def failing(fd: int, data) -> int:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(reporting.os, "write", failing)
+        with pytest.raises(RunLogError, match=f"^cannot write {REQUESTS_LOG_NAME} in .*: {os.strerror(errno.ENOSPC)}$"):
+            RunLog(tmp_path).request("init")
 
     def test_failed_fsync(self, tmp_path, monkeypatch):
         def failing(fd: int) -> None:
