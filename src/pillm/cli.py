@@ -30,6 +30,7 @@ from .metrics import event_f1_pa, point_adjusted_report, pointwise_report
 from .reporting import RunDirError, RunLog, RunLogError, best_record, generate_report, narrate_report
 from .simulate import FAULT_KINDS, FaultSpec, SimConfig, SimulationError, generate_corpus
 from .timeseries import (
+    SchemaError,
     TableError,
     cut_csv,
     load_csv,
@@ -64,8 +65,9 @@ EXIT_CODES = {
     SimulationError: EXIT_BAD_CONFIG,
 }
 
-# The keys a config's `provider` block may hold; the snapshot adds `type`.
-_PROVIDER_KEYS = ("endpoint", "model", "timeout_secs", "script")
+# Each `--provider` type and the keys of a config's `provider` block it reads;
+# the snapshot adds `type`.
+_PROVIDER_KEYS = {"http": ("endpoint", "model", "timeout_secs"), "scripted": ("script",), "sampler": ()}
 
 _METRIC_FUNCS = {
     "pointwise": pointwise_report,
@@ -74,14 +76,11 @@ _METRIC_FUNCS = {
 }
 
 
-def _fail(message: str, code: int = 1) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
 def _load_table(data_path: str, meta_path: str):
+    """A corpus's CSV bytes, its metadata and its table; the metadata is parsed first."""
     metas = load_meta(Path(meta_path).read_bytes())
-    return load_csv(Path(data_path).read_bytes(), metas), metas
+    data = Path(data_path).read_bytes()
+    return data, metas, load_csv(data, metas)
 
 
 def _provider_block(doc: dict) -> dict:
@@ -98,7 +97,8 @@ class _Commands(click.Group):
         try:
             return super().invoke(ctx)
         except tuple(EXIT_CODES) as exc:
-            _fail(str(exc), next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES))
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES))
 
 
 @click.group(cls=_Commands)
@@ -118,14 +118,14 @@ def gen_data(out_dir: str, fault_kind: str | None, intensity: float, window_text
     """Simulate an HVAC corpus and write data.csv + meta.json."""
     if fault_kind is not None:
         if window_text is None:
-            _fail("--window START:END is required when --fault is given", EXIT_BAD_CONFIG)
+            raise SimulationError("--window START:END is required when --fault is given")
         try:
             start_text, end_text = window_text.split(":", 1)
             window = (int(start_text), int(end_text))
         except ValueError:
-            _fail(f"cannot parse --window {window_text!r}; expected START:END", EXIT_BAD_CONFIG)
+            raise SimulationError(f"cannot parse --window {window_text!r}; expected START:END") from None
     elif window_text is not None:
-        _fail("--window has no effect without --fault", EXIT_BAD_CONFIG)
+        raise SimulationError("--window has no effect without --fault")
 
     faults = [FaultSpec(fault_kind, intensity, window)] if fault_kind is not None else []
     table = generate_corpus(SimConfig(length=length, seed=seed), *faults)
@@ -163,9 +163,9 @@ def eval_cmd(rule_path: str, data_path: str, meta_path: str, metric: str, thresh
     """Score a rule against a labeled corpus and print one metric line."""
     if not math.isfinite(threshold):
         raise ConfigError("threshold must be finite")
-    table, _ = _load_table(data_path, meta_path)
+    _, _, table = _load_table(data_path, meta_path)
     if not table.has_labels:
-        _fail("data has no label column; scoring requires labels", EXIT_BAD_CONFIG)
+        raise SchemaError("data has no label column; scoring requires labels")
     rule = compile_rule(read_text(rule_path, "rule file", TableError), table.feature_names)
     flags = to_flags(evaluate(rule, table), threshold)
     click.echo(_METRIC_FUNCS[metric](flags, table.labels).line())
@@ -204,7 +204,7 @@ def run_evolution(*args, **kwargs) -> RunResult:
 @click.option("--data", "data_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--meta", "meta_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--provider", "provider_kind", required=True, type=click.Choice(["http", "scripted", "sampler"]))
+@click.option("--provider", "provider_kind", required=True, type=click.Choice(list(_PROVIDER_KEYS)))
 @click.option("--script", "script_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--no-pir", is_flag=True, help="Disable reflection (ablation).")
 @click.option("--no-pic", is_flag=True, help="Replace crossover with extra elitist mutations (ablation).")
@@ -230,7 +230,7 @@ def evolve(
     from . import prompts
 
     if script_path is not None and provider_kind != "scripted":
-        _fail("--script has no effect without --provider scripted", EXIT_BAD_CONFIG)
+        raise ProviderConfigError("--script has no effect without --provider scripted")
     doc = json.loads(read_text(config_path, "config", TableError))
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -240,15 +240,13 @@ def evolve(
     if no_pic:
         config.enable_pic = False
 
-    data = Path(data_path).read_bytes()
-    metas = load_meta(Path(meta_path).read_bytes())
-    table = load_csv(data, metas)
+    data, metas, table = _load_table(data_path, meta_path)
     if not table.has_labels:
-        _fail("training data must be labeled", EXIT_BAD_CONFIG)
+        raise SchemaError("training data must be labeled")
     train_table, _ = split(table, config.train_fraction)
 
     provider_block = _provider_block(doc)
-    unknown = sorted(set(provider_block) - set(_PROVIDER_KEYS))
+    unknown = sorted(set(provider_block) - set(_PROVIDER_KEYS[provider_kind]))
     if unknown:
         raise ConfigError(f"unknown provider keys: {', '.join(unknown)}")
     provider = _build_provider(provider_kind, provider_block, script_path, config, table.feature_names)
@@ -291,9 +289,9 @@ def report(run_dir: str, data_path: str, meta_path: str, narrate: bool) -> None:
     log = RunLog(run_dir)
     best = best_record(log.records())
     if best is None:
-        _fail("run log contains no valid candidate to report on")
+        raise RunLogError("run log contains no valid candidate to report on")
     snapshot = log.config_snapshot()
-    table, metas = _load_table(data_path, meta_path)
+    _, metas, table = _load_table(data_path, meta_path)
     # The evidence baseline reads only the rule's features, so only those train columns are parsed.
     features = parse(best["code"]).features
     train_table = load_csv(log.train_csv(), [m for m in metas if m.name in features] or metas)

@@ -304,12 +304,16 @@ class EvolutionEngine:
         slot's `issued` tags, one per request, or None when the call budget
         was spent before the slot's first request. A provider failure makes
         the candidate invalid with the provider's message, and during init
-        also aborts the run.
+        also aborts the run. The candidate's code, context and error are those
+        of the slot's last request: a reply with no rule block, or a request the
+        provider failed, leaves no code or context, and a slot the call budget
+        stopped keeps its last reply's.
         """
         parsed = rule = error = None
         try:
             for request in requests:
                 text = self._complete(request, issued)
+                parsed = None
                 try:
                     parsed = prompts.parse_response(text)
                     rule = compile_rule(parsed.code, self._feature_names)
@@ -319,7 +323,7 @@ class EvolutionEngine:
                     error = None
                     break
         except ProviderError as exc:
-            error = str(exc)
+            parsed, error = None, str(exc)
             if request.tag == "init":
                 # No population to fall back on yet: the run ends after generation 0.
                 self._aborted = True

@@ -457,16 +457,25 @@ class TestEvolve:
                 assert "error: timeout_secs must be" in result.output, bad
             assert list(out.iterdir()) == []
 
-    def test_unknown_provider_key_exits_3_before_run_dir(self, tmp_path, runner, sim_corpus):
+    def test_unknown_provider_key_exits_3_before_run_dir(self, tmp_path, runner, sim_corpus, monkeypatch):
+        # A key of another provider type is refused too, before the http provider looks for its API key.
+        monkeypatch.delenv("PILLM_API_KEY", raising=False)
         data, meta = sim_corpus
         out = tmp_path / "runs"
         out.mkdir()
-        for bad, named in (
-            ({"timeout_sec": 0.5, "max_in_flight": 16}, "max_in_flight, timeout_sec"),
-            ({"type": "http"}, "type"),
+        script = tmp_path / "script.jsonl"
+        script.write_text("", encoding="utf-8")
+        http = {"endpoint": "http://127.0.0.1:9/v1/chat/completions", "model": "m"}
+        for bad, named, provider in (
+            ({"timeout_sec": 0.5, "max_in_flight": 16}, "max_in_flight, timeout_sec", ["sampler"]),
+            ({"type": "http"}, "type", ["sampler"]),
+            ({"script": "nowhere.jsonl"}, "script", ["sampler"]),
+            ({"endpoint": http["endpoint"]}, "endpoint", ["scripted", "--script", str(script)]),
+            ({**http, "script": "nowhere.jsonl"}, "script", ["http"]),
         ):
             config = evolve_config(tmp_path, provider=bad)
-            result = self.invoke_evolve(runner, data, meta, config, out)
+            args = ["--data", str(data), "--meta", str(meta), "--config", str(config), "--out", str(out)]
+            result = runner.invoke(main, ["evolve", *args, "--provider", *provider])
             assert result.exit_code == 3, (bad, result.output)
             assert f"error: unknown provider keys: {named}" in result.output
             assert list(out.iterdir()) == []
@@ -1291,6 +1300,18 @@ class _Workdir:
     def eval(self, data: str, meta: str) -> list[str]:
         return ["eval", "--rule", self.file("ok.rule", RULE_OK), "--data", data, "--meta", meta]
 
+    def all_invalid_run(self) -> Path:
+        """A copy of the finished run in which no candidate has a fitness."""
+        run_dir = self.root / "all_invalid"
+        shutil.copytree(self.run_dir, run_dir)
+        lines = (run_dir / "run.jsonl").read_text(encoding="utf-8").splitlines()
+        records = [json.dumps({**json.loads(line), "fitness": None}) + "\n" for line in lines]
+        (run_dir / "run.jsonl").write_text("".join(records), encoding="utf-8")
+        return run_dir
+
+    def gen_data(self, *extra: str) -> list[str]:
+        return ["gen-data", "--out", str(self.root / "corpus"), *extra]
+
 
 # One invocation per class in the exit-code table: (the most specific listed
 # class it raises, the exit code, a part of its error message, its arguments).
@@ -1359,6 +1380,31 @@ EXIT_PATH_CASES = [
         3,
         "--script has no effect without --provider scripted",
         lambda w: w.evolve("{}", "--provider", "http", "--script", w.file("script.jsonl", "")),
+    ),
+    (
+        "fault-without-window",
+        3,
+        "--window START:END is required when --fault is given",
+        lambda w: w.gen_data("--fault", "sensor_bias"),
+    ),
+    (
+        "window-unparsable",
+        3,
+        "cannot parse --window '1-5'; expected START:END",
+        lambda w: w.gen_data("--fault", "sensor_bias", "--window", "1-5"),
+    ),
+    ("window-without-fault", 3, "--window has no effect without --fault", lambda w: w.gen_data("--window", "1:5")),
+    (
+        "eval-unlabeled",
+        3,
+        "data has no label column; scoring requires labels",
+        lambda w: w.eval(w.unlabeled_data(), w.meta),
+    ),
+    (
+        "report-no-valid-candidate",
+        1,
+        "run log contains no valid candidate to report on",
+        lambda w: w.report(w.all_invalid_run()),
     ),
 ]
 

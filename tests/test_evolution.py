@@ -343,6 +343,27 @@ class TestEngine:
         assert child["fitness"] is None
         assert best_record(result.records)["candidate_id"] == "c0000"
 
+    @pytest.mark.parametrize(
+        "replies,budget,logged",
+        [
+            (["no code block here"], 200, (["init", "init"], "", "", "response contains no fenced code block")),
+            ([], 200, (["init", "init"], "", "", "no scripted response left for tag 'init'")),
+            # A slot the call budget stops keeps its last reply's rule.
+            ([], 1, (["init"], "return $nope > 1", "first reply", "1:8: unknown feature $nope")),
+        ],
+        ids=["no-rule-block", "provider-failure", "call-budget"],
+    )
+    def test_a_record_describes_the_slots_last_request(self, small_table, replies, budget, logged):
+        first = "```rule\nreturn $nope > 1\n```\n\n```context\nfirst reply\n```"
+        result = run_evolution(
+            base_config(population_size=2, retry_budget=1, generations=0, llm_call_budget=budget),
+            small_table,
+            scripted(*[("init", text) for text in (first, *replies)]),
+            seed_rule=SEED_DUD,
+        )
+        child = result.records[1]
+        assert (child["request_tags_used"], child["code"], child["context"], child["error"]) == logged
+
     def test_evaluate_logs_each_candidate_once(self, small_table):
         sink = ListSink()
         provider = scripted(("init", RULE_HALF), ("init", RULE_GOOD))
