@@ -50,8 +50,9 @@ EXIT_BAD_CONFIG = 3
 
 # The exit code of each error class a command lets through. A fault in a rule
 # or a run directory exits 1; any other unusable input, such as an `--out`
-# where no run directory can be made, exits 3. The most specific class listed
-# wins, so a ProviderConfigError exits 3 and any other ProviderError 1.
+# where no run directory can be made or a `gen-data --out` that cannot be
+# made (`OSError`), exits 3. The most specific class listed wins, so a
+# ProviderConfigError exits 3 and any other ProviderError 1.
 EXIT_CODES = {
     DslError: 1,
     RunLogError: 1,
@@ -63,6 +64,7 @@ EXIT_CODES = {
     ProviderConfigError: EXIT_BAD_CONFIG,
     PromptError: EXIT_BAD_CONFIG,
     SimulationError: EXIT_BAD_CONFIG,
+    OSError: EXIT_BAD_CONFIG,
 }
 
 # Each `--provider` type and the keys of a config's `provider` block it reads;

@@ -31,10 +31,10 @@ Windowed results are kept in an `EvalMemo` tied to one table, so a term
 such as `zscore($zone_temp, 720)` that several rules share is computed once.
 Only the windowed builtins (`mean`, `std`, `rmin`, `rmax`, `zscore`, `ewma`)
 are kept: they cost 18-430 ns/row against 2-7 for elementwise nodes, and
-keeping every node would hold six times the memory for little speed. A
-memoized series is the one a fresh evaluation computes, bit for bit, and a
-hit charges the budget what computing it did, so neither a score nor the
-budget's verdict depends on what the memo holds.
+keeping every node would hold six times the memory for little speed. An
+entry holds the series a fresh evaluation computes, bit for bit, and the
+charges made while computing it, which a hit replays one by one, so neither
+a score nor the budget's verdict depends on what the memo holds.
 
 Only the final result coerces MISSING to 0.0: a rule that cannot decide
 does not alarm.
@@ -278,35 +278,33 @@ _LITERAL_TYPES = {"window": int, "alpha": float}
 class EvalMemo:
     """The windowed sub-expression results of one table, shared by `evaluate` calls.
 
-    A result's key is its node's structure with every `VarRef` replaced by
-    the key of the expression bound to it, since one name may mean different
-    things in different rules. At most `MEMO_BYTES` of series are kept; an
-    insertion that would pass the bound evicts the oldest entries first.
-    Each result's charge, the window values its kernel summed exactly, is kept
-    even once its series is evicted (one int per key), so a hit can charge
-    every windowed call under it. The memo takes no lock: use it from one
-    thread at a time.
+    A result's key is its node's structure, with every `VarRef` keyed by the
+    expression bound to it, since one name may mean different things in
+    different rules. An entry holds the result's series and its charges: in
+    order, the window values summed exactly by its kernel and by every call
+    under it while it was computed. A hit replays those charges. At most
+    `MEMO_BYTES` of series are kept; an insertion that would pass the bound
+    evicts the oldest entries first, charges and all. The memo takes no
+    lock: use it from one thread at a time.
     """
 
     def __init__(self, table: TimeSeriesTable) -> None:
         self.table = table
-        self._series: dict[tuple, np.ndarray] = {}
-        self.charges: dict[tuple, int] = {}
+        self._entries: dict[tuple, tuple[np.ndarray, tuple[int, ...]]] = {}
         self.nbytes = 0
 
     def __len__(self) -> int:
-        return len(self._series)
+        return len(self._entries)
 
-    def get(self, key: tuple) -> np.ndarray | None:
-        return self._series.get(key)
+    def get(self, key: tuple) -> tuple[np.ndarray, tuple[int, ...]] | None:
+        return self._entries.get(key)
 
-    def put(self, key: tuple, series: np.ndarray, charge: int) -> None:
-        self.charges[key] = charge
+    def put(self, key: tuple, series: np.ndarray, charges: tuple[int, ...]) -> None:
         if series.nbytes > MEMO_BYTES:
             return
         while self.nbytes + series.nbytes > MEMO_BYTES:
-            self.nbytes -= self._series.pop(next(iter(self._series))).nbytes
-        self._series[key] = series
+            self.nbytes -= self._entries.pop(next(iter(self._entries)))[0].nbytes
+        self._entries[key] = series, charges
         self.nbytes += series.nbytes
 
 
@@ -315,10 +313,10 @@ class _Evaluator:
         self._memo = EvalMemo(table) if memo is None else memo
         self._table = table
         self._length = table.num_rows
-        self._env: dict[str, np.ndarray] = {}
-        self._keys: dict[str, tuple] = {}  # each binding's memo key
+        self._env: dict[str, tuple[np.ndarray, tuple]] = {}  # each binding's series and memo key
         self._nodes = 0
         self._exact = 0  # window values charged for exact sums so far
+        self._charges: list[int] = []  # each of those charges, in order
 
     def run(self, rule: TypedRule) -> np.ndarray:
         self._nodes = rule.ast.node_count
@@ -326,10 +324,10 @@ class _Evaluator:
         token = _RUNNING.set(self)
         try:
             for name, expr in rule.ast.bindings:
-                self._keys[name] = self._key(expr)
+                series = self._eval(expr)
                 # Read-only, so that every `VarRef` to it shares the one array.
-                self._env[name] = self._eval(expr)
-                self._env[name].setflags(write=False)
+                series.setflags(write=False)
+                self._env[name] = series, (VarRef, self._key(expr))
             result = self._eval(rule.ast.result)
         finally:
             _RUNNING.reset(token)
@@ -338,6 +336,7 @@ class _Evaluator:
 
     def charge(self, values: int) -> None:
         """Charge `values` more window values summed exactly; `BudgetError` past `EVAL_BUDGET`."""
+        self._charges.append(values)
         self._exact += values
         cost = self._nodes * self._length + self._exact
         if cost > EVAL_BUDGET:
@@ -352,7 +351,7 @@ class _Evaluator:
         if isinstance(expr, FeatureRef):
             return np.ascontiguousarray(self._table.column(expr.name))
         if isinstance(expr, VarRef):
-            return self._env[expr.name]
+            return self._env[expr.name][0]
         if isinstance(expr, Unary):
             operand = self._eval(expr.operand)
             # `not` over 0/1 booleans; 1 - NaN keeps MISSING.
@@ -380,13 +379,15 @@ class _Evaluator:
             return _missing(_UFUNCS[op](left, right))
 
     def _key(self, expr: Expr) -> tuple:
-        """`expr`'s memo key: its structure, with bound names replaced by their keys.
+        """`expr`'s memo key: its structure, with each bound name keyed by its expression.
 
         A node's key is its type, its first field (a name or an operator) and
-        its children's keys.
+        its children's keys. A bound name's key is `VarRef` and its
+        expression's key: its expression was charged where it was bound, so
+        a call over the name charges less than the same call written out.
         """
         if isinstance(expr, VarRef):
-            return self._keys[expr.name]
+            return self._env[expr.name][1]
         if isinstance(expr, Num):
             # hex() tells 0.0 from -0.0, which compare equal.
             return (Num, expr.value.hex())
@@ -397,15 +398,16 @@ class _Evaluator:
         if expr.name not in _MEMOIZED:
             return _KERNELS[expr.name](*self._eval_args(expr))
         key = self._key(expr)
-        series = self._memo.get(key)
-        if series is not None:
-            self._recharge(expr)
+        entry = self._memo.get(key)
+        if entry is not None:
+            series, charges = entry
+            for values in charges:
+                self.charge(values)
             return series
-        args = self._eval_args(expr)
-        before = self._exact
-        series = _KERNELS[expr.name](*args)
+        start = len(self._charges)
+        series = _KERNELS[expr.name](*self._eval_args(expr))
         series.setflags(write=False)
-        self._memo.put(key, series, self._exact - before)
+        self._memo.put(key, series, tuple(self._charges[start:]))
         return series
 
     def _eval_args(self, expr: Call) -> list:
@@ -415,13 +417,6 @@ class _Evaluator:
         if literal_at is not None:
             args.append(_LITERAL_TYPES[kind](expr.args[literal_at].value))  # a `Num`, by the parser
         return args
-
-    def _recharge(self, expr: Expr) -> None:
-        """Charge what evaluating `expr` charged, in the same order, without evaluating it."""
-        for child in children(expr):
-            self._recharge(child)
-        if isinstance(expr, Call) and expr.name in _MEMOIZED:
-            self.charge(self._memo.charges[self._key(expr)])
 
 
 def evaluate(rule: TypedRule, table: TimeSeriesTable, memo: EvalMemo | None = None) -> np.ndarray:
@@ -434,7 +429,8 @@ def evaluate(rule: TypedRule, table: TimeSeriesTable, memo: EvalMemo | None = No
 
     The budget charges node_count x T before any work, then the length of
     each window that `mean`, `std` or `zscore` sums exactly, before summing
-    it. A memo hit charges what computing its result did. Raises
+    it. A memo entry holds its series and the charges made while computing
+    it, and a hit replays those charges in order. Raises
     `BudgetError` as soon as the total exceeds `EVAL_BUDGET`, so the verdict
     depends only on the rule and the table; the caller is expected to mark
     such candidates invalid rather than retry.

@@ -1346,6 +1346,7 @@ EXIT_CODE_CASES = [
         "fault window must satisfy 0 <= start < end",
         lambda w: ["gen-data", "--out", str(w.root / "corpus"), "--fault", "sensor_bias", "--window", "5:3"],
     ),
+    ("OSError", 3, "Not a directory", lambda w: ["gen-data", "--out", os.path.join(w.file("afile", ""), "corpus")]),
 ]
 
 

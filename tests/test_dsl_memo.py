@@ -150,20 +150,24 @@ class TestSharedMemo:
 
 
 class TestBudgetVerdict:
+    @pytest.mark.parametrize("room", [None, 1, 0])
     @given(tables(), rule_sources, rule_sources, st.data())
     @settings(max_examples=100, deadline=None)
-    def test_verdict_depends_only_on_rule_and_table(self, table, source, other, data):
+    def test_verdict_depends_only_on_rule_and_table(self, room, table, source, other, data):
         """The verdict and the scores are the same with no memo, a fresh one and warmed ones.
 
         `_TOL` at 1e-300 sends every window that is not constant to the exact
         sum, so the charges a memo hit must repeat are not zero. The budget is
         drawn from one below the upfront charge up to the rule's whole charge.
+        `room` bounds the memos to that many series (None: the default
+        bound), so entries are evicted, charges and all, or never kept.
         """
         rule, warmer = (compile_rule(text, ("a", "b")) for text in (source, other))
-        with mock.patch.object(interp, "_TOL", 1e-300):
+        bound = interp.MEMO_BYTES if room is None else room * 8 * table.num_rows
+        with mock.patch.object(interp, "_TOL", 1e-300), mock.patch.object(interp, "MEMO_BYTES", bound):
             by_other, by_rule = EvalMemo(table), EvalMemo(table)
             outcome(warmer, table, by_other)
-            probe = interp._Evaluator(table, by_rule)  # leaves every windowed result in by_rule
+            probe = interp._Evaluator(table, by_rule)  # leaves its windowed results in by_rule, as room allows
             probe.run(rule)
             spend = data.draw(st.integers(min_value=-1, max_value=probe._exact))
             with mock.patch.object(interp, "EVAL_BUDGET", rule.ast.node_count * table.num_rows + spend):
@@ -179,6 +183,44 @@ class TestBudgetVerdict:
         with mock.patch.object(interp, "_TOL", 1e-300):
             warm = EvalMemo(table)
             evaluate(rule, table, warm)
-            with mock.patch.object(interp, "EVAL_BUDGET", 7 * 10 + 45 + 18 - 1):
+            # A hit replays its charges one by one, so it raises at the same charge as a miss.
+            for spend, tail in (
+                (45 + 18 - 1, "+ 63 window values summed exactly = 133 > 132"),
+                (45 - 1, "+ 45 window values summed exactly = 115 > 114"),
+            ):
+                with mock.patch.object(interp, "EVAL_BUDGET", 7 * 10 + spend):
+                    assert outcome(rule, table, warm) == outcome(rule, table)
+                    assert outcome(rule, table).endswith(tail)
+
+    def test_a_hit_charges_every_call_under_it(self):
+        # The kernel of a call that is not memoized may charge too: a hit on
+        # the mean above it must charge that as well.
+        table = make_table({"a": np.arange(10.0), "b": np.ones(10)})
+        rule = compile_rule("return mean(lag($a, 2), 3) > 0", ("a", "b"))
+        lag = interp._KERNELS["lag"]
+
+        def charging_lag(x, k):
+            interp._RUNNING.get().charge(7)
+            return lag(x, k)
+
+        with mock.patch.dict(interp._KERNELS, lag=charging_lag):
+            warm = EvalMemo(table)
+            evaluate(rule, table, warm)
+            with mock.patch.object(interp, "EVAL_BUDGET", rule.ast.node_count * 10 + 6):
                 assert outcome(rule, table, warm) == outcome(rule, table)
-                assert outcome(rule, table).endswith("+ 63 window values summed exactly = 133 > 132")
+                assert outcome(rule, table).endswith("+ 7 window values summed exactly = 77 > 76")
+
+    def test_a_call_over_a_bound_name_charges_as_a_fresh_evaluation(self):
+        # The bound zscore is charged where it is bound, so `mean(d, 2)` does
+        # not charge it again; `mean(zscore($a, 5), 2)` does. Whichever rule
+        # warms the memo, each rule charges what it charges alone.
+        table = make_table({"a": np.array([1.0, 2, 5, 3, -1, 4, 2, 2, 7, 1]), "b": np.ones(10)})
+        bound = compile_rule("d = zscore($a, 5)\nreturn mean(d, 2) > 0", ("a", "b"))
+        written_out = compile_rule("return mean(zscore($a, 5), 2) > 0", ("a", "b"))
+        with mock.patch.object(interp, "_TOL", 1e-300):
+            for rule, warmer in ((bound, written_out), (written_out, bound)):
+                warm = EvalMemo(table)
+                evaluate(warmer, table, warm)
+                for spend in (45 + 18 - 1, 45 + 18):
+                    with mock.patch.object(interp, "EVAL_BUDGET", rule.ast.node_count * 10 + spend):
+                        assert outcome(rule, table, warm) == outcome(rule, table)
